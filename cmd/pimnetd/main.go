@@ -43,10 +43,10 @@
 //
 // The daemon sheds load with 503 + a jittered Retry-After once
 // -max-inflight requests are executing and -queue-depth more are waiting,
-// coalesces concurrent identical /v1/simulate requests onto one execution,
-// and bounds every request by -timeout. On SIGINT/SIGTERM it stops
-// accepting work, drains in-flight requests for up to -grace, and exits 0
-// on a clean drain.
+// coalesces concurrent requests for the same point (from any endpoint) onto
+// one execution, and bounds every request by -timeout. On SIGINT/SIGTERM it
+// stops accepting work, drains in-flight requests for up to -grace, and
+// exits 0 on a clean drain.
 package main
 
 import (
@@ -311,9 +311,13 @@ func run(o options, workers []string, quotas map[string]int) error {
 			return err
 		}
 		cfg.Sweeper = coord
-		cfg.ClusterMetrics = func() any { return coord.MetricsSnapshot() }
 	}
 	s = serve.New(cfg)
+
+	// The signal handler goes in before the listener exists: a SIGTERM that
+	// arrives as soon as the address is printed must drain, not kill.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
 
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
@@ -330,8 +334,6 @@ func run(o options, workers []string, quotas map[string]int) error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-serveErr:
 		return err

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"pimnet/internal/core"
+	"pimnet/internal/metrics"
 	"pimnet/internal/serve"
 	"pimnet/internal/trace"
 )
@@ -146,15 +147,12 @@ func runSweepPoints(t *testing.T, c *Coordinator, grid string) []byte {
 // TestClusterSweepMatchesSingleNode is the healthy-path determinism
 // anchor: a 3-worker distributed sweep must produce bytes identical to the
 // single-node sweep, end to end through the serving tier (delegated
-// /v1/sweep), with the cluster section present in /metrics.
+// /v1/sweep), with the pimnetd_cluster_* families present in /metrics.
 func TestClusterSweepMatchesSingleNode(t *testing.T) {
 	want := singleNodePoints(t, testGrid)
 	f := startFleet(t, 3, nil)
 
-	srv := serve.New(serve.Config{
-		Sweeper:        f.coord,
-		ClusterMetrics: func() any { return f.coord.MetricsSnapshot() },
-	})
+	srv := serve.New(serve.Config{Sweeper: f.coord})
 	front := httptest.NewServer(srv)
 	defer front.Close()
 
@@ -166,9 +164,30 @@ func TestClusterSweepMatchesSingleNode(t *testing.T) {
 		t.Fatalf("chunks dispatched = %d, want 3", n)
 	}
 
-	cl, ok := srv.Snapshot().Cluster.(Snapshot)
-	if !ok || len(cl.Workers) != 3 || cl.HealthyWorkers != 3 {
-		t.Fatalf("metrics cluster section = %+v (ok=%v)", cl, ok)
+	resp, err := http.Get(front.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape, err := metrics.ValidateProm(string(text))
+	if err != nil {
+		t.Fatalf("/metrics is not valid exposition text: %v", err)
+	}
+	healthy, workers := -1.0, 0
+	for _, s := range scrape.Series {
+		switch {
+		case s.Name == "pimnetd_cluster_healthy_workers":
+			healthy = s.Value
+		case s.Name == "pimnetd_cluster_worker_state" && s.Labels["state"] == "healthy":
+			workers++
+		}
+	}
+	if workers != 3 || healthy != 3 {
+		t.Fatalf("metrics cluster families: %d healthy worker series, healthy_workers %v", workers, healthy)
 	}
 }
 

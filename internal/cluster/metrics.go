@@ -1,10 +1,14 @@
 package cluster
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"pimnet/internal/metrics"
+)
 
 // Metrics aggregates the coordinator's dispatch and fleet-health counters.
-// Everything is atomic; the snapshot is embedded in the serving tier's
-// GET /metrics as the "cluster" section.
+// Everything is atomic; PromFamilies renders them as the pimnetd_cluster_*
+// families of the serving tier's GET /metrics.
 type Metrics struct {
 	sweeps       atomic.Uint64 // distributed sweeps started
 	chunks       atomic.Uint64 // chunks dispatched (first attempts)
@@ -21,27 +25,27 @@ type Metrics struct {
 
 // WorkerStatus is one worker's health snapshot.
 type WorkerStatus struct {
-	Addr                string `json:"addr"`
-	State               string `json:"state"`
-	ConsecutiveFailures int    `json:"consecutive_failures"`
+	Addr                string
+	State               string
+	ConsecutiveFailures int
 }
 
-// Snapshot is the wire form of the coordinator's counters.
+// Snapshot is a point-in-time copy of the coordinator's counters.
 type Snapshot struct {
-	Workers        []WorkerStatus `json:"workers"`
-	HealthyWorkers int            `json:"healthy_workers"`
+	Workers        []WorkerStatus
+	HealthyWorkers int
 
-	Sweeps         uint64 `json:"sweeps"`
-	Chunks         uint64 `json:"chunks"`
-	ChunkRetries   uint64 `json:"chunk_retries"`
-	ChunkHedges    uint64 `json:"chunk_hedges"`
-	ChunkLocalRuns uint64 `json:"chunk_local_runs"`
-	DispatchErrors uint64 `json:"dispatch_errors"`
+	Sweeps         uint64
+	Chunks         uint64
+	ChunkRetries   uint64
+	ChunkHedges    uint64
+	ChunkLocalRuns uint64
+	DispatchErrors uint64
 
-	Probes        uint64 `json:"probes"`
-	ProbeFailures uint64 `json:"probe_failures"`
-	Ejections     uint64 `json:"ejections"`
-	Readmissions  uint64 `json:"readmissions"`
+	Probes        uint64
+	ProbeFailures uint64
+	Ejections     uint64
+	Readmissions  uint64
 }
 
 // MetricsSnapshot renders the coordinator's current counters and per-worker
@@ -70,4 +74,43 @@ func (c *Coordinator) MetricsSnapshot() Snapshot {
 		}
 	}
 	return s
+}
+
+// PromFamilies renders the coordinator's counters and per-worker health as
+// Prometheus families. The serving tier appends them to GET /metrics when
+// the coordinator is its Sweeper.
+func (c *Coordinator) PromFamilies() []metrics.PromFamily {
+	s := c.MetricsSnapshot()
+	counter := func(name, help string, v uint64) metrics.PromFamily {
+		return metrics.PromFamily{Name: name, Help: help, Kind: metrics.PromCounter,
+			Samples: []metrics.PromSample{{Value: float64(v)}}}
+	}
+	var state, fails []metrics.PromSample
+	for _, w := range s.Workers {
+		state = append(state, metrics.PromSample{Labels: [][2]string{{"state", w.State}, {"worker", w.Addr}}, Value: 1})
+		fails = append(fails, metrics.PromSample{Labels: [][2]string{{"worker", w.Addr}}, Value: float64(w.ConsecutiveFailures)})
+	}
+	fams := []metrics.PromFamily{
+		{Name: "pimnetd_cluster_healthy_workers", Help: "Workers currently receiving chunk dispatches.",
+			Kind: metrics.PromGauge, Samples: []metrics.PromSample{{Value: float64(s.HealthyWorkers)}}},
+		counter("pimnetd_cluster_sweeps_total", "Distributed sweeps started.", s.Sweeps),
+		counter("pimnetd_cluster_chunks_total", "Chunks dispatched (first attempts).", s.Chunks),
+		counter("pimnetd_cluster_chunk_retries_total", "Chunk re-dispatches after a failed attempt.", s.ChunkRetries),
+		counter("pimnetd_cluster_chunk_hedges_total", "Hedged duplicate dispatches of straggling chunks.", s.ChunkHedges),
+		counter("pimnetd_cluster_chunk_local_runs_total", "Chunks degraded to local execution.", s.ChunkLocalRuns),
+		counter("pimnetd_cluster_dispatch_errors_total", "Chunk dispatch attempts that failed.", s.DispatchErrors),
+		counter("pimnetd_cluster_probes_total", "Worker health probes sent.", s.Probes),
+		counter("pimnetd_cluster_probe_failures_total", "Worker health probes that failed.", s.ProbeFailures),
+		counter("pimnetd_cluster_ejections_total", "Workers ejected from placement.", s.Ejections),
+		counter("pimnetd_cluster_readmissions_total", "Ejected workers readmitted.", s.Readmissions),
+	}
+	if len(state) > 0 {
+		fams = append(fams,
+			metrics.PromFamily{Name: "pimnetd_cluster_worker_state", Help: "Each worker's health state (1 on its current state).",
+				Kind: metrics.PromGauge, Samples: state},
+			metrics.PromFamily{Name: "pimnetd_cluster_worker_consecutive_failures", Help: "Consecutive failed probes or dispatches, by worker.",
+				Kind: metrics.PromGauge, Samples: fails},
+		)
+	}
+	return fams
 }

@@ -6,12 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/http"
-	"strings"
-	"sync"
 
 	"pimnet/internal/metrics"
-	"pimnet/internal/sweep"
 )
 
 // GridPoint is one (dpus, bytes_per_node) cell of a sweep grid. A sweep's
@@ -74,7 +70,7 @@ func (e *PointError) Unwrap() error { return e.Err }
 // request (defaults applied, names lowercased), the grid's points in
 // row-major order, and each point's plan-key digest — the placement key a
 // coordinator hashes for plan-cache locality. It performs exactly the
-// validation DecodeSweepRequest does, so a grid that expands here executes
+// validation /v1/sweep decoding does, so a grid that expands here executes
 // everywhere.
 func ExpandSweep(req SweepRequest, maxPoints int) (SweepRequest, []GridPoint, []string, error) {
 	norm, pts, err := req.normalizeGrid(maxPoints)
@@ -90,187 +86,64 @@ func ExpandSweep(req SweepRequest, maxPoints int) (SweepRequest, []GridPoint, []
 	return norm, grid, keys, nil
 }
 
-// DecodeChunkRequest decodes and normalizes one chunk payload into its
-// executable points (in request order).
-func DecodeChunkRequest(r io.Reader, maxPoints int) (ChunkRequest, []simPoint, error) {
+// decodeChunk is /v1/chunk's decoder.
+func decodeChunk(s *Server, r io.Reader) (*batch, error) {
 	var req ChunkRequest
 	if err := decodeJSON(r, &req); err != nil {
-		return ChunkRequest{}, nil, err
+		return nil, err
 	}
-	pts, err := req.normalize(maxPoints)
-	return req, pts, err
+	return req.batch(s.cfg.MaxSweepPoints)
 }
 
-// normalize applies defaults and validates every point of the chunk.
-func (req *ChunkRequest) normalize(maxPoints int) ([]simPoint, error) {
-	if req.Backend == "" {
-		req.Backend = "pimnet"
-	}
-	if req.Pattern == "" {
-		req.Pattern = "allreduce"
-	}
-	if req.Op == "" {
-		req.Op = "sum"
-	}
-	if req.ElemSize == 0 {
-		req.ElemSize = 4
-	}
+// batch validates every point of the chunk (each takes the simulate
+// defaults) and returns its point list in request order. A failure renders
+// as the enveloped 422 carrying the chunk-local point_index plus the bare
+// (index-free) inner message, so a coordinator can rebuild the global
+// lowest-index error the single-node sweep would have reported.
+func (req ChunkRequest) batch(maxPoints int) (*batch, error) {
 	if len(req.Points) == 0 {
 		return nil, errors.New("chunk must name at least one point")
 	}
 	if len(req.Points) > maxPoints {
 		return nil, fmt.Errorf("chunk has %d points, server caps at %d", len(req.Points), maxPoints)
 	}
-	points := make([]simPoint, 0, len(req.Points))
+	pts := make([]point, 0, len(req.Points))
 	for _, p := range req.Points {
 		pt, err := normalizeGridPoint(req.Backend, req.Pattern, req.Op, req.ElemSize, p.DPUs, p.BytesPerNode)
 		if err != nil {
 			return nil, err
 		}
-		points = append(points, pt)
+		pts = append(pts, pt)
 	}
-	req.Backend = strings.ToLower(req.Backend)
-	req.Pattern = strings.ToLower(req.Pattern)
-	req.Op = strings.ToLower(req.Op)
-	return points, nil
+	return &batch{points: pts, workers: req.Workers, grid: true,
+		render: func(recs []record, _ metrics.SweepStats) response {
+			return okResponse(ChunkResponse{Points: sweepPoints(pts, recs)})
+		},
+		fail: func(pe *PointError) response { return pointErrorResponse(pe, true) },
+	}, nil
 }
 
-// RunChunk executes one chunk request on the server's sweep engine and
-// shared plan cache without passing the admission gate — the handler wraps
-// it in a gated slot; a coordinator running an orphaned chunk locally calls
-// it directly from inside the slot its sweep request already holds (a
-// second acquire there would deadlock a saturated daemon). Failures are
-// *PointError with chunk-local indices.
+// RunChunk executes one chunk request on the server's sweep engine, result
+// store and shared plan cache without passing the admission gate or the
+// coalescer: a coordinator running an orphaned chunk locally calls it from
+// inside the slot its sweep request already holds (a second acquire there
+// would deadlock a saturated daemon). Failures are *PointError with
+// chunk-local indices, or the context's error on cancellation.
 func (s *Server) RunChunk(ctx context.Context, req ChunkRequest) ([]SweepPoint, error) {
-	pts, err := req.normalize(s.cfg.MaxSweepPoints)
+	b, err := req.batch(s.cfg.MaxSweepPoints)
 	if err != nil {
 		return nil, err
 	}
-	res, stats, err := s.runPoints(ctx, pts, req.Workers)
+	outs, stats := s.settle(ctx, b, false)
 	s.met.mergeSweep(stats)
-	return res, err
-}
-
-// runPoints fans validated points onto the sweep engine with the shared
-// plan cache and returns grid-ordered results. On failure the error is a
-// *PointError carrying the lowest failing index (the sweep determinism
-// contract), except for pure cancellation, where the context error is
-// returned as-is.
-func (s *Server) runPoints(ctx context.Context, points []simPoint, workers int) ([]SweepPoint, metrics.SweepStats, error) {
-	if workers <= 0 || workers > s.cfg.MaxSweepWorkers {
-		workers = s.cfg.MaxSweepWorkers
+	recs, cut, pe := collect(outs)
+	switch {
+	case cut != nil:
+		return nil, ctx.Err()
+	case pe != nil:
+		return nil, pe
 	}
-	// Per-point progress for async jobs: completed points stream out as
-	// they land, with the count and the point's wire result in one
-	// serialized event. Synchronous requests carry no progress function, so
-	// this is a single nil check for them.
-	progress := ProgressFromContext(ctx)
-	var progressMu sync.Mutex
-	progressDone := 0
-	errs := make([]error, len(points))
-	results, stats, err := sweep.Run(points, func(c *sweep.Context, pt simPoint) (SweepPoint, error) {
-		sp, err := s.runOnePoint(pt)
-		errs[c.Index] = err
-		if progress != nil {
-			progressMu.Lock()
-			progressDone++
-			ev := ProgressEvent{Done: progressDone, Total: len(points), Chunk: -1}
-			if err == nil {
-				ev.Points = []SweepPoint{sp}
-			}
-			progress(ev)
-			progressMu.Unlock()
-		}
-		return sp, err
-	}, sweep.WithWorkers(workers), sweep.WithCache(s.cache), sweep.WithContext(ctx))
-	if err != nil {
-		for i, perr := range errs {
-			if perr != nil {
-				return results, stats, &PointError{Index: i, Err: perr}
-			}
-		}
-		// No point-level failure recorded: the run was cancelled before
-		// reaching any failing point.
-		if cerr := ctx.Err(); cerr != nil {
-			return results, stats, cerr
-		}
-		return results, stats, err
-	}
-	return results, stats, nil
-}
-
-// runOnePoint executes one grid point: consult the persistent result store
-// first (a warm daemon or cluster worker answers repeated points without
-// simulating), otherwise build the backend, run the collective, render the
-// deterministic result, and write it behind.
-func (s *Server) runOnePoint(pt simPoint) (SweepPoint, error) {
-	if sp, ok := s.storeGetPoint(pt); ok {
-		return sp, nil
-	}
-	be, _, err := s.buildBackend(pt)
-	if err != nil {
-		return SweepPoint{}, err
-	}
-	res, err := be.Collective(pt.req)
-	if err != nil {
-		return SweepPoint{}, err
-	}
-	sp := SweepPoint{
-		DPUs:         pt.req.Nodes,
-		BytesPerNode: pt.req.BytesPerNode,
-		TimePs:       res.Time,
-		Time:         res.Time.String(),
-		Breakdown:    res.Breakdown,
-		PlanKey:      pt.planKey().Digest(),
-	}
-	s.storePutPoint(pt, sp)
-	return sp, nil
-}
-
-// handleChunk is the coordinator-facing chunk endpoint: decode -> admit ->
-// execute -> respond. Chunks pass the same admission gate as sweeps; the
-// structured 422 body preserves the failing point's index for the
-// coordinator's lowest-index error reassembly.
-func (s *Server) handleChunk(w http.ResponseWriter, r *http.Request) {
-	s.met.chunk.Add(1)
-	if !s.begin() {
-		s.met.rejected.Add(1)
-		s.write(w, drainingResponse())
-		return
-	}
-	defer s.inflight.Done()
-
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-
-	req, pts, err := DecodeChunkRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), s.cfg.MaxSweepPoints)
-	if err != nil {
-		s.write(w, errorResponse(http.StatusBadRequest, err))
-		return
-	}
-	s.write(w, s.executeGated(ctx, func(ctx context.Context) response {
-		results, stats, err := s.runPoints(ctx, pts, req.Workers)
-		s.met.mergeSweep(stats)
-		if err != nil {
-			if ctx.Err() != nil {
-				return deadlineResponse(ctx.Err())
-			}
-			var pe *PointError
-			if errors.As(err, &pe) {
-				return chunkErrorResponse(pe)
-			}
-			return errorResponse(http.StatusUnprocessableEntity, err)
-		}
-		return okResponse(ChunkResponse{Points: results})
-	}))
-}
-
-// chunkErrorResponse renders a point failure as the enveloped 422: the
-// chunk-local point_index plus the bare (index-free) inner message, so a
-// coordinator can rebuild the global lowest-index error the single-node
-// sweep would have reported.
-func chunkErrorResponse(pe *PointError) response {
-	return pointErrorResponse(pe, true)
+	return sweepPoints(b.points, recs), nil
 }
 
 // DecodeChunkError parses a worker's enveloped 422 chunk error body back

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -186,4 +187,80 @@ func TestCoalescedFollowersGetLeaderPanic(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("server did not recover after leader panic: %d %s", status, body)
 	}
+}
+
+// TestSharedPointEchoesEachCaller is the echo regression: two spellings of
+// one point ({"backend":"p"} and {"backend":"pimnet"}) share a flight and a
+// store record, yet each response must echo its own normalized request —
+// byte-identical to what a fresh storeless server answers for that payload.
+func TestSharedPointEchoesEachCaller(t *testing.T) {
+	const short = `{"backend": "p", "pattern": "allreduce", "bytes_per_node": 4096, "dpus": 64}`
+	const long = `{"backend": "pimnet", "pattern": "allreduce", "bytes_per_node": 4096, "dpus": 64}`
+	_, fresh := newTestServer(t, Config{})
+	want := map[string][]byte{}
+	for _, body := range []string{short, long} {
+		code, _, b := post(t, fresh.URL+"/v1/simulate", body)
+		if code != http.StatusOK {
+			t.Fatalf("fresh server: %d %s", code, b)
+		}
+		want[body] = b
+	}
+	if bytes.Equal(want[short], want[long]) {
+		t.Fatal("the two spellings echo identically; the test cannot tell them apart")
+	}
+
+	t.Run("store", func(t *testing.T) {
+		st := openStore(t, t.TempDir())
+		_, ts := newTestServer(t, Config{Store: st})
+		for _, body := range []string{short, long} {
+			if _, _, got := post(t, ts.URL+"/v1/simulate", body); !bytes.Equal(got, want[body]) {
+				t.Fatalf("payload %s:\n got %s\nwant %s", body, got, want[body])
+			}
+		}
+		if rs := st.Stats().Results; rs.Hits != 1 || rs.Writes != 1 {
+			t.Fatalf("results traffic %+v, want the second spelling served from the first's record", rs)
+		}
+	})
+
+	t.Run("coalesced", func(t *testing.T) {
+		s := New(Config{})
+		entered := make(chan struct{}, 1)
+		release := make(chan struct{})
+		s.testHookExecute = func() {
+			entered <- struct{}{}
+			<-release
+		}
+		ts := httptest.NewServer(s)
+		defer ts.Close()
+		got := make(map[string][]byte)
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		fire := func(body string) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				b, _ := io.ReadAll(resp.Body)
+				mu.Lock()
+				got[body] = b
+				mu.Unlock()
+			}()
+		}
+		fire(short)
+		<-entered // the leader holds the point's flight
+		fire(long)
+		waitUntil(t, "the twin to coalesce", func() bool { return s.met.coalesced.Load() == 1 })
+		close(release)
+		wg.Wait()
+		for _, body := range []string{short, long} {
+			if !bytes.Equal(got[body], want[body]) {
+				t.Fatalf("payload %s:\n got %s\nwant %s", body, got[body], want[body])
+			}
+		}
+	})
 }

@@ -18,11 +18,10 @@ import (
 // The async job layer: POST /v1/jobs accepts any simulate/sweep/noc-sweep
 // payload plus a tenant, queues it in that tenant's pool, and returns a job
 // ID immediately; GET /v1/jobs/{id} polls status with partial results, and
-// GET /v1/jobs/{id}/events streams progress over SSE. Execution reuses the
-// synchronous pipeline wholesale (simulateResponse/sweepResponse/
-// nocSweepResponse), so a finished job's result bytes are identical to the
-// synchronous endpoint's by construction — same coalescer, same store, same
-// renderer.
+// GET /v1/jobs/{id}/events streams progress over SSE. A job decodes through
+// its endpoint's decoder and runs the same point pipeline (Server.run), so a
+// finished job's result bytes are identical to the synchronous endpoint's by
+// construction — same coalescer, same store, same renderer.
 //
 // Scheduling is deficit round robin over per-tenant queues: each pool
 // accumulates quantum (scaled by its quota) per scheduler visit and
@@ -223,7 +222,7 @@ func (m *jobManager) counters(pool string) *tenantCounters {
 // bounds, enqueues it, and kicks the scheduler. It returns the rendered
 // HTTP response (202 + JobView, or an error envelope).
 func (m *jobManager) submit(req JobRequest) response {
-	kind, tenant := req.Kind, req.Tenant
+	kind, tenant := normalizeJobKind(req.Kind), req.Tenant
 	if tenant == "" {
 		tenant = "default"
 	}
@@ -232,36 +231,17 @@ func (m *jobManager) submit(req JobRequest) response {
 	}
 
 	// Decode the embedded payload exactly as the synchronous endpoint
-	// would, capturing the execution closure.
-	var run func(ctx context.Context) response
-	var cost int
-	s := m.s
-	switch kind {
-	case "simulate":
-		echo, pt, err := DecodeSimulateRequest(bytes.NewReader(req.Request))
-		if err != nil {
-			return errorResponse(http.StatusBadRequest, err)
-		}
-		cost = 1
-		run = func(ctx context.Context) response { return s.simulateResponse(ctx, echo, pt) }
-	case "sweep":
-		sreq, points, err := DecodeSweepRequest(bytes.NewReader(req.Request), s.cfg.MaxSweepPoints)
-		if err != nil {
-			return errorResponse(http.StatusBadRequest, err)
-		}
-		cost = len(points)
-		run = func(ctx context.Context) response { return s.sweepResponse(ctx, sreq, points) }
-	case "noc_sweep", "noc-sweep":
-		nreq, points, err := DecodeNocSweepRequest(bytes.NewReader(req.Request), s.cfg.MaxSweepPoints)
-		if err != nil {
-			return errorResponse(http.StatusBadRequest, err)
-		}
-		cost = len(points)
-		run = func(ctx context.Context) response { return s.nocSweepResponse(ctx, nreq, points) }
-	default:
+	// would; the job's cost is its point count.
+	decode, ok := jobKinds[kind]
+	if !ok {
 		return errorResponse(http.StatusBadRequest,
-			fmt.Errorf("unknown job kind %q (want simulate, sweep, or noc_sweep)", kind))
+			fmt.Errorf("unknown job kind %q (want simulate, sweep, or noc_sweep)", req.Kind))
 	}
+	b, err := decode(m.s, bytes.NewReader(req.Request))
+	if err != nil {
+		return errorResponse(http.StatusBadRequest, err)
+	}
+	cost := len(b.points)
 
 	m.mu.Lock()
 	if m.draining {
@@ -292,13 +272,13 @@ func (m *jobManager) submit(req JobRequest) response {
 	m.seq++
 	j := &job{
 		id:        fmt.Sprintf("j-%06d", m.seq),
-		kind:      normalizeJobKind(kind),
+		kind:      kind,
 		tenant:    tenant,
 		pool:      pool,
-		cost:      max(1, cost),
-		run:       run,
+		cost:      cost,
+		run:       func(ctx context.Context) response { return m.s.run(ctx, b) },
 		state:     jobQueued,
-		total:     max(1, cost),
+		total:     cost,
 		lastChunk: -1,
 		created:   time.Now(),
 		doneCh:    make(chan struct{}),
@@ -327,18 +307,19 @@ func (m *jobManager) submit(req JobRequest) response {
 	return response{status: http.StatusAccepted, body: body}
 }
 
+// jobKinds maps a job kind to its endpoint's decoder.
+var jobKinds = map[string]decoder{
+	"simulate":  decodeSimulate,
+	"sweep":     decodeSweep,
+	"noc_sweep": decodeNocSweep,
+}
+
+// normalizeJobKind accepts the hyphenated "noc-sweep" spelling.
 func normalizeJobKind(kind string) string {
 	if kind == "noc-sweep" {
 		return "noc_sweep"
 	}
 	return kind
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func (m *jobManager) inRR(pool string) bool {
@@ -676,43 +657,43 @@ func (m *jobManager) result(id string) (response, string, bool) {
 	return j.result, j.state, true
 }
 
-// TenantSnapshot is one pool's wire counters in the observability snapshot.
-type TenantSnapshot struct {
-	Quota       int    `json:"quota"`
-	Submitted   uint64 `json:"submitted"`
-	Admitted    uint64 `json:"admitted"`
-	Rejected    uint64 `json:"rejected"`
-	Done        uint64 `json:"done"`
-	Failed      uint64 `json:"failed"`
-	Interrupted uint64 `json:"interrupted"`
-	Queued      int    `json:"queued"`
-	Running     int    `json:"running"`
+// tenantSnapshot is one pool's counters as /metrics renders them.
+type tenantSnapshot struct {
+	Quota       int
+	Submitted   uint64
+	Admitted    uint64
+	Rejected    uint64
+	Done        uint64
+	Failed      uint64
+	Interrupted uint64
+	Queued      int
+	Running     int
 }
 
-// JobsSnapshot is the "jobs" section of the metrics snapshot.
-type JobsSnapshot struct {
-	Queued  int                       `json:"queued"`
-	Running int                       `json:"running"`
-	Tracked int                       `json:"tracked"`
-	Tenants map[string]TenantSnapshot `json:"tenants"`
+// jobsSnapshot is the job manager's queue depths and per-pool counters.
+type jobsSnapshot struct {
+	Queued  int
+	Running int
+	Tracked int
+	Tenants map[string]tenantSnapshot
 }
 
 // snapshot renders the job manager's counters.
-func (m *jobManager) snapshot() *JobsSnapshot {
+func (m *jobManager) snapshot() jobsSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := &JobsSnapshot{
+	out := jobsSnapshot{
 		Queued:  m.queuedN,
 		Running: m.runningN,
 		Tracked: len(m.jobs),
-		Tenants: make(map[string]TenantSnapshot, len(m.tenants)),
+		Tenants: make(map[string]tenantSnapshot, len(m.tenants)),
 	}
 	for pool, tc := range m.tenants {
 		queued := 0
 		if q := m.queues[pool]; q != nil {
 			queued = len(q.jobs)
 		}
-		out.Tenants[pool] = TenantSnapshot{
+		out.Tenants[pool] = tenantSnapshot{
 			Quota:       m.quotaOf(pool),
 			Submitted:   tc.submitted,
 			Admitted:    tc.admitted,

@@ -5,9 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pimnet/internal/core"
 	"pimnet/internal/metrics"
-	"pimnet/internal/report"
 )
 
 // latencyBucketsMs are the upper bounds (milliseconds) of the request
@@ -34,15 +32,6 @@ func (h *histogram) observe(d time.Duration) {
 	h.sumNs.Add(int64(d))
 }
 
-// HistogramSnapshot is the wire form of the latency histogram. Bounds and
-// Counts are parallel; the last count is the overflow (+Inf) bucket.
-type HistogramSnapshot struct {
-	BoundsMs []float64 `json:"bounds_ms"`
-	Counts   []uint64  `json:"counts"`
-	Count    uint64    `json:"count"`
-	SumMs    float64   `json:"sum_ms"`
-}
-
 // serverMetrics aggregates the daemon's observability counters. Everything
 // is either atomic or guarded by mu, so handlers update it without
 // serializing on each other.
@@ -64,7 +53,7 @@ type serverMetrics struct {
 	status4xx atomic.Uint64
 	status5xx atomic.Uint64
 	rejected  atomic.Uint64 // 503s from admission saturation or draining
-	coalesced atomic.Uint64 // followers served from another request's flight
+	coalesced atomic.Uint64 // points served from another request's flight
 	inFlight  atomic.Int64  // executions currently holding an admission slot
 
 	latency histogram
@@ -89,92 +78,5 @@ func (m *serverMetrics) recordStatus(status int) {
 		m.status5xx.Add(1)
 	case status >= 400:
 		m.status4xx.Add(1)
-	}
-}
-
-// MetricsSnapshot is the wire form of GET /metrics.
-type MetricsSnapshot struct {
-	UptimeSeconds float64           `json:"uptime_seconds"`
-	Requests      map[string]uint64 `json:"requests"`
-	Status4xx     uint64            `json:"responses_4xx"`
-	Status5xx     uint64            `json:"responses_5xx"`
-	Rejected      uint64            `json:"rejected"`
-	Coalesced     uint64            `json:"coalesced"`
-	InFlight      int64             `json:"in_flight"`
-	Queued        int64             `json:"queued"`
-	// PlanCache is the process-wide shared cache's lifetime counters.
-	PlanCache PlanCacheSnapshot `json:"plan_cache"`
-	// Sweep aggregates every /v1/sweep run's execution stats (including the
-	// windowed plan-cache hit rate the sweep engine measures).
-	Sweep   report.SweepStatsJSON `json:"sweep"`
-	Latency HistogramSnapshot     `json:"latency"`
-	// Store is the persistent plan/result store's counters (absent when the
-	// daemon runs without -store-dir).
-	Store *StoreSnapshot `json:"store,omitempty"`
-	// Cluster is the coordinator's dispatch/health snapshot (coordinator
-	// mode only; absent on plain daemons and workers).
-	Cluster any `json:"cluster,omitempty"`
-	// Jobs is the async job manager's queue depths and per-tenant counters.
-	Jobs *JobsSnapshot `json:"jobs,omitempty"`
-}
-
-// PlanCacheSnapshot is the wire form of core.CacheStats plus the derived hit
-// rate. Misses count true compiles (a persisted-store hit is a DiskHit) —
-// after a warm restart a fully persisted workload shows misses == 0.
-type PlanCacheSnapshot struct {
-	Hits     uint64  `json:"hits"`
-	Misses   uint64  `json:"misses"`
-	DiskHits uint64  `json:"disk_hits"`
-	Entries  int     `json:"entries"`
-	HitRate  float64 `json:"hit_rate"`
-}
-
-// snapshot renders the current counters. gateWaiting is the admission
-// queue's current depth; cache is the process-wide plan cache; cluster is
-// the coordinator snapshot (nil outside coordinator mode).
-func (m *serverMetrics) snapshot(gateWaiting int64, cache *core.PlanCache, cluster any, st *StoreSnapshot) MetricsSnapshot {
-	cs := cache.Stats()
-	rate := 0.0
-	if total := cs.Hits + cs.DiskHits + cs.Misses; total > 0 {
-		rate = float64(cs.Hits+cs.DiskHits) / float64(total)
-	}
-	hs := HistogramSnapshot{
-		BoundsMs: latencyBucketsMs[:],
-		Counts:   make([]uint64, len(m.latency.counts)),
-		Count:    m.latency.count.Load(),
-		SumMs:    float64(m.latency.sumNs.Load()) / float64(time.Millisecond),
-	}
-	for i := range m.latency.counts {
-		hs.Counts[i] = m.latency.counts[i].Load()
-	}
-	m.sweepMu.Lock()
-	agg := report.NewSweepStatsJSON(m.sweepAgg)
-	m.sweepMu.Unlock()
-	return MetricsSnapshot{
-		UptimeSeconds: time.Since(m.start).Seconds(),
-		Requests: map[string]uint64{
-			"simulate":   m.simulate.Load(),
-			"sweep":      m.sweep.Load(),
-			"noc_sweep":  m.nocSweep.Load(),
-			"chunk":      m.chunk.Load(),
-			"healthz":    m.healthz.Load(),
-			"metrics":    m.metrics.Load(),
-			"jobs":       m.jobSubmit.Load(),
-			"job_status": m.jobStatus.Load(),
-			"job_result": m.jobResult.Load(),
-			"job_events": m.jobEvents.Load(),
-		},
-		Status4xx: m.status4xx.Load(),
-		Status5xx: m.status5xx.Load(),
-		Rejected:  m.rejected.Load(),
-		Coalesced: m.coalesced.Load(),
-		InFlight:  m.inFlight.Load(),
-		Queued:    gateWaiting,
-		PlanCache: PlanCacheSnapshot{Hits: cs.Hits, Misses: cs.Misses, DiskHits: cs.DiskHits,
-			Entries: cs.Entries, HitRate: rate},
-		Sweep:   agg,
-		Latency: hs,
-		Store:   st,
-		Cluster: cluster,
 	}
 }

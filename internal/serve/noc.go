@@ -1,23 +1,23 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"net/http"
 
+	"pimnet/internal/metrics"
 	"pimnet/internal/noc"
 	"pimnet/internal/report"
 	"pimnet/internal/sim"
-	"pimnet/internal/sweep"
 )
 
 // POST /v1/noc/sweep: the packet-level adversarial pattern sweep as a
-// service. The grid is patterns x modes on one network shape; every point is
-// a pure function of the request (internal/noc's sweep determinism
-// contract), so responses are byte-identical regardless of worker count.
-// Requests pass the same admission gate as /v1/sweep — one slot per sweep,
-// the inner pool bounded separately by MaxSweepWorkers.
+// service. The grid is patterns x modes on one network shape; every cell is
+// a point of the shared pipeline and a pure function of the request
+// (internal/noc's sweep determinism contract), so responses are
+// byte-identical regardless of worker count, cells coalesce with identical
+// cells of concurrent sweeps, and a store-backed daemon answers repeated
+// cells from disk. Requests pass the same admission gate as /v1/sweep — one
+// slot per sweep, the inner pool bounded separately by MaxSweepWorkers.
 
 // NocSweepRequest is the wire form of POST /v1/noc/sweep. Absent fields
 // take the documented defaults; unknown fields are rejected.
@@ -64,36 +64,36 @@ type NocSweepResponse struct {
 	Stats   report.SweepStatsJSON `json:"stats"`
 }
 
-// DecodeNocSweepRequest decodes and normalizes one noc-sweep payload into
-// its grid. The fuzz-safety contract of the other decoders applies: every
-// malformed shape is an error, never a panic, and the expanded grid is
-// bounded by maxPoints.
-func DecodeNocSweepRequest(r io.Reader, maxPoints int) (NocSweepRequest, []noc.PatternPoint, error) {
+// decodeNocSweep is /v1/noc/sweep's decoder: the patterns x modes grid as
+// NoC cell points. The fuzz-safety contract of the other decoders applies:
+// every malformed shape is an error, never a panic, and the expanded grid
+// is bounded by MaxSweepPoints.
+func decodeNocSweep(s *Server, r io.Reader) (*batch, error) {
 	var req NocSweepRequest
 	if err := decodeJSON(r, &req); err != nil {
-		return req, nil, err
+		return nil, err
 	}
 	if req.Ranks == 0 && req.Chips == 0 && req.Banks == 0 {
 		req.Ranks, req.Chips, req.Banks = 4, 8, 80
 	}
 	if req.Ranks < 1 || req.Chips < 1 || req.Banks < 1 {
-		return req, nil, fmt.Errorf("topology %dx%dx%d", req.Ranks, req.Chips, req.Banks)
+		return nil, fmt.Errorf("topology %dx%dx%d", req.Ranks, req.Chips, req.Banks)
 	}
 	cfg := noc.DefaultConfig(req.Ranks, req.Chips, req.Banks)
 	if cfg.Nodes() < 2 {
-		return req, nil, fmt.Errorf("topology %dx%dx%d has fewer than 2 nodes", req.Ranks, req.Chips, req.Banks)
+		return nil, fmt.Errorf("topology %dx%dx%d has fewer than 2 nodes", req.Ranks, req.Chips, req.Banks)
 	}
 	if req.BytesPerNode == 0 {
 		req.BytesPerNode = 32 << 10
 	}
 	if req.BytesPerNode < 1 {
-		return req, nil, fmt.Errorf("bytes_per_node %d", req.BytesPerNode)
+		return nil, fmt.Errorf("bytes_per_node %d", req.BytesPerNode)
 	}
 	if req.Steps == 0 {
 		req.Steps = 2
 	}
 	if req.Steps < 1 {
-		return req, nil, fmt.Errorf("steps %d", req.Steps)
+		return nil, fmt.Errorf("steps %d", req.Steps)
 	}
 	if req.Seed == 0 {
 		req.Seed = 42
@@ -110,7 +110,7 @@ func DecodeNocSweepRequest(r io.Reader, maxPoints int) (NocSweepRequest, []noc.P
 		for _, name := range req.Patterns {
 			p, err := noc.ParseTrafficPattern(name)
 			if err != nil {
-				return req, nil, err
+				return nil, err
 			}
 			patterns = append(patterns, p)
 		}
@@ -123,91 +123,32 @@ func DecodeNocSweepRequest(r io.Reader, maxPoints int) (NocSweepRequest, []noc.P
 		for _, name := range req.Modes {
 			m, err := noc.ParseMode(name)
 			if err != nil {
-				return req, nil, err
+				return nil, err
 			}
 			modes = append(modes, m)
 		}
 	}
 
-	if grid := len(patterns) * len(modes); grid > maxPoints {
-		return req, nil, fmt.Errorf("grid of %d points exceeds limit %d", grid, maxPoints)
+	if grid := len(patterns) * len(modes); grid > s.cfg.MaxSweepPoints {
+		return nil, fmt.Errorf("grid of %d points exceeds limit %d", grid, s.cfg.MaxSweepPoints)
 	}
-	points := make([]noc.PatternPoint, 0, len(patterns)*len(modes))
+	pts := make([]point, 0, len(patterns)*len(modes))
 	for _, p := range patterns {
 		for _, m := range modes {
-			points = append(points, noc.PatternPoint{Config: cfg, Mode: m, Pattern: p,
-				BytesPerNode: req.BytesPerNode, Steps: req.Steps, Seed: req.Seed})
+			pts = append(pts, point{noc: &noc.PatternPoint{Config: cfg, Mode: m, Pattern: p,
+				BytesPerNode: req.BytesPerNode, Steps: req.Steps, Seed: req.Seed}})
 		}
 	}
-	return req, points, nil
-}
-
-// handleNocSweep is the adversarial-pattern batch endpoint:
-// decode -> admit -> sweep -> respond.
-func (s *Server) handleNocSweep(w http.ResponseWriter, r *http.Request) {
-	s.met.nocSweep.Add(1)
-	if !s.begin() {
-		s.met.rejected.Add(1)
-		s.write(w, drainingResponse())
-		return
-	}
-	defer s.inflight.Done()
-
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-
-	req, points, err := DecodeNocSweepRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), s.cfg.MaxSweepPoints)
-	if err != nil {
-		s.write(w, errorResponse(http.StatusBadRequest, err))
-		return
-	}
-	s.write(w, s.nocSweepResponse(ctx, req, points))
-}
-
-// nocSweepResponse runs one decoded noc-sweep through admission and
-// execution — the path shared by the synchronous endpoint and the async
-// job executor.
-func (s *Server) nocSweepResponse(ctx context.Context, req NocSweepRequest, points []noc.PatternPoint) response {
-	return s.executeGated(ctx, func(ctx context.Context) response {
-		return s.executeNocSweep(ctx, req, points)
-	})
-}
-
-// executeNocSweep fans the grid onto the bounded pattern sweep. NoC points
-// never touch the plan cache (there is nothing to compile), but their
-// execution stats merge into the same process aggregate as /v1/sweep runs.
-func (s *Server) executeNocSweep(ctx context.Context, req NocSweepRequest, points []noc.PatternPoint) response {
-	workers := req.Workers
-	if workers <= 0 || workers > s.cfg.MaxSweepWorkers {
-		workers = s.cfg.MaxSweepWorkers
-	}
-	opts := []sweep.Option{sweep.WithWorkers(workers), sweep.WithContext(ctx)}
-	if progress := ProgressFromContext(ctx); progress != nil {
-		// NoC points have no SweepPoint wire form, so job progress carries
-		// counts only (the sweep engine serializes the callback).
-		opts = append(opts, sweep.WithProgress(func(done, total int) {
-			progress(ProgressEvent{Done: done, Total: total, Chunk: -1})
-		}))
-	}
-	results, stats, err := noc.SweepPatterns(points, opts...)
-	if err != nil {
-		if ctx.Err() != nil {
-			return deadlineResponse(ctx.Err())
-		}
-		return errorResponse(http.StatusUnprocessableEntity, err)
-	}
-	s.met.mergeSweep(stats)
-	resp := NocSweepResponse{Request: req, Nodes: results[0].Nodes,
-		Points: make([]NocSweepPoint, len(results)), Stats: report.NewSweepStatsJSON(stats)}
-	for i, res := range results {
-		resp.Points[i] = NocSweepPoint{
-			Pattern:  res.Pattern.String(),
-			Mode:     res.Mode.String(),
-			FinishPs: res.Finish,
-			Finish:   res.Finish.String(),
-			Packets:  res.PacketsDelivered,
-			MaxQueue: res.MaxQueue,
-		}
-	}
-	return okResponse(resp)
+	return &batch{points: pts, workers: req.Workers, grid: true,
+		render: func(recs []record, stats metrics.SweepStats) response {
+			resp := NocSweepResponse{Request: req, Nodes: cfg.Nodes(),
+				Points: make([]NocSweepPoint, len(recs)), Stats: report.NewSweepStatsJSON(stats)}
+			for i, rec := range recs {
+				c := pts[i].noc
+				resp.Points[i] = NocSweepPoint{Pattern: c.Pattern.String(), Mode: c.Mode.String(),
+					FinishPs: rec.TimePs, Finish: rec.TimePs.String(), Packets: rec.Packets, MaxQueue: rec.MaxQueue}
+			}
+			return okResponse(resp)
+		},
+	}, nil
 }

@@ -9,7 +9,7 @@ import "context"
 //
 // The function travels by context (rather than threading a parameter
 // through every execution signature) because progress crosses package
-// boundaries: serve's runPoints emits per-point events, while a cluster
+// boundaries: serve's point pipeline emits per-point events, while a cluster
 // coordinator emits per-chunk events from its own dispatch goroutines, both
 // into the same consumer.
 

@@ -9,7 +9,7 @@ import (
 
 // TestMetricsPromExposition: GET /metrics is valid Prometheus text carrying
 // the request, plan-cache, coalescing, store, job-queue, and per-tenant
-// series, and it agrees with the programmatic Snapshot.
+// series, and it agrees with the job manager's own counters.
 func TestMetricsPromExposition(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	s, ts := newTestServer(t, Config{Store: st, TenantQuotas: map[string]int{"acme": 2}})
@@ -100,12 +100,9 @@ func TestMetricsPromExposition(t *testing.T) {
 		}
 	}
 
-	snap := s.Snapshot()
-	if snap.Jobs == nil {
-		t.Fatal("snapshot has no jobs section")
-	}
+	snap := s.jobs.snapshot()
 	for _, pool := range []string{"acme", "default"} {
-		tc, ok := snap.Jobs.Tenants[pool]
+		tc, ok := snap.Tenants[pool]
 		if !ok || tc.Done < 1 {
 			t.Errorf("jobs.tenants[%s] = %+v, %v", pool, tc, ok)
 		}
@@ -120,7 +117,7 @@ func TestMetricsPromExposition(t *testing.T) {
 				}
 			}
 			if !found {
-				t.Errorf("tenant %s finished{outcome=done} disagrees with JSON done=%d", pool, tc.Done)
+				t.Errorf("tenant %s finished{outcome=done} disagrees with done=%d", pool, tc.Done)
 			}
 		}
 	}
@@ -148,4 +145,33 @@ func TestMetricsPromWithoutStore(t *testing.T) {
 			t.Error("store family present without a store")
 		}
 	}
+}
+
+// scrapeMetrics fetches GET /metrics and validates it as exposition text.
+func scrapeMetrics(t *testing.T, url string) *metrics.PromScrape {
+	t.Helper()
+	status, body := get(t, url+"/metrics")
+	if status != http.StatusOK {
+		t.Fatalf("GET /metrics: %d", status)
+	}
+	scrape, err := metrics.ValidateProm(string(body))
+	if err != nil {
+		t.Fatalf("/metrics is not valid exposition text:\n%s\n%v", body, err)
+	}
+	return scrape
+}
+
+// promValue returns the first series named name whose labels match the
+// given key, value pairs.
+func promValue(scrape *metrics.PromScrape, name string, labels ...string) (float64, bool) {
+	for _, s := range scrape.Series {
+		match := s.Name == name
+		for i := 0; match && i+1 < len(labels); i += 2 {
+			match = s.Labels[labels[i]] == labels[i+1]
+		}
+		if match {
+			return s.Value, true
+		}
+	}
+	return 0, false
 }

@@ -127,22 +127,24 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 		t.Fatalf("coalesced = %d, want %d", got, clients-1)
 	}
 
-	// The coalesce counter is surfaced through the observability snapshot.
-	snap := s.Snapshot()
-	if snap.Coalesced == 0 {
+	// The coalesce counter is surfaced through /metrics.
+	scrape := scrapeMetrics(t, ts.URL)
+	if v, _ := promValue(scrape, "pimnetd_coalesced_total"); v == 0 {
 		t.Fatal("metrics report zero coalesced requests")
 	}
-	if snap.Requests["simulate"] != clients {
-		t.Fatalf("metrics report %d simulate requests, want %d", snap.Requests["simulate"], clients)
+	if v, _ := promValue(scrape, "pimnetd_requests_total", "endpoint", "simulate"); v != clients {
+		t.Fatalf("metrics report %v simulate requests, want %d", v, clients)
 	}
 }
 
 // TestConcurrentMixedRequestsDeterministic exercises the shared cache with
 // real concurrency and no execution hook: 32 goroutines across 4 distinct
 // payloads; every response for a given payload must be byte-identical
-// whether its plan was compiled or bound from cache, coalesced or not.
+// whether its plan was compiled or bound from cache, coalesced or not. The
+// admission queue holds every concurrent leader (at most one per payload),
+// so no request is shed on a machine with fewer cores than payloads.
 func TestConcurrentMixedRequestsDeterministic(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, Config{QueueDepth: -1})
 	payloads := []string{
 		`{"pattern": "allreduce", "bytes_per_node": 4096, "dpus": 64}`,
 		`{"pattern": "alltoall", "bytes_per_node": 4096, "dpus": 64}`,
@@ -626,7 +628,7 @@ func TestSweepRejections(t *testing.T) {
 // TestMetricsAndHealth: the observability endpoints carry the counters the
 // acceptance criteria name.
 func TestMetricsAndHealth(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, Config{})
 	status, body := get(t, ts.URL+"/healthz")
 	if status != http.StatusOK {
 		t.Fatalf("healthz: %d", status)
@@ -649,23 +651,28 @@ func TestMetricsAndHealth(t *testing.T) {
 		t.Fatalf("metrics.json 404 not enveloped: %s", body)
 	}
 
-	snap := s.Snapshot()
-	if snap.Requests["simulate"] != 3 || snap.Requests["sweep"] != 1 {
-		t.Fatalf("request counters: %+v", snap.Requests)
+	scrape := scrapeMetrics(t, ts.URL)
+	v := func(name string, labels ...string) float64 {
+		x, _ := promValue(scrape, name, labels...)
+		return x
 	}
-	if snap.Status4xx == 0 {
+	if v("pimnetd_requests_total", "endpoint", "simulate") != 3 || v("pimnetd_requests_total", "endpoint", "sweep") != 1 {
+		t.Fatalf("request counters: simulate %v, sweep %v",
+			v("pimnetd_requests_total", "endpoint", "simulate"), v("pimnetd_requests_total", "endpoint", "sweep"))
+	}
+	if v("pimnetd_responses_total", "class", "4xx") == 0 {
 		t.Fatal("4xx counter not incremented")
 	}
-	if snap.PlanCache.Hits == 0 || snap.PlanCache.HitRate <= 0 {
-		t.Fatalf("plan cache counters: %+v", snap.PlanCache)
+	if v("pimnetd_plan_cache_hits_total") == 0 || v("pimnetd_plan_cache_hit_rate") <= 0 {
+		t.Fatalf("plan cache counters: hits %v, rate %v", v("pimnetd_plan_cache_hits_total"), v("pimnetd_plan_cache_hit_rate"))
 	}
-	if snap.Sweep.Points != 2 || snap.Sweep.CacheHitRate <= 0 {
-		t.Fatalf("sweep aggregate: %+v", snap.Sweep)
+	if v("pimnetd_sweep_points_total") != 2 || v("pimnetd_sweep_plan_cache_hit_rate") <= 0 {
+		t.Fatalf("sweep aggregate: points %v, rate %v", v("pimnetd_sweep_points_total"), v("pimnetd_sweep_plan_cache_hit_rate"))
 	}
-	if snap.Latency.Count == 0 {
+	if v("pimnetd_request_duration_seconds_count") == 0 {
 		t.Fatal("latency histogram empty")
 	}
-	if snap.UptimeSeconds <= 0 {
+	if v("pimnetd_uptime_seconds") <= 0 {
 		t.Fatal("uptime missing")
 	}
 }

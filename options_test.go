@@ -96,43 +96,6 @@ func TestBackendsForwardsOptions(t *testing.T) {
 	}
 }
 
-// TestWithFaultsMatchesDeprecatedWrapper: the options path and the
-// deprecated NewFaultyPIMnet must build backends with identical semantics.
-func TestWithFaultsMatchesDeprecatedWrapper(t *testing.T) {
-	sys := testSystem(t, 256)
-	spec, err := pimnet.ParseFaultSpec("degrade=2,corrupt=0.2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Seed = 7
-	old, err := pimnet.NewFaultyPIMnet(sys, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := pimnet.NewPIMnet(sys, pimnet.WithFaults(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := pimnet.Request{Pattern: pimnet.AllReduce, Op: pimnet.Sum,
-		BytesPerNode: 32 << 10, ElemSize: 4, Nodes: 256}
-	for i := 0; i < 3; i++ {
-		a, err := old.Collective(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := opt.Collective(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatalf("invocation %d: deprecated wrapper %+v != options path %+v", i, a, b)
-		}
-	}
-	if old.FaultCounters() != opt.FaultCounters() {
-		t.Fatalf("fault counters diverge: %+v vs %+v", old.FaultCounters(), opt.FaultCounters())
-	}
-}
-
 // TestWithFallbackNil: explicitly passing a nil fallback makes unrecoverable
 // faults hard errors instead of degrading to the host relay.
 func TestWithFallbackNil(t *testing.T) {

@@ -44,12 +44,10 @@ import (
 	"fmt"
 
 	"pimnet/internal/backend"
-	"pimnet/internal/baselines"
 	"pimnet/internal/collective"
 	"pimnet/internal/config"
 	"pimnet/internal/core"
 	"pimnet/internal/faults"
-	"pimnet/internal/host"
 	"pimnet/internal/machine"
 	"pimnet/internal/metrics"
 	"pimnet/internal/sim"
@@ -137,30 +135,6 @@ func NewPIMnet(sys System, opts ...Option) (*core.PIMnet, error) {
 	return newPIMnetWith(sys, applyOptions(opts))
 }
 
-// NewBaseline builds the measured host-relayed path.
-//
-// Deprecated: use NewBackend(Baseline, sys, opts...). Kept for callers that
-// need the concrete *host.Path type.
-func NewBaseline(sys System) (*host.Path, error) { return host.NewBaseline(sys) }
-
-// NewIdealSoftware builds the zero-overhead software upper bound.
-//
-// Deprecated: use NewBackend(IdealSoftware, sys, opts...). Kept for callers
-// that need the concrete *host.Path type.
-func NewIdealSoftware(sys System) (*host.Path, error) { return host.NewIdeal(sys) }
-
-// NewDIMMLink builds the DIMM-Link prior-work model.
-//
-// Deprecated: use NewBackend(DIMMLink, sys, opts...). Kept for callers that
-// need the concrete *baselines.DIMMLink type.
-func NewDIMMLink(sys System) (*baselines.DIMMLink, error) { return baselines.NewDIMMLink(sys) }
-
-// NewNDPBridge builds the NDPBridge prior-work model.
-//
-// Deprecated: use NewBackend(NDPBridge, sys, opts...). Kept for callers that
-// need the concrete *baselines.NDPBridge type.
-func NewNDPBridge(sys System) (*baselines.NDPBridge, error) { return baselines.NewNDPBridge(sys) }
-
 // NewMachine binds a system and a backend into a workload runner.
 func NewMachine(sys System, be Backend) (*Machine, error) { return machine.New(sys, be) }
 
@@ -205,14 +179,4 @@ func ParseFaultSpec(s string) (FaultSpec, error) { return faults.ParseSpec(s) }
 // topology. The same spec, seed, and topology always yield the same faults.
 func NewFaultModel(spec FaultSpec, sys System) (*FaultModel, error) {
 	return faults.New(spec, sys.Ranks, sys.ChipsPerRank, sys.BanksPerChip)
-}
-
-// NewFaultyPIMnet builds the PIMnet backend with a fault model armed and the
-// host-relay baseline as its degradation fallback. With an empty spec the
-// backend still runs the detection machinery but reports healthy latencies.
-//
-// Deprecated: use NewPIMnet(sys, WithFaults(spec)), which has identical
-// semantics and composes with the other construction options.
-func NewFaultyPIMnet(sys System, spec FaultSpec) (*core.PIMnet, error) {
-	return NewPIMnet(sys, WithFaults(spec))
 }

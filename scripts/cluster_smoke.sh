@@ -25,6 +25,7 @@ fail() {
 }
 
 go build -o "$workdir/pimnetd" ./cmd/pimnetd
+go build -o "$workdir/promcheck" ./cmd/promcheck
 
 # start_daemon <name> <extra flags...>: boot one daemon on an ephemeral
 # port, wait for its resolved address, and record it in $base.
@@ -78,9 +79,14 @@ wait "$curl_pid" || fail "sweep failed while a worker was killed"
 cmp -s "$workdir/single.json" "$workdir/chaos.json" \
     || fail "worker-loss sweep differs from single node: $(cat "$workdir/chaos.json")"
 
-# The coordinator's metrics must expose the cluster section.
-curl -fsS "$coord_base/metrics" | grep -q '"cluster":{' \
-    || fail "metrics missing cluster section"
+# The coordinator's /metrics must be valid Prometheus exposition carrying
+# the pimnetd_cluster_* families.
+curl -fsS "$coord_base/metrics" > "$workdir/metrics.prom" || fail "metrics fetch"
+grep -q '^pimnetd_cluster_' "$workdir/metrics.prom" || fail "metrics missing the pimnetd_cluster_ families"
+"$workdir/promcheck" -require \
+    pimnetd_cluster_healthy_workers,pimnetd_cluster_chunks_total,pimnetd_cluster_worker_state \
+    "$workdir/metrics.prom" \
+    || fail "coordinator metrics is not valid Prometheus exposition (see promcheck output)"
 
 # SIGTERM must drain the coordinator cleanly, probe loop included.
 kill -TERM "$coord_pid"

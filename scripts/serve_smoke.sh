@@ -1,14 +1,17 @@
 #!/bin/sh
-# Serve smoke test: boot pimnetd on an ephemeral port, exercise every
-# endpoint once — synchronous, async jobs with SSE, and both metrics
-# renderings — then prove the SIGTERM drain exits cleanly. This is the
+# Serve smoke test: prove a SIGTERM sent the moment pimnetd prints its
+# address still drains cleanly, then boot pimnetd on an ephemeral port,
+# exercise every endpoint once — synchronous, async jobs with SSE, and
+# metrics — and prove the SIGTERM drain exits cleanly. This is the
 # end-to-end check that the daemon wiring (listener, handlers, job layer,
 # shutdown path) works outside the Go test harness; `make check` runs it.
 set -eu
 
 workdir=$(mktemp -d /tmp/pimnet-serve-smoke.XXXXXX)
 daemon_pid=""
+early_pid=""
 cleanup() {
+    [ -n "$early_pid" ] && kill "$early_pid" 2>/dev/null || true
     [ -n "$daemon_pid" ] && kill "$daemon_pid" 2>/dev/null || true
     rm -rf "$workdir"
 }
@@ -23,6 +26,25 @@ fail() {
 
 go build -o "$workdir/pimnetd" ./cmd/pimnetd
 go build -o "$workdir/promcheck" ./cmd/promcheck
+
+# An early SIGTERM, sent as soon as the address line appears, must drain
+# and exit 0: the signal handler is installed before the listener exists.
+"$workdir/pimnetd" -addr 127.0.0.1:0 -grace 10s > "$workdir/early.log" 2>&1 &
+early_pid=$!
+i=0
+until grep -q '^pimnetd: listening on ' "$workdir/early.log"; do
+    kill -0 "$early_pid" 2>/dev/null || fail "early daemon exited before listening: $(cat "$workdir/early.log")"
+    i=$((i + 1))
+    [ $i -lt 1000 ] || fail "early daemon never reported its address"
+    sleep 0.01
+done
+kill -TERM "$early_pid"
+rc=0
+wait "$early_pid" || rc=$?
+early_pid=""
+[ "$rc" = "0" ] || fail "daemon exited $rc after an early SIGTERM: $(cat "$workdir/early.log")"
+grep -q "drained, exiting" "$workdir/early.log" \
+    || fail "daemon did not drain after an early SIGTERM: $(cat "$workdir/early.log")"
 
 "$workdir/pimnetd" -addr 127.0.0.1:0 -grace 10s \
     -store-dir "$workdir/store" -tenant-quotas 'acme=2' \
