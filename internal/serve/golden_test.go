@@ -46,6 +46,7 @@ var goldenCases = []goldenCase{
 	{name: "job-sweep", job: "sweep", body: `{"pattern":"alltoall","dpus":[8,16],"bytes_per_node":[512]}`},
 	{name: "job-noc-sweep", job: "noc_sweep", body: `{"ranks":2,"chips":2,"banks":4,"patterns":["uniform"],"steps":1}`},
 	{name: "400-simulate-pattern", path: "/v1/simulate", body: `{"pattern":"allscatter"}`},
+	{name: "400-simulate-unknown-workload", path: "/v1/simulate", body: `{"workload":"resnet","dpus":64}`},
 	{name: "400-simulate-unknown-field", path: "/v1/simulate", body: `{"patern":"allreduce"}`},
 	{name: "400-sweep-no-dpus", path: "/v1/sweep", body: `{"pattern":"allreduce","bytes_per_node":[4096]}`},
 	{name: "400-chunk-no-points", path: "/v1/chunk", body: `{"pattern":"allreduce","points":[]}`},
