@@ -48,6 +48,7 @@ import (
 	"pimnet/internal/sweep"
 	"pimnet/internal/trace"
 	"pimnet/internal/version"
+	"pimnet/internal/workloads"
 )
 
 var patterns = map[string]pimnet.Pattern{
@@ -59,11 +60,6 @@ var patterns = map[string]pimnet.Pattern{
 	"gather":        pimnet.Gather,
 	"reduce":        pimnet.Reduce,
 }
-
-// workloadNames are the canonical workload names accepted (by
-// case-insensitive prefix) by -workload: the Table VII suite plus the
-// PIMfused fused-layer CNN class.
-var workloadNames = []string{"BFS", "CC", "GEMV", "MLP", "SpMV", "EMB", "NTT", "Join", "PIMfused"}
 
 // options collects the parsed command line.
 type options struct {
@@ -158,8 +154,8 @@ func validate(o options) error {
 	if _, ok := patterns[strings.ToLower(o.pattern)]; !ok && o.workload == "" {
 		return fmt.Errorf("unknown pattern %q (want one of %s)", o.pattern, strings.Join(patternList(), ", "))
 	}
-	if o.workload != "" && !knownWorkload(o.workload) {
-		return fmt.Errorf("unknown workload %q (want a prefix of %s)", o.workload, strings.Join(workloadNames, ", "))
+	if _, ok := workloads.Canonical(o.workload); o.workload != "" && !ok {
+		return fmt.Errorf("unknown workload %q (want a prefix of %s)", o.workload, strings.Join(workloads.Names(), ", "))
 	}
 	if o.plan && (o.compare || o.workload != "" || o.faults != "") {
 		return fmt.Errorf("-plan dumps a schedule and cannot be combined with -compare, -workload, or -faults")
@@ -221,15 +217,6 @@ func parseIntList(s, flagName string) ([]int, error) {
 
 func patternList() []string {
 	return []string{"reducescatter", "allgather", "allreduce", "alltoall", "broadcast", "gather", "reduce"}
-}
-
-func knownWorkload(name string) bool {
-	for _, w := range workloadNames {
-		if strings.HasPrefix(strings.ToLower(w), strings.ToLower(name)) {
-			return true
-		}
-	}
-	return false
 }
 
 func run(o options) error {

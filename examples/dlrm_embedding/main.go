@@ -28,16 +28,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	synth, err := workloads.Suite(workloads.SuiteConfig{Nodes: 256, Seed: 1, Scaled: false})
+	synth, err := workloads.Named("EMB", workloads.SuiteConfig{Nodes: 256, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, wl := range synth {
-		if wl.Name == "EMB" {
-			wl.Name = "EMB-Synth"
-			wls = append([]machine.Workload{wl}, wls...)
-		}
-	}
+	synth.Name = "EMB-Synth"
+	wls = append([]machine.Workload{synth}, wls...)
 
 	b, _ := pimnet.NewBackend(pimnet.Baseline, sys)
 	p, _ := pimnet.NewPIMnet(sys)

@@ -16,13 +16,13 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"pimnet/internal/backend"
 	"pimnet/internal/baselines"
 	"pimnet/internal/collective"
 	"pimnet/internal/config"
 	"pimnet/internal/core"
-	"pimnet/internal/embtab"
 	"pimnet/internal/host"
 	"pimnet/internal/hwcost"
 	"pimnet/internal/machine"
@@ -249,17 +249,36 @@ type appCell struct {
 	row []string
 }
 
+// suiteConfig is the figures' workload scope: the 256-DPU suite at seed 1.
+func suiteConfig(scaled bool) workloads.SuiteConfig {
+	return workloads.SuiteConfig{Nodes: 256, Seed: 1, Scaled: scaled}
+}
+
+// suites hold the figures' workload suites, paper-sized and scaled, each
+// built at most once per process and shared by Fig. 10 and Fig. 11. Only
+// the phase graphs are kept; runs read them and never modify them.
+var suites = [2]func() ([]machine.Workload, error){
+	sync.OnceValues(func() ([]machine.Workload, error) { return workloads.Suite(suiteConfig(false)) }),
+	sync.OnceValues(func() ([]machine.Workload, error) { return workloads.Suite(suiteConfig(true)) }),
+}
+
+func sharedSuite(scaled bool) ([]machine.Workload, error) {
+	if scaled {
+		return suites[1]()
+	}
+	return suites[0]()
+}
+
 // Fig10Applications runs the eight workloads on all five backends.
 // scaled selects the fast, reduced inputs (tests); the harness uses
-// paper-sized inputs. Workloads run as parallel sweep points; the suite is
-// built once up front (workload definitions are read-only during runs) and
-// every point constructs its own backends and machines.
+// paper-sized inputs. Workloads run as parallel sweep points over the
+// shared suite, and every point constructs its own backends and machines.
 func Fig10Applications(scaled bool, opts ...sweep.Option) ([]AppResult, *report.Table, error) {
 	sys, err := config.Default().WithDPUs(256)
 	if err != nil {
 		return nil, nil, err
 	}
-	suite, err := workloads.Suite(workloads.SuiteConfig{Nodes: 256, Seed: 1, Scaled: scaled})
+	suite, err := sharedSuite(scaled)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -324,7 +343,7 @@ func Fig11CommBreakdown(scaled bool, opts ...sweep.Option) ([]CommBreakdownRow, 
 	if err != nil {
 		return nil, nil, err
 	}
-	suite, err := workloads.Suite(workloads.SuiteConfig{Nodes: 256, Seed: 1, Scaled: scaled})
+	suite, err := sharedSuite(scaled)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -553,7 +572,7 @@ func Fig15AltPIM(scaled bool, opts ...sweep.Option) ([]AltPIMRow, *report.Table,
 			return AltPIMRow{}, err
 		}
 		sys.DPU.ComputeScale = c.scale
-		wl, err := buildOne(c.name, scaled)
+		wl, err := workloads.Named(c.name, suiteConfig(scaled))
 		if err != nil {
 			return AltPIMRow{}, err
 		}
@@ -590,31 +609,6 @@ func Fig15AltPIM(scaled bool, opts ...sweep.Option) ([]AltPIMRow, *report.Table,
 	return rows, tbl, nil
 }
 
-// buildOne constructs a single named workload with the suite's default
-// parameters, without paying for the rest of the suite (the graph, sparse
-// and join substrates are the expensive ones).
-func buildOne(name string, scaled bool) (machine.Workload, error) {
-	opt := workloads.Options{Nodes: 256, Seed: 1}
-	switch name {
-	case "MLP":
-		return workloads.MLP(opt, []int{256, 512, 1024}, 4)
-	case "NTT":
-		return workloads.NTT(opt, 16)
-	case "EMB":
-		return workloads.EMB(opt, embtab.Synthetic(), embtab.Partitioning{Cols: 8, Rows: 32})
-	}
-	suite, err := workloads.Suite(workloads.SuiteConfig{Nodes: 256, Seed: 1, Scaled: scaled})
-	if err != nil {
-		return machine.Workload{}, err
-	}
-	for _, wl := range suite {
-		if wl.Name == name {
-			return wl, nil
-		}
-	}
-	return machine.Workload{}, fmt.Errorf("experiments: workload %q not in suite", name)
-}
-
 // --- Fig. 16: channel scaling ---
 
 // ChannelPoint is one memory-channel-count sample.
@@ -632,7 +626,7 @@ func Fig16ChannelScaling(opts ...sweep.Option) ([]ChannelPoint, *report.Table, e
 	cells, _, err := sweep.Run([]int{1, 2, 4, 8}, func(ctx *sweep.Context, ch int) (cell, error) {
 		sys := config.Default()
 		sys.Channels = ch
-		wl, err := buildOne("EMB", false)
+		wl, err := workloads.Named("EMB", suiteConfig(false))
 		if err != nil {
 			return cell{}, err
 		}

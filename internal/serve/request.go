@@ -20,6 +20,7 @@ import (
 	"pimnet/internal/report"
 	"pimnet/internal/sim"
 	"pimnet/internal/trace"
+	"pimnet/internal/workloads"
 )
 
 // SimulateRequest is the wire form of POST /v1/simulate: one experiment
@@ -128,11 +129,6 @@ type SweepResponse struct {
 	Points  []SweepPoint          `json:"points"`
 	Stats   report.SweepStatsJSON `json:"stats"`
 }
-
-// workloadNames are the canonical workload names accepted (by
-// case-insensitive prefix) in SimulateRequest.Workload: the Table VII suite
-// plus the PIMfused fused-layer CNN class.
-var workloadNames = []string{"BFS", "CC", "GEMV", "MLP", "SpMV", "EMB", "NTT", "Join", "PIMfused"}
 
 // point is the serving tier's one unit of work, fully validated before any
 // admission or coalescing decision: a collective, a workload run, or (noc
@@ -319,10 +315,10 @@ func (req SimulateRequest) normalize() (SimulateRequest, point, error) {
 		if req.Pattern != "" || req.Op != "" || req.BytesPerNode != 0 || req.ElemSize != 0 || req.Root != 0 {
 			return req, pt, errors.New("workload runs take no pattern, op, bytes_per_node, elem_size, or root")
 		}
-		name, ok := canonicalWorkload(req.Workload)
+		name, ok := workloads.Canonical(req.Workload)
 		if !ok {
 			return req, pt, fmt.Errorf("unknown workload %q (want a prefix of %s)",
-				req.Workload, strings.Join(workloadNames, ", "))
+				req.Workload, strings.Join(workloads.Names(), ", "))
 		}
 		req.Workload = name
 		if req.Scaled == nil {
@@ -367,17 +363,6 @@ func (req SimulateRequest) normalize() (SimulateRequest, point, error) {
 		return req, pt, err
 	}
 	return req, pt, nil
-}
-
-// canonicalWorkload resolves a case-insensitive prefix to the canonical
-// workload name.
-func canonicalWorkload(name string) (string, bool) {
-	for _, w := range workloadNames {
-		if strings.HasPrefix(strings.ToLower(w), strings.ToLower(name)) {
-			return w, true
-		}
-	}
-	return "", false
 }
 
 // normalizeGrid applies defaults, validates the grid, and expands it into

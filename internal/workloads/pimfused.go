@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"fmt"
-	"strings"
 
 	"pimnet/internal/collective"
 	"pimnet/internal/dpu"
@@ -148,32 +147,4 @@ const DefaultFusionDepth = 2
 // PIMfusedDefault builds the PIMfused workload with the evaluation stack.
 func PIMfusedDefault(opt Options, scaled bool) (machine.Workload, error) {
 	return PIMfused(opt, DefaultConvStack(scaled), DefaultFusionDepth)
-}
-
-// Named resolves one workload by name, case-insensitively and accepting
-// unambiguous prefixes: the eight Table VII applications (suite entries,
-// matched on the base name before any "-" size suffix) plus the PIMfused
-// fused-layer CNN class.
-func Named(name string, cfg SuiteConfig) (machine.Workload, error) {
-	want := strings.ToLower(strings.TrimSpace(name))
-	if want == "" {
-		return machine.Workload{}, fmt.Errorf("workloads: empty workload name")
-	}
-	if strings.HasPrefix("pimfused", want) {
-		return PIMfusedDefault(Options{Nodes: cfg.Nodes, Seed: cfg.Seed}, cfg.Scaled)
-	}
-	suite, err := Suite(cfg)
-	if err != nil {
-		return machine.Workload{}, err
-	}
-	var names []string
-	for _, wl := range suite {
-		base, _, _ := strings.Cut(wl.Name, "-")
-		names = append(names, base)
-		if strings.HasPrefix(strings.ToLower(base), want) {
-			return wl, nil
-		}
-	}
-	return machine.Workload{}, fmt.Errorf("workloads: unknown workload %q (have %s, PIMfused)",
-		name, strings.Join(names, ", "))
 }

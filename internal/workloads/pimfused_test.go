@@ -117,10 +117,47 @@ func TestNamed(t *testing.T) {
 	if !strings.HasPrefix(wl.Name, "GEMV") {
 		t.Fatalf("Named(gemv) = %q", wl.Name)
 	}
-	if _, err := Named("upmem", cfg); err == nil {
-		t.Error("Named accepted an unknown workload")
+	_, err = Named("upmem", cfg)
+	const unknown = `workloads: unknown workload "upmem" (have BFS, CC, GEMV, MLP, SpMV, EMB, NTT, Join, PIMfused)`
+	if err == nil || err.Error() != unknown {
+		t.Errorf("Named(upmem) error = %v, want %s", err, unknown)
 	}
 	if _, err := Named("  ", cfg); err == nil {
 		t.Error("Named accepted a blank name")
+	}
+}
+
+// TestNamedBuildsOnlyItsWorkload checks that Named runs one constructor:
+// GEMV at 512 DPUs builds, although NTT's 256-column transform cannot take
+// that many DPUs and fails the whole suite.
+func TestNamedBuildsOnlyItsWorkload(t *testing.T) {
+	cfg := SuiteConfig{Nodes: 512, Seed: 1, Scaled: true}
+	if _, err := Suite(cfg); err == nil || !strings.Contains(err.Error(), "building NTT") {
+		t.Fatalf("Suite at 512 DPUs: err = %v, want an NTT failure", err)
+	}
+	if _, err := Named("GEMV", cfg); err != nil {
+		t.Fatalf("Named(GEMV) at 512 DPUs: %v", err)
+	}
+	if _, err := Named("NTT", cfg); err == nil || !strings.HasPrefix(err.Error(), "workloads: building NTT: ") {
+		t.Fatalf("Named(NTT) at 512 DPUs: err = %v", err)
+	}
+}
+
+func TestCanonical(t *testing.T) {
+	for name, want := range map[string]string{
+		"bfs": "BFS", "C": "CC", "gemv": "GEMV", "m": "MLP", "SPMV": "SpMV", "e": "EMB",
+		"ntt": "NTT", "j": "Join", "pim": "PIMfused",
+	} {
+		if got, ok := Canonical(name); !ok || got != want {
+			t.Errorf("Canonical(%q) = %q, %v; want %q", name, got, ok, want)
+		}
+	}
+	for _, name := range []string{"", " gemv", "gemv-2048x128", "resnet"} {
+		if got, ok := Canonical(name); ok {
+			t.Errorf("Canonical(%q) = %q, want no match", name, got)
+		}
+	}
+	if got := strings.Join(Names(), ","); got != "BFS,CC,GEMV,MLP,SpMV,EMB,NTT,Join,PIMfused" {
+		t.Errorf("Names() = %s", got)
 	}
 }
