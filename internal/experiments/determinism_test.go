@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"sync"
 	"testing"
 
 	"pimnet/internal/collective"
@@ -55,5 +56,42 @@ func TestExperimentsDeterministicAcrossPools(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSharedSuiteConcurrentFigures runs Fig. 10 and Fig. 11 at once over
+// the process-wide suite they share, with parallel pools, and requires the
+// same tables as serial runs. Under -race it fails if any run writes to
+// the shared phase graphs.
+func TestSharedSuiteConcurrentFigures(t *testing.T) {
+	render := func(workers int) [2]string {
+		var out [2]string
+		var errs [2]error
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			_, tbl, err := Fig10Applications(true, sweep.WithWorkers(workers))
+			if errs[0] = err; err == nil {
+				out[0] = tbl.CSV()
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			_, tbl, err := Fig11CommBreakdown(true, sweep.WithWorkers(workers))
+			if errs[1] = err; err == nil {
+				out[1] = tbl.CSV()
+			}
+		}()
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+		}
+		return out
+	}
+	if ref, got := render(1), render(4); got != ref {
+		t.Fatalf("concurrent figures diverged:\n--- serial ---\n%v\n--- parallel ---\n%v", ref, got)
 	}
 }

@@ -163,7 +163,8 @@ func EvaluationSuite(nodes int, seed int64, scaled bool) ([]Workload, error) {
 
 // NamedWorkload resolves one workload by name (case-insensitive, prefix
 // tolerant): the eight Table VII applications plus the PIMfused fused-layer
-// CNN class, which is not part of the paper suite.
+// CNN class, which is not part of the paper suite. It builds only that
+// workload's inputs.
 func NamedWorkload(name string, nodes int, seed int64, scaled bool) (Workload, error) {
 	return workloads.Named(name, workloads.SuiteConfig{Nodes: nodes, Seed: seed, Scaled: scaled})
 }
