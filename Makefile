@@ -15,10 +15,11 @@ COVER_FLOOR = 80
 # event queue, Execute covers the plan-replay hot path, Store covers the
 # persistent store's cold-miss / warm-hit / write paths on the serving tier,
 # Noc covers the flat packet simulator at 256 and 2560 nodes, Cxl covers the
-# CXL-PIM backend's decompose + intra-phase replay path, and RMATLogGowalla,
+# CXL-PIM backend's decompose + intra-phase replay path, RMATLogGowalla,
 # SparseGenerate and NamedFull cover the paper-sized workload input
-# generators and a one-workload lookup.
-GATED_BENCH = Engine|Execute|Store|Noc|Cxl|RMATLogGowalla|SparseGenerate|NamedFull
+# generators and a one-workload lookup, and PlanWarm covers a plan-cache hit,
+# which returns the shared plan without allocating.
+GATED_BENCH = Engine|Execute|Store|Noc|Cxl|RMATLogGowalla|SparseGenerate|NamedFull|PlanWarm
 GATED_PKGS = ./internal/sim ./internal/core ./internal/store ./internal/noc ./internal/cxlpim \
 	./internal/graphgen ./internal/sparse ./internal/workloads
 

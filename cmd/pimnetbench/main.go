@@ -16,8 +16,8 @@
 //	pimnetbench -fig trace -trace-out out.json   # traced collectives + Perfetto JSON
 //
 // Experiment points fan out over a bounded goroutine pool (internal/sweep)
-// and share one compiled-plan cache, so repeated configurations bind cached
-// blueprints instead of recompiling. Results are bit-identical to a serial
+// and share one compiled-plan cache, so repeated configurations reuse cached
+// plans instead of recompiling. Results are bit-identical to a serial
 // run regardless of -workers.
 package main
 

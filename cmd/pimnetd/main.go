@@ -36,7 +36,7 @@
 // to a single-node sweep regardless of fleet behavior.
 //
 // With -store-dir the daemon keeps a persistent, content-addressed plan &
-// result store: compiled blueprints and finished results survive restarts
+// result store: compiled plans and finished results survive restarts
 // (warm daemons answer repeated points and chunks from disk, byte-identical
 // and without simulating), bounded by -store-max-bytes with LRU eviction. A
 // store written by a different build is purged on boot, never trusted.

@@ -51,16 +51,6 @@ import (
 	"pimnet/internal/workloads"
 )
 
-var patterns = map[string]pimnet.Pattern{
-	"reducescatter": pimnet.ReduceScatter,
-	"allgather":     pimnet.AllGather,
-	"allreduce":     pimnet.AllReduce,
-	"alltoall":      pimnet.AllToAll,
-	"broadcast":     pimnet.Broadcast,
-	"gather":        pimnet.Gather,
-	"reduce":        pimnet.Reduce,
-}
-
 // options collects the parsed command line.
 type options struct {
 	backend    string
@@ -151,8 +141,8 @@ func validate(o options) error {
 	if _, err := pimnet.ParseBackendKind(o.backend); err != nil {
 		return err
 	}
-	if _, ok := patterns[strings.ToLower(o.pattern)]; !ok && o.workload == "" {
-		return fmt.Errorf("unknown pattern %q (want one of %s)", o.pattern, strings.Join(patternList(), ", "))
+	if _, err := collective.ParsePattern(o.pattern); err != nil && o.workload == "" {
+		return err
 	}
 	if _, ok := workloads.Canonical(o.workload); o.workload != "" && !ok {
 		return fmt.Errorf("unknown workload %q (want a prefix of %s)", o.workload, strings.Join(workloads.Names(), ", "))
@@ -213,10 +203,6 @@ func parseIntList(s, flagName string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func patternList() []string {
-	return []string{"reducescatter", "allgather", "allreduce", "alltoall", "broadcast", "gather", "reduce"}
 }
 
 func run(o options) error {
@@ -303,9 +289,9 @@ func run(o options) error {
 }
 
 func runCollective(sys pimnet.System, targets []pimnet.Backend, o options) error {
-	pat, ok := patterns[strings.ToLower(o.pattern)]
-	if !ok {
-		return fmt.Errorf("unknown pattern %q", o.pattern)
+	pat, err := collective.ParsePattern(o.pattern)
+	if err != nil {
+		return err
 	}
 	req := pimnet.Request{Pattern: pat, Op: pimnet.Sum,
 		BytesPerNode: o.bytes, ElemSize: 4, Nodes: o.dpus}
@@ -363,9 +349,9 @@ func newBackend(sys pimnet.System, name string, cache *core.PlanCache) (pimnet.B
 // matrix on a bounded worker pool. Every point owns its backend (and so its
 // simulation engine); points share only the compiled-plan cache.
 func runSweep(o options) error {
-	pat, ok := patterns[strings.ToLower(o.pattern)]
-	if !ok {
-		return fmt.Errorf("unknown pattern %q", o.pattern)
+	pat, err := collective.ParsePattern(o.pattern)
+	if err != nil {
+		return err
 	}
 	dpus, err := parseIntList(o.sweepDPUs, "-sweep-dpus")
 	if err != nil {
@@ -423,9 +409,9 @@ func runSweep(o options) error {
 // dumpPlan prints the statically compiled PIMnet schedule for one
 // collective — the artifact the host uploads at kernel launch (Fig. 5c/d).
 func dumpPlan(pattern string, bytesPer int64, dpus int) error {
-	pat, ok := patterns[strings.ToLower(pattern)]
-	if !ok {
-		return fmt.Errorf("unknown pattern %q", pattern)
+	pat, err := collective.ParsePattern(pattern)
+	if err != nil {
+		return err
 	}
 	sys, err := pimnet.DefaultSystem().WithDPUs(dpus)
 	if err != nil {

@@ -191,7 +191,7 @@ func phaseDuration(n *Network, ph Phase, elemSize int) sim.Time {
 	for _, st := range ph.Steps {
 		end := now
 		for _, tr := range st.Transfers {
-			_, done := tr.Link.Reserve(now, tr.Bytes)
+			_, done := n.links[tr.Link].Reserve(now, tr.Bytes)
 			if done > end {
 				end = done
 			}

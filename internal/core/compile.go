@@ -113,7 +113,7 @@ func appendReducePhases(phases []Phase, n *Network, D int64) []Phase {
 					for bank := 0; bank < b; bank++ {
 						send := chunkBytes(D, b, collective.RSSendChunk(b, bank, s))
 						st.Transfers = append(st.Transfers, Transfer{
-							Link: n.RingLink(rank, chip, bank), Kind: KindRing, Bytes: send,
+							Link: n.link(roleRing, rank, chip, bank), Kind: KindRing, Bytes: send,
 						})
 						recv := chunkBytes(D, b, collective.RSRecvChunk(b, bank, s))
 						if recv > maxRecv {
@@ -168,19 +168,19 @@ func appendReducePhases(phases []Phase, n *Network, D int64) []Phase {
 	if r > 1 {
 		ph := Phase{Name: "rank-bcast-reduce", Tier: TierRank}
 		for src := 0; src < r; src++ {
-			st := Step{Transfers: []Transfer{{Link: n.Bus(), Kind: KindBus, Bytes: D}}}
+			st := Step{Transfers: []Transfer{{Link: n.link(roleBus, 0, 0, 0), Kind: KindBus, Bytes: D}}}
 			var maxShard int64
 			for chip := 0; chip < c; chip++ {
 				cs := chipShardBytes(D, c, b, chip)
 				st.Transfers = append(st.Transfers, Transfer{
-					Link: n.ChipSendLink(src, chip), Kind: KindCrossbarPort, Bytes: cs,
+					Link: n.link(roleChipSend, src, chip, 0), Kind: KindCrossbarPort, Bytes: cs,
 				})
 				for rank := 0; rank < r; rank++ {
 					if rank == src {
 						continue
 					}
 					st.Transfers = append(st.Transfers, Transfer{
-						Link: n.ChipRecvLink(rank, chip), Kind: KindCrossbarPort, Bytes: cs,
+						Link: n.link(roleChipRecv, rank, chip, 0), Kind: KindCrossbarPort, Bytes: cs,
 					})
 				}
 				for bank := 0; bank < b; bank++ {
@@ -235,7 +235,7 @@ func appendGatherBackPhases(phases []Phase, n *Network, D int64) []Phase {
 					for bank := 0; bank < b; bank++ {
 						send := chunkBytes(D, b, collective.AGSendChunk(b, bank, s))
 						st.Transfers = append(st.Transfers, Transfer{
-							Link: n.RingLink(rank, chip, bank), Kind: KindRing, Bytes: send,
+							Link: n.link(roleRing, rank, chip, bank), Kind: KindRing, Bytes: send,
 						})
 					}
 				}
@@ -261,17 +261,17 @@ func allGatherPhases(n *Network, D int64) []Phase {
 		ph := Phase{Name: "rank-bcast", Tier: TierRank}
 		rankBytes := int64(b*c) * D
 		for src := 0; src < r; src++ {
-			st := Step{Transfers: []Transfer{{Link: n.Bus(), Kind: KindBus, Bytes: rankBytes}}}
+			st := Step{Transfers: []Transfer{{Link: n.link(roleBus, 0, 0, 0), Kind: KindBus, Bytes: rankBytes}}}
 			for chip := 0; chip < c; chip++ {
 				st.Transfers = append(st.Transfers, Transfer{
-					Link: n.ChipSendLink(src, chip), Kind: KindCrossbarPort, Bytes: int64(b) * D,
+					Link: n.link(roleChipSend, src, chip, 0), Kind: KindCrossbarPort, Bytes: int64(b) * D,
 				})
 				for rank := 0; rank < r; rank++ {
 					if rank == src {
 						continue
 					}
 					st.Transfers = append(st.Transfers, Transfer{
-						Link: n.ChipRecvLink(rank, chip), Kind: KindCrossbarPort, Bytes: rankBytes,
+						Link: n.link(roleChipRecv, rank, chip, 0), Kind: KindCrossbarPort, Bytes: rankBytes,
 					})
 				}
 			}
@@ -306,7 +306,7 @@ func allGatherPhases(n *Network, D int64) []Phase {
 				for chip := 0; chip < c; chip++ {
 					for bank := 0; bank < b; bank++ {
 						st.Transfers = append(st.Transfers, Transfer{
-							Link: n.RingLink(rank, chip, bank), Kind: KindRing,
+							Link: n.link(roleRing, rank, chip, bank), Kind: KindRing,
 							Bytes: chunkBytes(total, b, collective.AGSendChunk(b, bank, s)),
 						})
 					}
@@ -345,7 +345,7 @@ func allToAllPhases(n *Network, D int64) []Phase {
 						bytes := blk(int(base) + dst)
 						for hop := 0; hop < s; hop++ {
 							st.Transfers = append(st.Transfers, Transfer{
-								Link: n.RingLink(rank, chip, (bank+hop)%b), Kind: KindRing, Bytes: bytes,
+								Link: n.link(roleRing, rank, chip, (bank+hop)%b), Kind: KindRing, Bytes: bytes,
 							})
 						}
 					}
@@ -402,11 +402,11 @@ func allToAllPhases(n *Network, D int64) []Phase {
 			for src := 0; src < r; src++ {
 				dst := collective.ShiftDest(r, src, s)
 				bytes := perPair(src, dst)
-				st := Step{Transfers: []Transfer{{Link: n.Bus(), Kind: KindBus, Bytes: bytes}}}
+				st := Step{Transfers: []Transfer{{Link: n.link(roleBus, 0, 0, 0), Kind: KindBus, Bytes: bytes}}}
 				for chip := 0; chip < c; chip++ {
 					st.Transfers = append(st.Transfers,
-						Transfer{Link: n.ChipSendLink(src, chip), Kind: KindCrossbarPort, Bytes: bytes / int64(c)},
-						Transfer{Link: n.ChipRecvLink(dst, chip), Kind: KindCrossbarPort, Bytes: bytes / int64(c)},
+						Transfer{Link: n.link(roleChipSend, src, chip, 0), Kind: KindCrossbarPort, Bytes: bytes / int64(c)},
+						Transfer{Link: n.link(roleChipRecv, dst, chip, 0), Kind: KindCrossbarPort, Bytes: bytes / int64(c)},
 					)
 				}
 				ph.Steps = append(ph.Steps, st)
@@ -435,11 +435,11 @@ func broadcastPhases(n *Network, M int64) []Phase {
 		phases = append(phases, Phase{Name: "chip-forward", Tier: TierChip, Steps: []Step{st}})
 	}
 	if r > 1 {
-		st := Step{Transfers: []Transfer{{Link: n.Bus(), Kind: KindBus, Bytes: M}}}
+		st := Step{Transfers: []Transfer{{Link: n.link(roleBus, 0, 0, 0), Kind: KindBus, Bytes: M}}}
 		for rank := 1; rank < r; rank++ {
 			for chip := 0; chip < c; chip++ {
 				st.Transfers = append(st.Transfers, Transfer{
-					Link: n.ChipRecvLink(rank, chip), Kind: KindCrossbarPort, Bytes: M,
+					Link: n.link(roleChipRecv, rank, chip, 0), Kind: KindCrossbarPort, Bytes: M,
 				})
 			}
 		}
@@ -451,7 +451,7 @@ func broadcastPhases(n *Network, M int64) []Phase {
 			for chip := 0; chip < c; chip++ {
 				for bank := 0; bank < b-1; bank++ {
 					st.Transfers = append(st.Transfers, Transfer{
-						Link: n.RingLink(rank, chip, bank), Kind: KindRing, Bytes: M,
+						Link: n.link(roleRing, rank, chip, bank), Kind: KindRing, Bytes: M,
 					})
 				}
 			}
@@ -477,7 +477,7 @@ func funnelPhases(n *Network, D int64, reduce bool) []Phase {
 					// Clockwise from src to bank 0: hops src..b-1.
 					for hop := src; hop < b; hop++ {
 						st.Transfers = append(st.Transfers, Transfer{
-							Link: n.RingLink(rank, chip, hop), Kind: KindRing, Bytes: D,
+							Link: n.link(roleRing, rank, chip, hop), Kind: KindRing, Bytes: D,
 						})
 					}
 				}
@@ -506,8 +506,8 @@ func funnelPhases(n *Network, D int64, reduce bool) []Phase {
 		rankBytes := int64(b*c) * D
 		for src := 1; src < r; src++ {
 			st := Step{Transfers: []Transfer{
-				{Link: n.Bus(), Kind: KindBus, Bytes: rankBytes},
-				{Link: n.ChipRecvLink(0, 0), Kind: KindCrossbarPort, Bytes: rankBytes},
+				{Link: n.link(roleBus, 0, 0, 0), Kind: KindBus, Bytes: rankBytes},
+				{Link: n.link(roleChipRecv, 0, 0, 0), Kind: KindCrossbarPort, Bytes: rankBytes},
 			}}
 			if reduce {
 				st.ReduceBytesPerNode = rankBytes

@@ -68,21 +68,21 @@ func flatRingPhase(n *Network, name string, D int64, reduce bool) Phase {
 			switch {
 			case sc.Rank == dc.Rank && sc.Chip == dc.Chip:
 				st.Transfers = append(st.Transfers, Transfer{
-					Link: n.RingLink(sc.Rank, sc.Chip, sc.Bank), Kind: KindRing, Bytes: bytes,
+					Link: n.link(roleRing, sc.Rank, sc.Chip, sc.Bank), Kind: KindRing, Bytes: bytes,
 				})
 			case sc.Rank == dc.Rank:
 				st.Transfers = append(st.Transfers,
-					Transfer{Link: n.ChipSendLink(sc.Rank, sc.Chip), Kind: KindCrossbarPort, Bytes: bytes},
-					Transfer{Link: n.ChipRecvLink(dc.Rank, dc.Chip), Kind: KindCrossbarPort, Bytes: bytes},
+					Transfer{Link: n.link(roleChipSend, sc.Rank, sc.Chip, 0), Kind: KindCrossbarPort, Bytes: bytes},
+					Transfer{Link: n.link(roleChipRecv, dc.Rank, dc.Chip, 0), Kind: KindCrossbarPort, Bytes: bytes},
 				)
 			default:
 				// The bus carries one scheduled transaction per rank
 				// boundary per step; they serialize on the shared wire, so
 				// mark them as deliberately multiplexed.
 				st.Transfers = append(st.Transfers,
-					Transfer{Link: n.ChipSendLink(sc.Rank, sc.Chip), Kind: KindCrossbarPort, Bytes: bytes},
-					Transfer{Link: n.Bus(), Kind: KindRing, Bytes: bytes},
-					Transfer{Link: n.ChipRecvLink(dc.Rank, dc.Chip), Kind: KindCrossbarPort, Bytes: bytes},
+					Transfer{Link: n.link(roleChipSend, sc.Rank, sc.Chip, 0), Kind: KindCrossbarPort, Bytes: bytes},
+					Transfer{Link: n.link(roleBus, 0, 0, 0), Kind: KindRing, Bytes: bytes},
+					Transfer{Link: n.link(roleChipRecv, dc.Rank, dc.Chip, 0), Kind: KindCrossbarPort, Bytes: bytes},
 				)
 			}
 		}

@@ -359,26 +359,29 @@ func TestNetworkValidation(t *testing.T) {
 func TestContentionCheckerCatchesViolations(t *testing.T) {
 	p := channel(t, 256)
 	n := p.Network()
-	plan := &Plan{Phases: []Phase{{
+	bus := int32(len(n.links) - 1)
+	plan := &Plan{Topo: n.Topo, Phases: []Phase{{
 		Name: "bogus", Tier: TierRank,
 		Steps: []Step{{Transfers: []Transfer{
-			{Link: n.Bus(), Kind: KindBus, Bytes: 10},
-			{Link: n.Bus(), Kind: KindBus, Bytes: 10},
+			{Link: bus, Kind: KindBus, Bytes: 10},
+			{Link: bus, Kind: KindBus, Bytes: 10},
 		}}},
 	}}}
 	if err := plan.CheckContention(); err == nil {
 		t.Fatal("double-booked bus not caught")
 	}
-	plan2 := &Plan{Phases: []Phase{{
-		Name: "bogus", Tier: TierBank,
-		Steps: []Step{{Transfers: []Transfer{{Link: nil, Bytes: 1}}}},
-	}}}
-	if err := plan2.CheckContention(); err == nil {
-		t.Fatal("nil link not caught")
+	for _, link := range []int32{-1, bus + 1} {
+		plan2 := &Plan{Topo: n.Topo, Phases: []Phase{{
+			Name: "bogus", Tier: TierBank,
+			Steps: []Step{{Transfers: []Transfer{{Link: link, Bytes: 1}}}},
+		}}}
+		if err := plan2.CheckContention(); err == nil {
+			t.Fatalf("link %d outside the topology not caught", link)
+		}
 	}
-	plan3 := &Plan{Phases: []Phase{{
+	plan3 := &Plan{Topo: n.Topo, Phases: []Phase{{
 		Name: "bogus", Tier: TierBank,
-		Steps: []Step{{Transfers: []Transfer{{Link: n.Bus(), Kind: KindBus, Bytes: -1}}}},
+		Steps: []Step{{Transfers: []Transfer{{Link: bus, Kind: KindBus, Bytes: -1}}}},
 	}}}
 	if err := plan3.CheckContention(); err == nil {
 		t.Fatal("negative bytes not caught")

@@ -49,12 +49,12 @@ func (p *Plan) Volumes() VolumeSummary {
 	for _, ph := range p.Phases {
 		for _, st := range ph.Steps {
 			for _, tr := range st.Transfers {
-				switch {
+				switch role, _, _, _ := p.Topo.linkAt(tr.Link); {
 				case tr.Kind == KindBus:
 					v.Rank += tr.Bytes
 				case tr.Kind == KindRing:
 					v.Bank += tr.Bytes
-				case strings.HasPrefix(tr.Link.Name(), "dq-send"):
+				case role == roleChipSend:
 					v.Chip += tr.Bytes
 				}
 			}

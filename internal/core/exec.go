@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"pimnet/internal/backend"
@@ -69,15 +70,20 @@ type execOptions struct {
 // The returned durations alias the network's execScratch and are valid only
 // until the next execution on this network; copy before retaining.
 func (n *Network) executePhases(p *Plan, opt execOptions) (backend.Result, []sim.Time, int, error) {
-	// The contention check is memoized on the plan: every compiled or bound
-	// plan was verified once at construction, so replays skip the per-step
-	// map the checker builds. Only hand-assembled plans pay it here.
+	// A plan's link indices mean something only on its own topology.
+	if p.Topo != n.Topo {
+		return backend.Result{}, nil, -1, fmt.Errorf("core: plan topology %v != network topology %v", p.Topo, n.Topo)
+	}
+	// The contention check is memoized on the plan: every compiled or
+	// decoded plan was verified once at construction, so replays skip the
+	// per-step map the checker builds. Only hand-assembled plans pay it here.
 	if !p.verified {
 		if err := p.CheckContention(); err != nil {
 			return backend.Result{}, nil, -1, err
 		}
 	}
 	n.Reset()
+	links := n.links
 	sc := &n.scratch
 	sc.durs = sc.durs[:0]
 	sc.bd.Reset()
@@ -126,19 +132,20 @@ func (n *Network) executePhases(p *Plan, opt execOptions) (backend.Result, []sim
 			for _, tr := range st.Transfers {
 				done := sim.MaxTime
 				if !tr.Dead {
+					l := links[tr.Link]
 					var resStart sim.Time
-					resStart, done = tr.Link.Reserve(stepStart, tr.Bytes)
+					resStart, done = l.Reserve(stepStart, tr.Bytes)
 					if n.traceLinks {
 						// The busy window is the serialization interval:
 						// reservation start to the instant the wire frees
 						// (propagation excluded). A hard-failed wire never
 						// frees; it emits nothing — the detection event
 						// comes from the recovery ladder instead.
-						if free := tr.Link.FreeAt(); free != sim.MaxTime {
+						if free := l.FreeAt(); free != sim.MaxTime {
 							from, to := n.linkEndpoints(tr.Link)
 							n.tracer.Emit(trace.Event{Kind: trace.KindLinkBusy,
 								Tier: trace.Tier(ph.Tier), Name: ph.Name,
-								Link: tr.Link.Name(), Start: tb + int64(resStart),
+								Link: l.Name(), Start: tb + int64(resStart),
 								End: tb + int64(free), Bytes: tr.Bytes,
 								From: from, To: to, Seq: int64(si)})
 						}

@@ -85,7 +85,7 @@ func (p *PIMnet) EnableFaults(m *faults.Model, fallback backend.Backend) error {
 		}
 		// Validate the site now so a bad timed fault fails at arm time, not
 		// silently mid-run; the activation itself cannot fail afterwards.
-		if _, err := p.net.linkAt(f.Site, f.Rank, f.Chip, f.Index); err != nil && f.Site != faults.SiteChipPath {
+		if _, err := p.net.faultLink(f); err != nil && f.Site != faults.SiteChipPath {
 			return err
 		}
 		f := f
@@ -407,8 +407,8 @@ func PlanForDegraded(n *Network, req collective.Request) (*Plan, error) {
 				if tr.Dead {
 					return nil, fmt.Errorf("core: phase %s still crosses a stuck crossbar pairing", ph.Name)
 				}
-				if tr.Link != nil && tr.Link.Failed() {
-					return nil, fmt.Errorf("core: %s is hard-failed and unroutable", tr.Link.Name())
+				if l := n.links[tr.Link]; l.Failed() {
+					return nil, fmt.Errorf("core: %s is hard-failed and unroutable", l.Name())
 				}
 			}
 		}
@@ -472,26 +472,27 @@ func (n *Network) rerouteRings(p *Plan) error {
 			st := &ph.Steps[si]
 			rewritten := make([]Transfer, 0, len(st.Transfers))
 			for _, tr := range st.Transfers {
-				if tr.Kind != KindRing || tr.Link == nil || !tr.Link.Failed() {
+				if tr.Kind != KindRing || !n.links[tr.Link].Failed() {
 					rewritten = append(rewritten, tr)
 					continue
 				}
-				loc, ok := n.ringPos[tr.Link]
-				if !ok {
-					return fmt.Errorf("core: failed link %s is not a ring segment", tr.Link.Name())
+				role, rank, chip, bank := n.Topo.linkAt(tr.Link)
+				if role != roleRing {
+					return fmt.Errorf("core: failed link %s is not a ring segment", n.links[tr.Link].Name())
 				}
-				var survivors []*sim.Link
-				for b := 0; b < n.Topo.Banks; b++ {
-					if l := n.ringHop[loc.rank][loc.chip][b]; !l.Failed() {
-						survivors = append(survivors, l)
+				var survivors []int32
+				first := tr.Link - int32(bank) // segment 0 of the same ring
+				for i := first; i < first+int32(n.Topo.Banks); i++ {
+					if !n.links[i].Failed() {
+						survivors = append(survivors, i)
 					}
 				}
 				if len(survivors) < n.Topo.Banks-1 {
 					return fmt.Errorf("core: ring [r%d,c%d] has %d failed segments; banks disconnected",
-						loc.rank, loc.chip, n.Topo.Banks-len(survivors))
+						rank, chip, n.Topo.Banks-len(survivors))
 				}
-				for _, l := range survivors {
-					rewritten = append(rewritten, Transfer{Link: l, Kind: KindRing, Bytes: tr.Bytes})
+				for _, i := range survivors {
+					rewritten = append(rewritten, Transfer{Link: i, Kind: KindRing, Bytes: tr.Bytes})
 				}
 			}
 			st.Transfers = rewritten

@@ -79,10 +79,7 @@ func traceFor(t *testing.T, pat collective.Pattern, dpus int) goldenTrace {
 	if err != nil {
 		t.Fatalf("PlanFor(%v, %d): %v", pat, dpus, err)
 	}
-	digest, err := PlanDigest(plan, net)
-	if err != nil {
-		t.Fatalf("PlanDigest: %v", err)
-	}
+	digest := plan.Digest()
 	res, durs, aborted, err := net.executePhases(plan, execOptions{})
 	if err != nil {
 		t.Fatalf("executePhases: %v", err)
@@ -182,11 +179,7 @@ func TestGoldenDigestStability(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				d, err := PlanDigest(plan, net)
-				if err != nil {
-					t.Fatal(err)
-				}
-				digests = append(digests, d)
+				digests = append(digests, plan.Digest())
 			}
 			if digests[0] != digests[1] {
 				t.Errorf("%v/%d: digest not reproducible: %s vs %s", pat, dpus, digests[0], digests[1])

@@ -26,10 +26,10 @@ type Network struct {
 	Sys  config.System
 	Topo Topology
 
-	ringHop  [][][]*sim.Link // [rank][chip][bank]: bank -> bank+1 ring segment
-	chipSend [][]*sim.Link   // [rank][chip]: chip -> crossbar
-	chipRecv [][]*sim.Link   // [rank][chip]: crossbar -> chip
-	rankBus  *sim.Link       // shared multi-drop DDR bus
+	// links is the link table every compiled Transfer indexes, laid out as
+	// Topology.linkIndex describes: ring segments, then chip send channels,
+	// then chip receive channels, then the shared DDR bus.
+	links []*sim.Link
 
 	// stepOverheadPs is an optional fixed guard charged at every lock-step
 	// boundary (ablation knob; see SetStepOverhead).
@@ -38,15 +38,9 @@ type Network struct {
 	// Fault state. deadPath records stuck crossbar pairings (the internal
 	// mux from one chip's ingress to another's egress is wedged); chipOrder,
 	// when non-nil, is the logical->physical chip remap the recompiler
-	// installed to exclude those pairings from the configured ring; ringPos
-	// reverse-indexes ring segments for route-around recompilation.
+	// installed to exclude those pairings from the configured ring.
 	deadPath  map[chipPath]bool
 	chipOrder []int
-	ringPos   map[*sim.Link]ringLoc
-
-	// linkRef reverse-indexes every link to its coordinate so compiled
-	// plans can be lifted into network-independent blueprints (plancache.go).
-	linkRef map[*sim.Link]LinkRef
 
 	// scratch is the executor's reusable working set (see execScratch in
 	// exec.go). It follows the network's single-owner contract: one scratch
@@ -69,8 +63,83 @@ type Network struct {
 // chipPath identifies one configured crossbar pairing within a rank.
 type chipPath struct{ rank, src, dst int }
 
-// ringLoc locates a ring segment in the hierarchy.
-type ringLoc struct{ rank, chip, seg int }
+// linkRole names one segment of the link table, in table order. Plan.Digest
+// hashes the role, so these values are part of every pinned digest.
+type linkRole uint8
+
+const (
+	roleRing     linkRole = iota // bank -> bank+1 ring segment of (rank, chip)
+	roleChipSend                 // chip (rank, chip) -> crossbar
+	roleChipRecv                 // crossbar -> chip (rank, chip)
+	roleBus                      // shared multi-drop DDR bus
+)
+
+// linkCount returns the size of the topology's link table.
+func (t Topology) linkCount() int { return t.Ranks*t.Chips*(t.Banks+2) + 1 }
+
+// linkIndex returns the link-table index of ring segment bank of (rank,
+// chip), of chip (rank, chip)'s send or receive channel, or of the bus. The
+// table holds the ring segments as [rank][chip][bank], then the send
+// channels as [rank][chip], then the receive channels likewise, then the
+// bus. This is the table's only forward indexer; it is bounds-checked so a
+// fault site cannot name a link outside the topology.
+func (t Topology) linkIndex(role linkRole, rank, chip, bank int) (int32, error) {
+	if rank < 0 || rank >= t.Ranks {
+		return -1, fmt.Errorf("rank %d out of range [0,%d)", rank, t.Ranks)
+	}
+	if role != roleBus && (chip < 0 || chip >= t.Chips) {
+		return -1, fmt.Errorf("chip %d out of range [0,%d)", chip, t.Chips)
+	}
+	chips := t.Ranks * t.Chips
+	switch role {
+	case roleRing:
+		if bank < 0 || bank >= t.Banks {
+			return -1, fmt.Errorf("ring segment %d out of range [0,%d)", bank, t.Banks)
+		}
+		return int32((rank*t.Chips+chip)*t.Banks + bank), nil
+	case roleChipSend:
+		return int32(chips*t.Banks + rank*t.Chips + chip), nil
+	case roleChipRecv:
+		return int32(chips*(t.Banks+1) + rank*t.Chips + chip), nil
+	case roleBus:
+		return int32(chips * (t.Banks + 2)), nil
+	default:
+		return -1, fmt.Errorf("unknown link role %d", role)
+	}
+}
+
+// linkAt inverts linkIndex: the role and coordinates of table entry i, which
+// the caller has bounds-checked. Send, receive and bus entries report bank 0,
+// and the bus also rank and chip 0.
+func (t Topology) linkAt(i int32) (role linkRole, rank, chip, bank int) {
+	n, rings, chips := int(i), t.Nodes(), t.Ranks*t.Chips
+	switch {
+	case n < rings:
+		return roleRing, n / (t.Chips * t.Banks), (n / t.Banks) % t.Chips, n % t.Banks
+	case n < rings+chips:
+		n -= rings
+		return roleChipSend, n / t.Chips, n % t.Chips, 0
+	case n < rings+2*chips:
+		n -= rings + chips
+		return roleChipRecv, n / t.Chips, n % t.Chips, 0
+	default:
+		return roleBus, 0, 0, 0
+	}
+}
+
+// linkName renders table entry i as traces and error messages name it.
+func (t Topology) linkName(i int32) string {
+	switch role, r, c, b := t.linkAt(i); role {
+	case roleRing:
+		return fmt.Sprintf("ring[r%d,c%d,b%d]", r, c, b)
+	case roleChipSend:
+		return fmt.Sprintf("dq-send[r%d,c%d]", r, c)
+	case roleChipRecv:
+		return fmt.Sprintf("dq-recv[r%d,c%d]", r, c)
+	default:
+		return "ddr-bus"
+	}
+}
 
 // NewNetwork builds the PIMnet resource graph for the configured channel.
 func NewNetwork(sys config.System) (*Network, error) {
@@ -78,60 +147,28 @@ func NewNetwork(sys config.System) (*Network, error) {
 		return nil, err
 	}
 	topo := Topology{Ranks: sys.Ranks, Chips: sys.ChipsPerRank, Banks: sys.BanksPerChip}
-	n := &Network{Sys: sys, Topo: topo}
-	n.ringHop = make([][][]*sim.Link, topo.Ranks)
-	n.chipSend = make([][]*sim.Link, topo.Ranks)
-	n.chipRecv = make([][]*sim.Link, topo.Ranks)
+	n := &Network{Sys: sys, Topo: topo, links: make([]*sim.Link, topo.linkCount())}
 	ringBW := sys.BankRingBW()
-	for r := 0; r < topo.Ranks; r++ {
-		n.ringHop[r] = make([][]*sim.Link, topo.Chips)
-		n.chipSend[r] = make([]*sim.Link, topo.Chips)
-		n.chipRecv[r] = make([]*sim.Link, topo.Chips)
-		for c := 0; c < topo.Chips; c++ {
-			n.ringHop[r][c] = make([]*sim.Link, topo.Banks)
-			for b := 0; b < topo.Banks; b++ {
-				name := fmt.Sprintf("ring[r%d,c%d,b%d]", r, c, b)
-				n.ringHop[r][c][b] = sim.NewLink(name, ringBW, sys.Net.BankHopLat)
-			}
-			n.chipSend[r][c] = sim.NewLink(fmt.Sprintf("dq-send[r%d,c%d]", r, c),
-				sys.Net.ChipChannelBW, sys.Net.ChipHopLat+sys.Net.SwitchLat)
-			n.chipRecv[r][c] = sim.NewLink(fmt.Sprintf("dq-recv[r%d,c%d]", r, c),
-				sys.Net.ChipChannelBW, sys.Net.ChipHopLat)
+	for i := range n.links {
+		bw, lat := sys.Net.ChipChannelBW, sys.Net.ChipHopLat
+		switch role, _, _, _ := topo.linkAt(int32(i)); role {
+		case roleRing:
+			bw, lat = ringBW, sys.Net.BankHopLat
+		case roleChipSend:
+			lat += sys.Net.SwitchLat
+		case roleBus:
+			bw, lat = sys.Net.RankBusBW, sys.Net.RankBusLat
 		}
+		n.links[i] = sim.NewLink(topo.linkName(int32(i)), bw, lat)
 	}
-	n.rankBus = sim.NewLink("ddr-bus", sys.Net.RankBusBW, sys.Net.RankBusLat)
-	n.ringPos = make(map[*sim.Link]ringLoc, topo.Ranks*topo.Chips*topo.Banks)
-	n.linkRef = make(map[*sim.Link]LinkRef, topo.Ranks*topo.Chips*(topo.Banks+2)+1)
-	for r := 0; r < topo.Ranks; r++ {
-		for c := 0; c < topo.Chips; c++ {
-			for b := 0; b < topo.Banks; b++ {
-				n.ringPos[n.ringHop[r][c][b]] = ringLoc{r, c, b}
-				n.linkRef[n.ringHop[r][c][b]] = LinkRef{Role: RefRing, Rank: r, Chip: c, Index: b}
-			}
-			n.linkRef[n.chipSend[r][c]] = LinkRef{Role: RefChipSend, Rank: r, Chip: c}
-			n.linkRef[n.chipRecv[r][c]] = LinkRef{Role: RefChipRecv, Rank: r, Chip: c}
-		}
-	}
-	n.linkRef[n.rankBus] = LinkRef{Role: RefBus}
 	return n, nil
 }
 
 // Reset clears all reservations so the network can run another experiment.
 func (n *Network) Reset() {
-	for _, rank := range n.ringHop {
-		for _, chip := range rank {
-			for _, l := range chip {
-				l.Reset()
-			}
-		}
+	for _, l := range n.links {
+		l.Reset()
 	}
-	for r := range n.chipSend {
-		for c := range n.chipSend[r] {
-			n.chipSend[r][c].Reset()
-			n.chipRecv[r][c].Reset()
-		}
-	}
-	n.rankBus.Reset()
 }
 
 // SetTracer attaches a structured execution tracer at the given level;
@@ -160,21 +197,17 @@ func (n *Network) UtilSummary() *trace.Summary {
 	return n.util.Summary(trace.DefaultTopN)
 }
 
-// linkEndpoints resolves a link to its (from, to) trace coordinates: ring
+// linkEndpoints resolves link i to its (from, to) trace coordinates: ring
 // segments connect bank b to its clockwise successor, DQ channels connect
 // a chip to the crossbar (-1), and the shared bus has no fixed endpoints.
-func (n *Network) linkEndpoints(l *sim.Link) (int32, int32) {
-	ref, ok := n.linkRef[l]
-	if !ok {
-		return -1, -1
-	}
-	switch ref.Role {
-	case RefRing:
-		return int32(ref.Index), int32((ref.Index + 1) % n.Topo.Banks)
-	case RefChipSend:
-		return int32(ref.Chip), -1
-	case RefChipRecv:
-		return -1, int32(ref.Chip)
+func (n *Network) linkEndpoints(i int32) (int32, int32) {
+	switch role, _, chip, bank := n.Topo.linkAt(i); role {
+	case roleRing:
+		return int32(bank), int32((bank + 1) % n.Topo.Banks)
+	case roleChipSend:
+		return int32(chip), -1
+	case roleChipRecv:
+		return -1, int32(chip)
 	default:
 		return -1, -1
 	}
@@ -190,20 +223,15 @@ func (n *Network) physChip(chip int) int {
 	return n.chipOrder[chip]
 }
 
-// RingLink returns the ring segment from bank b to its clockwise successor
-// within (rank, chip).
-func (n *Network) RingLink(rank, chip, bank int) *sim.Link {
-	return n.ringHop[rank][n.physChip(chip)][bank]
-}
-
-// ChipSendLink returns the chip's DQ send channel into the crossbar.
-func (n *Network) ChipSendLink(rank, chip int) *sim.Link {
-	return n.chipSend[rank][n.physChip(chip)]
-}
-
-// ChipRecvLink returns the chip's DQ receive channel from the crossbar.
-func (n *Network) ChipRecvLink(rank, chip int) *sim.Link {
-	return n.chipRecv[rank][n.physChip(chip)]
+// link is the compiler's view of linkIndex: it maps the logical chip to the
+// physical chip occupying it. Compiled coordinates are in range by
+// construction, so an error here is a compiler bug.
+func (n *Network) link(role linkRole, rank, chip, bank int) int32 {
+	i, err := n.Topo.linkIndex(role, rank, n.physChip(chip), bank)
+	if err != nil {
+		panic(err)
+	}
+	return i
 }
 
 // chipPair emits the send/receive transfer pair of one crossbar hop from
@@ -213,14 +241,10 @@ func (n *Network) ChipRecvLink(rank, chip int) *sim.Link {
 // through the wedged internal mux never arrives, which the executor turns
 // into a detection timeout.
 func (n *Network) chipPair(rank, a, b int, bytes int64) (Transfer, Transfer) {
-	pa, pb := n.physChip(a), n.physChip(b)
-	dead := n.deadPath[chipPath{rank, pa, pb}]
-	return Transfer{Link: n.chipSend[rank][pa], Kind: KindCrossbarPort, Bytes: bytes, Dead: dead},
-		Transfer{Link: n.chipRecv[rank][pb], Kind: KindCrossbarPort, Bytes: bytes, Dead: dead}
+	dead := n.deadPath[chipPath{rank, n.physChip(a), n.physChip(b)}]
+	return Transfer{Link: n.link(roleChipSend, rank, a, 0), Kind: KindCrossbarPort, Bytes: bytes, Dead: dead},
+		Transfer{Link: n.link(roleChipRecv, rank, b, 0), Kind: KindCrossbarPort, Bytes: bytes, Dead: dead}
 }
-
-// Bus returns the shared inter-rank DDR bus.
-func (n *Network) Bus() *sim.Link { return n.rankBus }
 
 // SyncLatency returns the READY/START propagation cost for a collective
 // whose scope spans the given number of hierarchy levels: within one chip
@@ -237,29 +261,27 @@ func (n *Network) SyncLatency() sim.Time {
 	}
 }
 
-// linkAt resolves a fault site to the physical link it names.
-func (n *Network) linkAt(site faults.Site, rank, chip, index int) (*sim.Link, error) {
-	if rank < 0 || rank >= n.Topo.Ranks {
-		return nil, fmt.Errorf("core: fault rank %d out of range [0,%d)", rank, n.Topo.Ranks)
-	}
-	if site != faults.SiteBus && (chip < 0 || chip >= n.Topo.Chips) {
-		return nil, fmt.Errorf("core: fault chip %d out of range [0,%d)", chip, n.Topo.Chips)
-	}
-	switch site {
+// faultLink resolves a fault site to the index of the physical link it
+// names.
+func (n *Network) faultLink(f faults.Fault) (int32, error) {
+	var role linkRole
+	switch f.Site {
 	case faults.SiteRing:
-		if index < 0 || index >= n.Topo.Banks {
-			return nil, fmt.Errorf("core: fault ring segment %d out of range [0,%d)", index, n.Topo.Banks)
-		}
-		return n.ringHop[rank][chip][index], nil
+		role = roleRing
 	case faults.SiteChipSend:
-		return n.chipSend[rank][chip], nil
+		role = roleChipSend
 	case faults.SiteChipRecv:
-		return n.chipRecv[rank][chip], nil
+		role = roleChipRecv
 	case faults.SiteBus:
-		return n.rankBus, nil
+		role = roleBus
 	default:
-		return nil, fmt.Errorf("core: fault site %v does not name a link", site)
+		return -1, fmt.Errorf("core: fault site %v does not name a link", f.Site)
 	}
+	i, err := n.Topo.linkIndex(role, f.Rank, f.Chip, f.Index)
+	if err != nil {
+		return -1, fmt.Errorf("core: fault %w", err)
+	}
+	return i, nil
 }
 
 // ApplyFault realizes one fault into the network. Straggler, corruption and
@@ -269,14 +291,14 @@ func (n *Network) linkAt(site faults.Site, rank, chip, index int) (*sim.Link, er
 func (n *Network) ApplyFault(f faults.Fault) error {
 	switch f.Class {
 	case faults.LinkDegrade:
-		l, err := n.linkAt(f.Site, f.Rank, f.Chip, f.Index)
+		i, err := n.faultLink(f)
 		if err != nil {
 			return err
 		}
 		if f.Factor <= 0 || f.Factor > 1 {
 			return fmt.Errorf("core: degrade factor %v outside (0,1]", f.Factor)
 		}
-		l.Degrade(f.Factor)
+		n.links[i].Degrade(f.Factor)
 		return nil
 	case faults.LinkFail:
 		if f.Site == faults.SiteChipPath {
@@ -295,11 +317,11 @@ func (n *Network) ApplyFault(f faults.Fault) error {
 			n.deadPath[chipPath{f.Rank, f.Chip, f.Index}] = true
 			return nil
 		}
-		l, err := n.linkAt(f.Site, f.Rank, f.Chip, f.Index)
+		i, err := n.faultLink(f)
 		if err != nil {
 			return err
 		}
-		l.Fail()
+		n.links[i].Fail()
 		return nil
 	case faults.Straggler, faults.TransientCorrupt, faults.SyncDrop:
 		return nil
@@ -311,20 +333,9 @@ func (n *Network) ApplyFault(f faults.Fault) error {
 // ClearFaults repairs every link, forgets stuck crossbar pairings, and
 // drops any recompiled chip ordering, restoring the pristine topology.
 func (n *Network) ClearFaults() {
-	for _, rank := range n.ringHop {
-		for _, chip := range rank {
-			for _, l := range chip {
-				l.Restore()
-			}
-		}
+	for _, l := range n.links {
+		l.Restore()
 	}
-	for r := range n.chipSend {
-		for c := range n.chipSend[r] {
-			n.chipSend[r][c].Restore()
-			n.chipRecv[r][c].Restore()
-		}
-	}
-	n.rankBus.Restore()
 	n.deadPath = nil
 	n.chipOrder = nil
 }
@@ -336,38 +347,36 @@ func (n *Network) hasHardFaults() bool {
 	if len(n.deadPath) > 0 {
 		return true
 	}
-	for _, rank := range n.ringHop {
-		for _, chip := range rank {
-			for _, l := range chip {
-				if l.Failed() {
-					return true
-				}
-			}
+	for _, l := range n.links {
+		if l.Failed() {
+			return true
 		}
 	}
-	for r := range n.chipSend {
-		for c := range n.chipSend[r] {
-			if n.chipSend[r][c].Failed() || n.chipRecv[r][c].Failed() {
-				return true
-			}
+	return false
+}
+
+// Pristine reports whether the network is in its as-built state: no stuck
+// crossbar pairings, no recompiled chip ordering, and every link healthy.
+// Only pristine networks may serve or populate the shared plan cache.
+func (n *Network) Pristine() bool {
+	if len(n.deadPath) > 0 || n.chipOrder != nil {
+		return false
+	}
+	for _, l := range n.links {
+		if l.Faulty() {
+			return false
 		}
 	}
-	return n.rankBus.Failed()
+	return true
 }
 
 // ScaleBankBandwidth rewrites every ring segment for a new per-channel
 // inter-bank bandwidth (Fig. 14a sensitivity sweep).
 func (n *Network) ScaleBankBandwidth(perChannelBW float64) {
-	sys := n.Sys
-	sys.Net.BankChannelBW = perChannelBW
-	eff := sys.BankRingBW()
-	n.Sys = sys
-	for _, rank := range n.ringHop {
-		for _, chip := range rank {
-			for _, l := range chip {
-				l.SetBandwidth(eff)
-			}
-		}
+	n.Sys.Net.BankChannelBW = perChannelBW
+	eff := n.Sys.BankRingBW()
+	for _, l := range n.links[:n.Topo.Nodes()] { // one ring segment per bank
+		l.SetBandwidth(eff)
 	}
 }
 
@@ -376,11 +385,9 @@ func (n *Network) ScaleBankBandwidth(perChannelBW float64) {
 func (n *Network) ScaleGlobalBandwidth(factor float64) {
 	n.Sys.Net.ChipChannelBW *= factor
 	n.Sys.Net.RankBusBW *= factor
-	for r := range n.chipSend {
-		for c := range n.chipSend[r] {
-			n.chipSend[r][c].SetBandwidth(n.Sys.Net.ChipChannelBW)
-			n.chipRecv[r][c].SetBandwidth(n.Sys.Net.ChipChannelBW)
-		}
+	bus := len(n.links) - 1
+	for _, l := range n.links[n.Topo.Nodes():bus] {
+		l.SetBandwidth(n.Sys.Net.ChipChannelBW)
 	}
-	n.rankBus.SetBandwidth(n.Sys.Net.RankBusBW)
+	n.links[bus].SetBandwidth(n.Sys.Net.RankBusBW)
 }

@@ -17,7 +17,7 @@ type PIMnet struct {
 	// ft is non-nil once EnableFaults has armed a fault model; it carries
 	// the recovery ladder's state (see faulttol.go).
 	ft *ftState
-	// cache, when non-nil, shares compiled-plan blueprints with other
+	// cache, when non-nil, shares compiled plans with other
 	// backends (typically the other workers of a parallel sweep). Only the
 	// healthy fast path consults it; PlanVia additionally refuses to serve
 	// or learn from a non-pristine network, so fault recompilation can

@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 
-	"pimnet/internal/metrics"
-	"pimnet/internal/sim"
-
 	"pimnet/internal/collective"
+	"pimnet/internal/metrics"
 )
 
 // Tier identifies which PIMnet tier a phase runs on.
@@ -61,9 +59,11 @@ const (
 	KindBus
 )
 
-// Transfer is one scheduled link reservation.
+// Transfer is one scheduled link reservation. Link indexes the link table
+// of the plan's topology (Topology.linkIndex), so a plan runs unchanged on
+// every network built for that topology.
 type Transfer struct {
-	Link  *sim.Link
+	Link  int32
 	Kind  Kind
 	Bytes int64
 	// Dead marks a transfer whose compiled route traverses a hard-failed
@@ -71,7 +71,7 @@ type Transfer struct {
 	// executor models it as a transfer that never completes so the phase
 	// timeout guard can catch it. Dead transfers still occupy their port in
 	// the contention check — the hardware does drive the channel.
-	Dead bool
+	Dead bool `json:",omitempty"`
 }
 
 // Step is a synchronized communication step: all transfers start together
@@ -96,7 +96,11 @@ type Phase struct {
 	Pipelined bool
 }
 
-// Plan is a fully compiled, statically scheduled collective.
+// Plan is a fully compiled, statically scheduled collective. It depends
+// only on its topology, never on one Network instance, so the plan cache
+// shares one Plan between every network of that topology. Shared plans are
+// read-only: only a fresh PlanFor result may be mutated (rerouteRings does,
+// for a faulted network).
 type Plan struct {
 	Req    collective.Request
 	Topo   Topology
@@ -106,8 +110,8 @@ type Plan struct {
 	// overhead).
 	MemBytes int64
 	// verified memoizes a successful CheckContention so replays skip the
-	// per-step bookkeeping. Any code that mutates Phases after construction
-	// must clear it (rerouteRings does).
+	// per-step bookkeeping. It is set before a plan is shared. Any code that
+	// mutates Phases after construction must clear it (rerouteRings does).
 	verified bool
 }
 
@@ -141,25 +145,28 @@ func (p *Plan) TierBytes(t Tier) int64 {
 }
 
 // CheckContention verifies the static-schedule property: within any single
-// step, every crossbar port and the bus appear in at most one transfer.
-// A violation means the compiler produced a schedule the bufferless
-// hardware could not execute; it is always a bug. A pass is memoized on the
-// plan, so the executor's defensive re-check is free for compiled plans.
+// step, every crossbar port and the bus appear in at most one transfer. It
+// also checks that every transfer names a link of the plan's topology. A
+// violation means the compiler produced a schedule the bufferless hardware
+// could not execute; it is always a bug. A pass is memoized on the plan, so
+// the executor's defensive re-check is free for compiled plans.
 func (p *Plan) CheckContention() error {
+	links := int32(p.Topo.linkCount())
 	for pi, ph := range p.Phases {
 		for si, st := range ph.Steps {
-			seen := make(map[*sim.Link]int)
+			seen := make(map[int32]int)
 			for _, tr := range st.Transfers {
 				if tr.Bytes < 0 {
 					return fmt.Errorf("core: phase %d (%s) step %d: negative transfer", pi, ph.Name, si)
 				}
-				if tr.Link == nil {
-					return fmt.Errorf("core: phase %d (%s) step %d: nil link", pi, ph.Name, si)
+				if tr.Link < 0 || tr.Link >= links {
+					return fmt.Errorf("core: phase %d (%s) step %d: link %d outside topology %v",
+						pi, ph.Name, si, tr.Link, p.Topo)
 				}
 				seen[tr.Link]++
 				if tr.Kind != KindRing && seen[tr.Link] > 1 {
 					return fmt.Errorf("core: phase %d (%s) step %d: %s scheduled %d times in one step",
-						pi, ph.Name, si, tr.Link.Name(), seen[tr.Link])
+						pi, ph.Name, si, p.Topo.linkName(tr.Link), seen[tr.Link])
 				}
 			}
 		}

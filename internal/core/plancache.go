@@ -4,12 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 
 	"pimnet/internal/collective"
 	"pimnet/internal/config"
-	"pimnet/internal/sim"
 )
 
 // This file implements the compiled-plan cache. PIMnet's schedules are
@@ -18,13 +18,11 @@ import (
 // every repeated workload iteration, every worker of a parallel sweep — can
 // share one compilation instead of re-running the scheduler.
 //
-// A Plan references the *sim.Link objects of the Network it was compiled
-// for, so plans cannot be shared across networks directly (each sweep worker
-// owns its network, and links carry mutable reservation state). The cache
-// therefore stores Blueprints: the same schedule with every link named by
-// its coordinate in the topology instead of by pointer. Binding a blueprint
-// to a network is a pure lookup pass — no chunk geometry, no contention
-// analysis — which is what makes a cache hit cheap.
+// A Plan names its links by index into its topology's link table, not by
+// pointer into one Network, so the cache stores the verified *Plan itself
+// and a hit returns it with no copy. Each sweep worker executes the shared
+// plan on its own network, whose links carry the mutable reservation state.
+// Shared plans are read-only.
 //
 // Invalidation rule: the shared cache only ever serves and learns from
 // pristine networks. Any hard fault, installed chip reordering, or
@@ -33,128 +31,48 @@ import (
 // the per-backend recovery state (ftState.dplans), never in the shared
 // cache. ClearFaults restores pristinity and with it cache eligibility.
 
-// LinkRole classifies which resource array of a Network a LinkRef indexes.
-type LinkRole uint8
+// BlueprintOf checks that p is a healthy plan compiled for n's topology and
+// returns p itself. It and Bind remain only because the benchmark ladder
+// still calls them; both go with the next change to the benchmark.
+func BlueprintOf(p *Plan, n *Network) (*Plan, error) { return p, p.sharableOn(n) }
 
-// Link roles, in the order NewNetwork builds the arrays.
-const (
-	RefRing     LinkRole = iota // ringHop[rank][chip][index]
-	RefChipSend                 // chipSend[rank][chip]
-	RefChipRecv                 // chipRecv[rank][chip]
-	RefBus                      // rankBus
-)
+// Bind checks that p can run on n — same topology, pristine network, no
+// dead transfers — and returns p itself. See BlueprintOf.
+func (p *Plan) Bind(n *Network) (*Plan, error) { return p, p.sharableOn(n) }
 
-// LinkRef names one network resource by coordinate instead of pointer, so a
-// compiled schedule can be re-instantiated on any network of the same
-// topology. Index is the bank for ring segments and unused otherwise.
-type LinkRef struct {
-	Role              LinkRole
-	Rank, Chip, Index int
-}
-
-// BlueprintTransfer is one scheduled reservation in coordinate form. Dead
-// transfers never appear in blueprints: blueprints are only extracted from
-// plans compiled on pristine networks.
-type BlueprintTransfer struct {
-	Ref   LinkRef
-	Kind  Kind
-	Bytes int64
-}
-
-// BlueprintStep mirrors Step.
-type BlueprintStep struct {
-	Transfers          []BlueprintTransfer
-	ReduceBytesPerNode int64
-}
-
-// BlueprintPhase mirrors Phase.
-type BlueprintPhase struct {
-	Name      string
-	Tier      Tier
-	Pipelined bool
-	Steps     []BlueprintStep
-}
-
-// Blueprint is a network-independent compiled plan: the cacheable,
-// digestible artifact the host would persist and re-upload.
-type Blueprint struct {
-	Req      collective.Request
-	Topo     Topology
-	MemBytes int64
-	Phases   []BlueprintPhase
-}
-
-// BlueprintOf extracts the coordinate-form schedule from a plan compiled on
-// n. It fails if any transfer references a link the network does not own or
-// rides a dead route (both mean the plan is not a cacheable healthy plan).
-func BlueprintOf(p *Plan, n *Network) (*Blueprint, error) {
-	bp := &Blueprint{Req: p.Req, Topo: p.Topo, MemBytes: p.MemBytes}
-	bp.Phases = make([]BlueprintPhase, len(p.Phases))
-	for pi, ph := range p.Phases {
-		bph := BlueprintPhase{Name: ph.Name, Tier: ph.Tier, Pipelined: ph.Pipelined}
-		bph.Steps = make([]BlueprintStep, len(ph.Steps))
-		for si, st := range ph.Steps {
-			bst := BlueprintStep{ReduceBytesPerNode: st.ReduceBytesPerNode}
-			bst.Transfers = make([]BlueprintTransfer, len(st.Transfers))
-			for ti, tr := range st.Transfers {
-				if tr.Dead {
-					return nil, fmt.Errorf("core: phase %s step %d: dead transfer is not cacheable", ph.Name, si)
-				}
-				ref, ok := n.linkRef[tr.Link]
-				if !ok {
-					return nil, fmt.Errorf("core: phase %s step %d: transfer link %s not owned by network",
-						ph.Name, si, tr.Link.Name())
-				}
-				bst.Transfers[ti] = BlueprintTransfer{Ref: ref, Kind: tr.Kind, Bytes: tr.Bytes}
-			}
-			bph.Steps[si] = bst
-		}
-		bp.Phases[pi] = bph
-	}
-	return bp, nil
-}
-
-// Bind instantiates the blueprint on a network of the same topology. The
-// network must be pristine: Bind resolves coordinates to physical resources
-// directly, without the fault-recompilation chip remap.
-func (b *Blueprint) Bind(n *Network) (*Plan, error) {
-	if n.Topo != b.Topo {
-		return nil, fmt.Errorf("core: blueprint topology %v != network topology %v", b.Topo, n.Topo)
+// sharableOn reports why p may not be shared with network n, if it may not.
+func (p *Plan) sharableOn(n *Network) error {
+	if p.Topo != n.Topo {
+		return fmt.Errorf("core: plan topology %v != network topology %v", p.Topo, n.Topo)
 	}
 	if !n.Pristine() {
-		return nil, fmt.Errorf("core: cannot bind cached plan to a faulted network")
+		return errors.New("core: cannot share a cached plan with a faulted network")
 	}
-	p := &Plan{Req: b.Req, Topo: b.Topo, MemBytes: b.MemBytes}
-	p.Phases = make([]Phase, len(b.Phases))
-	for pi, bph := range b.Phases {
-		ph := Phase{Name: bph.Name, Tier: bph.Tier, Pipelined: bph.Pipelined}
-		ph.Steps = make([]Step, len(bph.Steps))
-		for si, bst := range bph.Steps {
-			st := Step{ReduceBytesPerNode: bst.ReduceBytesPerNode}
-			st.Transfers = make([]Transfer, len(bst.Transfers))
-			for ti, btr := range bst.Transfers {
-				l, err := n.resolveRef(btr.Ref)
-				if err != nil {
-					return nil, err
+	return p.checkHealthy()
+}
+
+// checkHealthy rejects a plan that routes a transfer through a stuck
+// crossbar pairing: such a plan belongs to one faulted network and is never
+// cached or persisted.
+func (p *Plan) checkHealthy() error {
+	for _, ph := range p.Phases {
+		for si, st := range ph.Steps {
+			for _, tr := range st.Transfers {
+				if tr.Dead {
+					return fmt.Errorf("core: phase %s step %d: dead transfer is not cacheable", ph.Name, si)
 				}
-				st.Transfers[ti] = Transfer{Link: l, Kind: btr.Kind, Bytes: btr.Bytes}
 			}
-			ph.Steps[si] = st
 		}
-		p.Phases[pi] = ph
 	}
-	// Blueprints are only ever extracted from plans that passed the
-	// contention check, and binding maps coordinates to links one-to-one, so
-	// the bound plan inherits the verification.
-	p.verified = true
-	return p, nil
+	return nil
 }
 
 // Digest returns a hex SHA-256 over the canonical binary encoding of the
-// blueprint — the identity of the compiled artifact. The golden-trace
-// corpus pins these digests; any change to the compiler's output changes
-// them and must be an intentional, reviewed regeneration.
-func (b *Blueprint) Digest() string {
+// plan — the identity of the compiled artifact. Each transfer contributes
+// its link's (role, rank, chip, bank) coordinate, its kind and its bytes.
+// The golden-trace corpus pins these digests; any change to the compiler's
+// output changes them and must be an intentional, reviewed regeneration.
+func (p *Plan) Digest() string {
 	h := sha256.New()
 	w := func(vs ...int64) {
 		for _, v := range vs {
@@ -163,11 +81,11 @@ func (b *Blueprint) Digest() string {
 			h.Write(buf[:])
 		}
 	}
-	w(int64(b.Req.Pattern), int64(b.Req.Op), b.Req.BytesPerNode,
-		int64(b.Req.ElemSize), int64(b.Req.Nodes), int64(b.Req.Root))
-	w(int64(b.Topo.Ranks), int64(b.Topo.Chips), int64(b.Topo.Banks), b.MemBytes)
-	w(int64(len(b.Phases)))
-	for _, ph := range b.Phases {
+	w(int64(p.Req.Pattern), int64(p.Req.Op), p.Req.BytesPerNode,
+		int64(p.Req.ElemSize), int64(p.Req.Nodes), int64(p.Req.Root))
+	w(int64(p.Topo.Ranks), int64(p.Topo.Chips), int64(p.Topo.Banks), p.MemBytes)
+	w(int64(len(p.Phases)))
+	for _, ph := range p.Phases {
 		w(int64(len(ph.Name)))
 		h.Write([]byte(ph.Name))
 		pipe := int64(0)
@@ -178,22 +96,12 @@ func (b *Blueprint) Digest() string {
 		for _, st := range ph.Steps {
 			w(st.ReduceBytesPerNode, int64(len(st.Transfers)))
 			for _, tr := range st.Transfers {
-				w(int64(tr.Ref.Role), int64(tr.Ref.Rank), int64(tr.Ref.Chip),
-					int64(tr.Ref.Index), int64(tr.Kind), tr.Bytes)
+				role, rank, chip, bank := p.Topo.linkAt(tr.Link)
+				w(int64(role), int64(rank), int64(chip), int64(bank), int64(tr.Kind), tr.Bytes)
 			}
 		}
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
-// PlanDigest compiles nothing: it extracts and digests the blueprint of an
-// already-compiled plan (diagnostics; the golden-trace corpus).
-func PlanDigest(p *Plan, n *Network) (string, error) {
-	bp, err := BlueprintOf(p, n)
-	if err != nil {
-		return "", err
-	}
-	return bp.Digest(), nil
 }
 
 // PlanKey identifies one compilation point. config.System and
@@ -215,7 +123,7 @@ func KeyFor(n *Network, req collective.Request) PlanKey {
 // KeyForSystem returns the cache key a network built from sys with the given
 // step overhead would produce for req, without constructing the network.
 // This is the serving tier's request identity: two requests with equal keys
-// compile to the same blueprint, so a server can coalesce them onto one
+// compile to the same plan, so a server can coalesce them onto one
 // execution before any simulation state exists. It must stay consistent with
 // KeyFor (locked in by TestKeyForSystemMatchesKeyFor).
 func KeyForSystem(sys config.System, req collective.Request, stepOverheadPs int64) PlanKey {
@@ -241,7 +149,7 @@ func (k PlanKey) Digest() string {
 type CacheStats struct {
 	Hits, Misses uint64
 	// DiskHits counts lookups that missed memory but were satisfied by the
-	// attached BlueprintStore (zero when none is attached).
+	// attached PlanStore (zero when none is attached).
 	DiskHits uint64
 	Entries  int
 }
@@ -252,24 +160,24 @@ func (s CacheStats) Sub(prev CacheStats) CacheStats {
 		DiskHits: s.DiskHits - prev.DiskHits, Entries: s.Entries}
 }
 
-// BlueprintStore is the optional persistence layer under a PlanCache: a
-// durable keyed blueprint store consulted on memory misses (read-through)
-// and fed on fills (write-behind). Implementations must be safe for
-// concurrent use and strictly best-effort — a load may always report false
-// and a store may silently drop, but a load that reports true must return
-// exactly the blueprint that was stored under k (internal/store enforces
-// this with blob checksums plus the self-verifying blueprint envelope).
-type BlueprintStore interface {
-	LoadBlueprint(k PlanKey) (*Blueprint, bool)
-	StoreBlueprint(k PlanKey, bp *Blueprint)
+// PlanStore is the optional persistence layer under a PlanCache: a durable
+// keyed plan store consulted on memory misses (read-through) and fed on
+// fills (write-behind). Implementations must be safe for concurrent use and
+// strictly best-effort — a load may always report false and a store may
+// silently drop, but a load that reports true must return exactly the plan
+// that was stored under k, verified (internal/store enforces this with blob
+// checksums plus DecodePlan's self-verifying envelope).
+type PlanStore interface {
+	LoadPlan(k PlanKey) (*Plan, bool)
+	StorePlan(k PlanKey, p *Plan)
 }
 
-// PlanCache is a concurrency-safe keyed store of compiled-plan blueprints,
+// PlanCache is a concurrency-safe keyed store of verified compiled plans,
 // shared by all workers of a sweep.
 type PlanCache struct {
 	mu       sync.Mutex
-	plans    map[PlanKey]*Blueprint
-	persist  BlueprintStore
+	plans    map[PlanKey]*Plan
+	persist  PlanStore
 	hits     uint64
 	misses   uint64
 	diskHits uint64
@@ -277,47 +185,47 @@ type PlanCache struct {
 
 // NewPlanCache returns an empty cache.
 func NewPlanCache() *PlanCache {
-	return &PlanCache{plans: make(map[PlanKey]*Blueprint)}
+	return &PlanCache{plans: make(map[PlanKey]*Plan)}
 }
 
-// SetPersistence attaches (or, with nil, detaches) the durable blueprint
-// store under the cache. Safe to call while the cache is in use; entries
-// already in memory are unaffected.
-func (c *PlanCache) SetPersistence(p BlueprintStore) {
+// SetPersistence attaches (or, with nil, detaches) the durable plan store
+// under the cache. Safe to call while the cache is in use; entries already
+// in memory are unaffected.
+func (c *PlanCache) SetPersistence(p PlanStore) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.persist = p
 }
 
-// Lookup returns the blueprint cached under k. Memory misses read through
-// the attached persistence layer (counted as DiskHits and promoted into
-// memory); only a miss at both layers counts as a Miss — the signal that a
-// compile is about to happen.
-func (c *PlanCache) Lookup(k PlanKey) (*Blueprint, bool) {
+// Lookup returns the plan cached under k. Memory misses read through the
+// attached persistence layer (counted as DiskHits and promoted into memory);
+// only a miss at both layers counts as a Miss — the signal that a compile is
+// about to happen.
+func (c *PlanCache) Lookup(k PlanKey) (*Plan, bool) {
 	c.mu.Lock()
-	if bp, ok := c.plans[k]; ok {
+	if p, ok := c.plans[k]; ok {
 		c.hits++
 		c.mu.Unlock()
-		return bp, true
+		return p, true
 	}
-	p := c.persist
+	ps := c.persist
 	c.mu.Unlock()
 
-	if p != nil {
+	if ps != nil {
 		// Disk I/O happens outside the lock so concurrent sweep workers do
 		// not serialize on it. Two goroutines may both load the same key;
-		// blueprints are immutable, so keeping the first promoted instance
-		// is merely a de-dup, not a correctness need.
-		if bp, ok := p.LoadBlueprint(k); ok {
+		// shared plans are read-only, so keeping the first promoted
+		// instance is merely a de-dup, not a correctness need.
+		if p, ok := ps.LoadPlan(k); ok {
 			c.mu.Lock()
 			if cur, dup := c.plans[k]; dup {
-				bp = cur
+				p = cur
 			} else {
-				c.plans[k] = bp
+				c.plans[k] = p
 			}
 			c.diskHits++
 			c.mu.Unlock()
-			return bp, true
+			return p, true
 		}
 	}
 	c.mu.Lock()
@@ -326,18 +234,18 @@ func (c *PlanCache) Lookup(k PlanKey) (*Blueprint, bool) {
 	return nil, false
 }
 
-// Insert stores bp under k. Blueprints are immutable after insertion; both
-// the cache and every binder share the same instance. With persistence
-// attached the fill is written behind to the durable store as well (the
-// pristine-only rule is upstream: only blueprints extracted from pristine
-// networks ever reach Insert).
-func (c *PlanCache) Insert(k PlanKey, bp *Blueprint) {
+// Insert stores p under k. From then on p is shared and read-only: the
+// cache and every executor read the same instance, so p must already be
+// verified. With persistence attached the fill is written behind to the
+// durable store as well (the pristine-only rule is upstream: only plans
+// compiled on pristine networks ever reach Insert).
+func (c *PlanCache) Insert(k PlanKey, p *Plan) {
 	c.mu.Lock()
-	c.plans[k] = bp
-	p := c.persist
+	c.plans[k] = p
+	ps := c.persist
 	c.mu.Unlock()
-	if p != nil {
-		p.StoreBlueprint(k, bp)
+	if ps != nil {
+		ps.StorePlan(k, p)
 	}
 }
 
@@ -354,82 +262,27 @@ func (c *PlanCache) Stats() CacheStats {
 func (c *PlanCache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.plans = make(map[PlanKey]*Blueprint)
+	c.plans = make(map[PlanKey]*Plan)
 	c.hits, c.misses, c.diskHits = 0, 0, 0
 }
 
-// PlanVia compiles req for n through the cache. A nil cache or a
-// non-pristine network falls through to a direct PlanFor — the cache never
-// observes fault state in either direction, which is the whole invalidation
-// story: fault recompilation happens outside it, and ClearFaults restores
-// eligibility.
+// PlanVia compiles req for n through the cache. A hit returns the shared,
+// read-only plan itself. A nil cache or a non-pristine network falls
+// through to a direct PlanFor — the cache never observes fault state in
+// either direction, which is the whole invalidation story: fault
+// recompilation happens outside it, and ClearFaults restores eligibility.
 func PlanVia(c *PlanCache, n *Network, req collective.Request) (*Plan, error) {
 	if c == nil || !n.Pristine() {
 		return PlanFor(n, req)
 	}
 	k := KeyFor(n, req)
-	if bp, ok := c.Lookup(k); ok {
-		return bp.Bind(n)
+	if p, ok := c.Lookup(k); ok {
+		return p, nil
 	}
-	p, err := PlanFor(n, req)
+	p, err := PlanFor(n, req) // verified: PlanFor runs CheckContention
 	if err != nil {
 		return nil, err
 	}
-	bp, err := BlueprintOf(p, n)
-	if err != nil {
-		return nil, err
-	}
-	c.Insert(k, bp)
+	c.Insert(k, p)
 	return p, nil
-}
-
-// resolveRef maps a coordinate back to the physical link, bounds-checked so
-// a blueprint from a mismatched topology cannot index out of range.
-func (n *Network) resolveRef(ref LinkRef) (*sim.Link, error) {
-	switch ref.Role {
-	case RefBus:
-		return n.rankBus, nil
-	case RefRing:
-		if ref.Rank < 0 || ref.Rank >= n.Topo.Ranks || ref.Chip < 0 || ref.Chip >= n.Topo.Chips ||
-			ref.Index < 0 || ref.Index >= n.Topo.Banks {
-			return nil, fmt.Errorf("core: ring ref %+v outside topology %v", ref, n.Topo)
-		}
-		return n.ringHop[ref.Rank][ref.Chip][ref.Index], nil
-	case RefChipSend, RefChipRecv:
-		if ref.Rank < 0 || ref.Rank >= n.Topo.Ranks || ref.Chip < 0 || ref.Chip >= n.Topo.Chips {
-			return nil, fmt.Errorf("core: chip ref %+v outside topology %v", ref, n.Topo)
-		}
-		if ref.Role == RefChipSend {
-			return n.chipSend[ref.Rank][ref.Chip], nil
-		}
-		return n.chipRecv[ref.Rank][ref.Chip], nil
-	default:
-		return nil, fmt.Errorf("core: unknown link role %d", ref.Role)
-	}
-}
-
-// Pristine reports whether the network is in its as-built state: no stuck
-// crossbar pairings, no recompiled chip ordering, and every link healthy.
-// Only pristine networks may serve or populate the shared plan cache.
-func (n *Network) Pristine() bool {
-	if len(n.deadPath) > 0 || n.chipOrder != nil {
-		return false
-	}
-	for _, rank := range n.ringHop {
-		for _, chip := range rank {
-			for _, l := range chip {
-				if l.Faulty() {
-					return false
-				}
-			}
-		}
-	}
-	for r := range n.chipSend {
-		for c := range n.chipSend[r] {
-			if n.chipSend[r][c].Faulty() || n.chipRecv[r][c].Faulty() {
-				return false
-			}
-		}
-	}
-	return !n.rankBus.Faulty()
 }

@@ -8,8 +8,8 @@ import (
 
 // The cold/warm pair isolates what the cache saves: ColdCompile runs the
 // full scheduler (chunk geometry, route construction, contention analysis)
-// for the heaviest Table V plan; WarmBind replays the same point through a
-// populated cache, which reduces to a coordinate-to-link lookup pass.
+// for the heaviest Table V plan; WarmLookup replays the same point through
+// a populated cache, which returns the shared plan itself.
 
 func BenchmarkPlanColdCompile(b *testing.B) {
 	b.ReportAllocs()
@@ -23,7 +23,7 @@ func BenchmarkPlanColdCompile(b *testing.B) {
 	}
 }
 
-func BenchmarkPlanWarmBind(b *testing.B) {
+func BenchmarkPlanWarmLookup(b *testing.B) {
 	b.ReportAllocs()
 	n := testNet(b, 2560)
 	req := testReq(collective.AllToAll, 2560, 32<<10)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"pimnet/internal/collective"
@@ -25,9 +26,9 @@ func testReq(pat collective.Pattern, nodes int, bytes int64) collective.Request 
 		BytesPerNode: bytes, ElemSize: 4, Nodes: nodes}
 }
 
-// TestBlueprintRoundTrip: lifting a plan into a blueprint and binding it on
-// a second, independently built network must execute to the identical
-// result, and both plans must share one digest.
+// TestBlueprintRoundTrip: a plan compiled on one network executes on a
+// second, independently built network of the same topology to the identical
+// result, and the bench-compatibility validators hand back the plan itself.
 func TestBlueprintRoundTrip(t *testing.T) {
 	for _, pat := range []collective.Pattern{collective.AllReduce, collective.AllGather,
 		collective.ReduceScatter, collective.AllToAll, collective.Broadcast} {
@@ -38,35 +39,24 @@ func TestBlueprintRoundTrip(t *testing.T) {
 			t.Fatalf("%v: %v", pat, err)
 		}
 		bp, err := BlueprintOf(plan, src)
-		if err != nil {
-			t.Fatalf("%v: BlueprintOf: %v", pat, err)
+		if err != nil || bp != plan {
+			t.Fatalf("%v: BlueprintOf = %p, %v; want the plan itself", pat, bp, err)
 		}
 		dst := testNet(t, 256)
 		bound, err := bp.Bind(dst)
-		if err != nil {
-			t.Fatalf("%v: Bind: %v", pat, err)
-		}
-		d1, err := PlanDigest(plan, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d2, err := PlanDigest(bound, dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d1 != d2 {
-			t.Errorf("%v: digest changed across bind: %s vs %s", pat, d1, d2)
+		if err != nil || bound != plan {
+			t.Fatalf("%v: Bind = %p, %v; want the plan itself", pat, bound, err)
 		}
 		r1, err := src.Execute(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := dst.Execute(bound)
+		r2, err := dst.Execute(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r1.Time != r2.Time || r1.Breakdown != r2.Breakdown {
-			t.Errorf("%v: bound plan executed differently: %v vs %v", pat, r1, r2)
+			t.Errorf("%v: plan executed differently on a second network: %v vs %v", pat, r1, r2)
 		}
 	}
 }
@@ -77,12 +67,8 @@ func TestBlueprintBindRejectsMismatchedTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp, err := BlueprintOf(plan, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bp.Bind(testNet(t, 64)); err == nil {
-		t.Fatal("bound a 256-DPU blueprint to a 64-DPU network")
+	if _, err := plan.Bind(testNet(t, 64)); err == nil {
+		t.Fatal("bound a 256-DPU plan to a 64-DPU network")
 	}
 }
 
@@ -92,27 +78,158 @@ func TestBlueprintBindRejectsFaultedNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp, err := BlueprintOf(plan, src)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dst := testNet(t, 256)
-	dst.ringHop[0][0][0].Degrade(0.5)
-	if !dst.Pristine() {
-		// expected: degraded link breaks pristinity
-	} else {
+	dst.links[0].Degrade(0.5)
+	if dst.Pristine() {
 		t.Fatal("degraded network still pristine")
 	}
-	if _, err := bp.Bind(dst); err == nil {
+	if _, err := plan.Bind(dst); err == nil {
 		t.Fatal("bound a cached plan to a faulted network")
 	}
-	dst.ringHop[0][0][0].Restore()
+	dst.links[0].Restore()
 	if !dst.Pristine() {
 		t.Fatal("restored network not pristine")
 	}
-	if _, err := bp.Bind(dst); err != nil {
+	if _, err := plan.Bind(dst); err != nil {
 		t.Fatalf("restored network refused bind: %v", err)
 	}
+}
+
+// TestExecuteRejectsForeignTopology: a plan's link indices mean something
+// only on its own topology, so Execute refuses a plan compiled for another.
+func TestExecuteRejectsForeignTopology(t *testing.T) {
+	plan, err := PlanFor(testNet(t, 64), testReq(collective.AllReduce, 64, 4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := testNet(t, 256).Execute(plan); err == nil {
+		t.Fatal("executed a 64-DPU plan on a 256-DPU network")
+	}
+	if _, err := testNet(t, 64).Execute(plan); err != nil {
+		t.Fatalf("same-topology network refused the plan: %v", err)
+	}
+}
+
+// TestLinkTable: linkAt inverts linkIndex over the whole table, the table
+// is laid out ring, send, receive, bus, and every name matches the link
+// NewNetwork built at that index.
+func TestLinkTable(t *testing.T) {
+	n := testNet(t, 256)
+	topo := n.Topo
+	want := int32(0)
+	check := func(role linkRole, rank, chip, bank int) {
+		t.Helper()
+		i, err := topo.linkIndex(role, rank, chip, bank)
+		if err != nil || i != want {
+			t.Fatalf("linkIndex(%d, %d, %d, %d) = %d, %v; want %d", role, rank, chip, bank, i, err, want)
+		}
+		if r, ra, c, b := topo.linkAt(i); r != role || ra != rank || c != chip || b != bank {
+			t.Fatalf("linkAt(%d) = %d, %d, %d, %d", i, r, ra, c, b)
+		}
+		if got := n.links[i].Name(); got != topo.linkName(i) {
+			t.Fatalf("link %d named %q, linkName says %q", i, got, topo.linkName(i))
+		}
+		want++
+	}
+	for _, role := range []linkRole{roleRing, roleChipSend, roleChipRecv} {
+		for r := 0; r < topo.Ranks; r++ {
+			for c := 0; c < topo.Chips; c++ {
+				banks := 1
+				if role == roleRing {
+					banks = topo.Banks
+				}
+				for b := 0; b < banks; b++ {
+					check(role, r, c, b)
+				}
+			}
+		}
+	}
+	check(roleBus, 0, 0, 0)
+	if int(want) != len(n.links) || len(n.links) != topo.linkCount() {
+		t.Fatalf("table has %d links, indexed %d, linkCount %d", len(n.links), want, topo.linkCount())
+	}
+	for _, bad := range [][4]int{{int(roleRing), topo.Ranks, 0, 0}, {int(roleRing), 0, -1, 0},
+		{int(roleRing), 0, 0, topo.Banks}, {int(roleChipSend), 0, topo.Chips, 0}, {int(roleBus), -1, 0, 0}, {9, 0, 0, 0}} {
+		if i, err := topo.linkIndex(linkRole(bad[0]), bad[1], bad[2], bad[3]); err == nil {
+			t.Errorf("linkIndex%v = %d, want error", bad, i)
+		}
+	}
+}
+
+// TestSharedPlanConcurrentExecute: workers that each own a network execute
+// one plan shared through a PlanCache at the same time, and all get the
+// result a private compile gets. Run under -race, it shows that executing
+// a shared plan only reads it.
+func TestSharedPlanConcurrentExecute(t *testing.T) {
+	const workers = 4
+	c := NewPlanCache()
+	req := testReq(collective.AllToAll, 256, 16<<10)
+	want, err := testNet(t, 256).Execute(mustPlan(t, testNet(t, 256), req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := make([]*Network, workers)
+	for i := range nets {
+		nets[i] = testNet(t, 256)
+	}
+	if _, err := PlanVia(c, nets[0], req); err != nil { // fill
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, n := range nets {
+		wg.Add(1)
+		go func(n *Network) {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				plan, err := PlanVia(c, n, req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := n.Execute(plan)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got.Time != want.Time || got.Breakdown != want.Breakdown {
+					t.Errorf("shared plan executed to %v, want %v", got, want)
+					return
+				}
+			}
+		}(n)
+	}
+	wg.Wait()
+	if s := c.Stats(); s.Misses != 1 || s.Hits != workers*5 {
+		t.Fatalf("cache stats %+v, want 1 miss and %d hits", s, workers*5)
+	}
+}
+
+// TestPlanViaWarmAllocs pins the warm path: a cache hit returns the shared
+// plan without allocating.
+func TestPlanViaWarmAllocs(t *testing.T) {
+	c := NewPlanCache()
+	n := testNet(t, 256)
+	req := testReq(collective.AllToAll, 256, 32<<10)
+	if _, err := PlanVia(c, n, req); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := PlanVia(c, n, req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm PlanVia allocates %v times per call, want 0", allocs)
+	}
+}
+
+func mustPlan(t *testing.T, n *Network, req collective.Request) *Plan {
+	t.Helper()
+	p, err := PlanFor(n, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestPlanCacheCounters(t *testing.T) {
@@ -152,7 +269,7 @@ func TestPlanViaBypassesFaultedNetwork(t *testing.T) {
 	c := NewPlanCache()
 	n := testNet(t, 64)
 	req := testReq(collective.AllReduce, 64, 4096)
-	n.ringHop[0][0][0].Degrade(0.25)
+	n.links[0].Degrade(0.25)
 
 	plan, err := PlanVia(c, n, req)
 	if err != nil {
@@ -165,7 +282,7 @@ func TestPlanViaBypassesFaultedNetwork(t *testing.T) {
 		t.Fatalf("faulted network touched the cache: %+v", s)
 	}
 	// Restoration re-enables caching (the ClearFaults story).
-	n.ringHop[0][0][0].Restore()
+	n.links[0].Restore()
 	if _, err := PlanVia(c, n, req); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +346,7 @@ func FuzzPlanCacheKey(f *testing.F) {
 		// And the map behaves accordingly: inserting under ka hits on kb
 		// exactly when the tuples are equal.
 		c := NewPlanCache()
-		c.Insert(ka, &Blueprint{})
+		c.Insert(ka, &Plan{})
 		_, ok := c.Lookup(kb)
 		if ok != tupleEqual {
 			t.Fatalf("cache hit=%v for tuple equality %v", ok, tupleEqual)

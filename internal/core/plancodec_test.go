@@ -2,13 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"pimnet/internal/collective"
 )
 
-// testBlueprint compiles a real plan and lifts it into a blueprint.
-func testBlueprint(t *testing.T, dpus int) (*Blueprint, PlanKey) {
+// testPlan compiles a real plan and returns it with its cache key.
+func testPlan(t *testing.T, dpus int) (*Plan, PlanKey) {
 	t.Helper()
 	n := testNet(t, dpus)
 	req := testReq(collective.AllReduce, dpus, 32<<10)
@@ -16,31 +17,30 @@ func testBlueprint(t *testing.T, dpus int) (*Blueprint, PlanKey) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp, err := BlueprintOf(plan, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return bp, KeyFor(n, req)
+	return plan, KeyFor(n, req)
 }
 
-// TestBlueprintCodecRoundTrip: encode -> decode preserves the compiled
-// artifact exactly — same digest, bindable, executes identically to the
-// original — and re-encoding is byte-deterministic (the property
-// FuzzStoreRoundTrip relies on from the store side).
-func TestBlueprintCodecRoundTrip(t *testing.T) {
-	bp, _ := testBlueprint(t, 256)
-	data, err := EncodeBlueprint(bp)
+// TestPlanCodecRoundTrip: encode -> decode preserves the compiled artifact
+// exactly — same digest, verified, executes identically to the original —
+// and re-encoding is byte-deterministic (the property FuzzStoreRoundTrip
+// relies on from the store side).
+func TestPlanCodecRoundTrip(t *testing.T) {
+	plan, _ := testPlan(t, 256)
+	data, err := EncodePlan(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeBlueprint(data)
+	back, err := DecodePlan(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Digest() != bp.Digest() {
-		t.Fatalf("digest changed across codec: %s vs %s", back.Digest(), bp.Digest())
+	if back.Digest() != plan.Digest() {
+		t.Fatalf("digest changed across codec: %s vs %s", back.Digest(), plan.Digest())
 	}
-	again, err := EncodeBlueprint(back)
+	if !back.verified {
+		t.Fatal("decoded plan is not verified")
+	}
+	again, err := EncodePlan(back)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,58 +50,76 @@ func TestBlueprintCodecRoundTrip(t *testing.T) {
 
 	// The decoded artifact is a working plan, not just matching hashes.
 	n := testNet(t, 256)
-	plan, err := back.Bind(n)
-	if err != nil {
-		t.Fatalf("decoded blueprint does not bind: %v", err)
-	}
-	r1, err := n.Execute(plan)
+	r1, err := n.Execute(back)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n2 := testNet(t, 256)
-	orig, err := bp.Bind(n2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := n2.Execute(orig)
+	r2, err := n2.Execute(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Time != r2.Time || r1.Breakdown != r2.Breakdown {
-		t.Fatalf("decoded blueprint executed differently: %v vs %v", r1, r2)
+		t.Fatalf("decoded plan executed differently: %v vs %v", r1, r2)
 	}
 }
 
-// TestBlueprintCodecRejects: every malformed envelope shape errors — and
-// never panics, never returns a blueprint that is not the encoded one.
-func TestBlueprintCodecRejects(t *testing.T) {
-	bp, _ := testBlueprint(t, 64)
-	good, err := EncodeBlueprint(bp)
+// TestPlanCodecRejects: every malformed envelope shape errors — and never
+// panics, never returns a plan that is not the encoded one or that could
+// reach outside its topology.
+func TestPlanCodecRejects(t *testing.T) {
+	plan, _ := testPlan(t, 64)
+	good, err := EncodePlan(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// reencode re-digests a plan edited after decoding, so only the later
+	// checks can catch the edit.
+	reencode := func(edit func(p *Plan)) []byte {
+		p, err := DecodePlan(good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(p)
+		data, err := json.Marshal(planEnvelope{Digest: p.Digest(), Plan: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	bus := int32(plan.Topo.linkCount() - 1)
 
 	cases := map[string][]byte{
 		"not json":          []byte("certainly { not json"),
 		"empty":             {},
-		"no blueprint":      []byte(`{"digest": "abc"}`),
-		"null blueprint":    []byte(`{"digest": "abc", "blueprint": null}`),
+		"no plan":           []byte(`{"digest": "abc"}`),
+		"null plan":         []byte(`{"digest": "abc", "plan": null}`),
 		"truncated":         good[:len(good)/2],
-		"tampered digest":   bytes.Replace(good, []byte(bp.Digest()[:16]), []byte("0123456789abcdef"), 1),
+		"tampered digest":   bytes.Replace(good, []byte(plan.Digest()[:16]), []byte("0123456789abcdef"), 1),
 		"tampered schedule": bytes.Replace(good, []byte(`"MemBytes":`), []byte(`"MemBytes":1`), 1),
+		"zero topology":     []byte(`{"digest": "abc", "plan": {"Topo": {}, "Phases": [{"Steps": [{"Transfers": [{"Link": 5}]}]}]}}`),
+		"huge topology": []byte(`{"digest": "abc", "plan": {"Topo": {"Ranks": 1, "Chips": 4294967296, "Banks": 4294967296},
+			"Phases": [{"Steps": [{"Transfers": [{"Link": -1}]}]}]}}`),
+		"link past table": reencode(func(p *Plan) { p.Phases[0].Steps[0].Transfers[0].Link = bus + 1 }),
+		"negative link":   reencode(func(p *Plan) { p.Phases[0].Steps[0].Transfers[0].Link = -1 }),
+		"contended bus": reencode(func(p *Plan) {
+			st := &p.Phases[0].Steps[0]
+			st.Transfers = append(st.Transfers, Transfer{Link: bus, Kind: KindBus}, Transfer{Link: bus, Kind: KindBus})
+		}),
+		"dead transfer": reencode(func(p *Plan) { p.Phases[0].Steps[0].Transfers[0].Dead = true }),
 	}
 	for name, data := range cases {
-		if got, err := DecodeBlueprint(data); err == nil {
+		if got, err := DecodePlan(data); err == nil {
 			t.Errorf("%s: decoded to %v, want error", name, got)
 		}
 	}
 
-	if _, err := EncodeBlueprint(nil); err == nil {
-		t.Error("EncodeBlueprint(nil) succeeded")
+	if _, err := EncodePlan(nil); err == nil {
+		t.Error("EncodePlan(nil) succeeded")
 	}
 }
 
-// memStore is an in-memory BlueprintStore that records traffic — the test
+// memStore is an in-memory PlanStore that records traffic — the test
 // double for the persistence hook.
 type memStore struct {
 	m      map[PlanKey][]byte
@@ -114,22 +132,22 @@ type memStore struct {
 
 func newMemStore() *memStore { return &memStore{m: make(map[PlanKey][]byte)} }
 
-func (p *memStore) LoadBlueprint(k PlanKey) (*Blueprint, bool) {
+func (p *memStore) LoadPlan(k PlanKey) (*Plan, bool) {
 	p.loads++
 	data, ok := p.m[k]
 	if !ok {
 		return nil, false
 	}
-	bp, err := DecodeBlueprint(data)
+	plan, err := DecodePlan(data)
 	if err != nil {
 		return nil, false
 	}
-	return bp, true
+	return plan, true
 }
 
-func (p *memStore) StoreBlueprint(k PlanKey, bp *Blueprint) {
+func (p *memStore) StorePlan(k PlanKey, plan *Plan) {
 	p.stores++
-	data, err := EncodeBlueprint(bp)
+	data, err := EncodePlan(plan)
 	if err != nil {
 		return
 	}
@@ -142,11 +160,11 @@ func (p *memStore) StoreBlueprint(k PlanKey, bp *Blueprint) {
 // TestPlanCachePersistenceReadThrough: a fresh cache over a warm
 // persistence layer serves lookups as DiskHits with zero Misses — the
 // warm-restart contract at the cache layer — and promotes the loaded
-// blueprint so the second lookup is a pure memory hit.
+// plan so the second lookup is a pure memory hit.
 func TestPlanCachePersistenceReadThrough(t *testing.T) {
-	bp, k := testBlueprint(t, 64)
+	plan, k := testPlan(t, 64)
 	p := newMemStore()
-	p.StoreBlueprint(k, bp)
+	p.StorePlan(k, plan)
 	p.stores = 0
 
 	c := NewPlanCache()
@@ -155,8 +173,8 @@ func TestPlanCachePersistenceReadThrough(t *testing.T) {
 	if !ok {
 		t.Fatal("warm persistence layer missed")
 	}
-	if got.Digest() != bp.Digest() {
-		t.Fatalf("persisted lookup changed the blueprint: %s vs %s", got.Digest(), bp.Digest())
+	if got.Digest() != plan.Digest() {
+		t.Fatalf("persisted lookup changed the plan: %s vs %s", got.Digest(), plan.Digest())
 	}
 	if st := c.Stats(); st.Misses != 0 || st.DiskHits != 1 || st.Hits != 0 {
 		t.Fatalf("after disk hit: %+v", st)
@@ -173,11 +191,11 @@ func TestPlanCachePersistenceReadThrough(t *testing.T) {
 // and a second cache over the same layer starts warm — while Reset (the
 // in-process restart) keeps the durable entries by design.
 func TestPlanCachePersistenceWriteBehind(t *testing.T) {
-	bp, k := testBlueprint(t, 64)
+	plan, k := testPlan(t, 64)
 	p := newMemStore()
 	c := NewPlanCache()
 	c.SetPersistence(p)
-	c.Insert(k, bp)
+	c.Insert(k, plan)
 	if p.stores != 1 {
 		t.Fatalf("stores = %d, want 1", p.stores)
 	}
@@ -200,7 +218,7 @@ func TestPlanCachePersistenceWriteBehind(t *testing.T) {
 // TestPlanCachePersistenceMissAndDetach: a cold layer is a plain Miss; a
 // detached cache never consults the layer again.
 func TestPlanCachePersistenceMissAndDetach(t *testing.T) {
-	_, k := testBlueprint(t, 64)
+	_, k := testPlan(t, 64)
 	p := newMemStore()
 	c := NewPlanCache()
 	c.SetPersistence(p)

@@ -12,7 +12,7 @@
 // plans: the devices are symmetric and run in lockstep, so one
 // device-shaped core.Network simulates all of them, and compilation goes
 // through core.PlanVia — the shared PlanCache, the pristine-only rule, and
-// the content-addressed blueprint store all apply exactly as they do for
+// the content-addressed plan store all apply exactly as they do for
 // the PIMnet backend. The inter-device half is analytic and charged to the
 // metrics.CXLLink component.
 package cxlpim
@@ -254,7 +254,7 @@ func (c *CXLPIM) decompose(req collective.Request) ([]phase, error) {
 
 // IntraRequests returns the intra-device sub-collectives of req's schedule
 // in execution order — the compiled, cacheable part of the backend. Golden
-// tests pin their blueprint digests.
+// tests pin their plan digests.
 func (c *CXLPIM) IntraRequests(req collective.Request) ([]collective.Request, error) {
 	if err := c.check(req); err != nil {
 		return nil, err

@@ -3,32 +3,13 @@ package experiments
 import (
 	"fmt"
 
-	"pimnet/internal/backend"
+	"pimnet"
 	"pimnet/internal/collective"
 	"pimnet/internal/config"
-	"pimnet/internal/core"
-	"pimnet/internal/cxlpim"
 	"pimnet/internal/report"
 	"pimnet/internal/sim"
 	"pimnet/internal/sweep"
 )
-
-// sixBackendsFor builds the full comparison set — the paper's five designs
-// plus CXL-PIM — for one system shape. cache (nil to disable) is shared by
-// both plan-compiling backends, so a device-shaped plan compiled for
-// CXL-PIM serves a PIMnet cell of the same shape and vice versa.
-func sixBackendsFor(sys config.System, cache *core.PlanCache) ([]backend.Backend, error) {
-	b, s, n, d, p, err := backendsFor(sys, cache)
-	if err != nil {
-		return nil, err
-	}
-	x, err := cxlpim.New(sys)
-	if err != nil {
-		return nil, err
-	}
-	x.WithPlanCache(cache)
-	return []backend.Backend{b, s, n, d, p, x}, nil
-}
 
 // CrossoverPoint is one (population, payload) cell of the architectural
 // crossover study: AllReduce latency on every backend, plus the headline
@@ -81,13 +62,19 @@ func FigCrossover(dpus []int, bytes []int64, opts ...sweep.Option) ([]CrossoverP
 			grid = append(grid, gridCell{dpus: n, bytes: b})
 		}
 	}
-	names := backendOrder()
+	var names []string
+	for _, k := range pimnet.BackendKinds() {
+		names = append(names, k.String())
+	}
 	cells, _, err := sweep.Run(grid, func(ctx *sweep.Context, g gridCell) (crossoverCell, error) {
 		sys, err := config.Default().WithDPUs(g.dpus)
 		if err != nil {
 			return crossoverCell{}, err
 		}
-		bes, err := sixBackendsFor(sys, ctx.Cache)
+		// Both plan-compiling backends share the sweep's cache, so a
+		// device-shaped plan compiled for CXL-PIM serves a PIMnet cell of
+		// the same shape and vice versa.
+		bes, err := pimnet.Backends(sys, pimnet.WithPlanCache(ctx.Cache))
 		if err != nil {
 			return crossoverCell{}, err
 		}
@@ -129,9 +116,4 @@ func FigCrossover(dpus []int, bytes []int64, opts ...sweep.Option) ([]CrossoverP
 		tbl.AddRow(cell.row...)
 	}
 	return points, tbl, nil
-}
-
-// backendOrder returns the six backend names in figure order.
-func backendOrder() []string {
-	return []string{"Baseline", "Software(Ideal)", "NDPBridge", "DIMM-Link", "PIMnet", "CXL-PIM"}
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sync"
 
+	"pimnet"
 	"pimnet/internal/backend"
 	"pimnet/internal/baselines"
 	"pimnet/internal/collective"
@@ -39,29 +40,9 @@ import (
 // (Fig. 3/12: 32 KB messages).
 const WeakScalingBytes = 32 << 10
 
-// backendsFor builds the five comparison backends for one system shape.
-// cache (nil to disable) attaches a shared compiled-plan cache to the
-// PIMnet backend.
-func backendsFor(sys config.System, cache *core.PlanCache) (b, s, n, d, p backend.Backend, err error) {
-	if b, err = host.NewBaseline(sys); err != nil {
-		return
-	}
-	if s, err = host.NewIdeal(sys); err != nil {
-		return
-	}
-	if n, err = baselines.NewNDPBridge(sys); err != nil {
-		return
-	}
-	if d, err = baselines.NewDIMMLink(sys); err != nil {
-		return
-	}
-	var pn *core.PIMnet
-	if pn, err = core.NewPIMnet(sys); err != nil {
-		return
-	}
-	p = pn.WithPlanCache(cache)
-	return
-}
+// paperKinds are the paper's five designs in figure order (B, S, N, D, P).
+var paperKinds = []pimnet.BackendKind{pimnet.Baseline, pimnet.IdealSoftware,
+	pimnet.NDPBridge, pimnet.DIMMLink, pimnet.PIMnet}
 
 func request(pat collective.Pattern, op collective.Op, nodes int) collective.Request {
 	return collective.Request{Pattern: pat, Op: op,
@@ -139,20 +120,17 @@ func CollectiveScaling(pat collective.Pattern, op collective.Op, dpuCounts []int
 		if err != nil {
 			return scalingCell{}, err
 		}
-		b, s, nb, d, p, err := backendsFor(sys, ctx.Cache)
-		if err != nil {
-			return scalingCell{}, err
-		}
-		byName := map[string]backend.Backend{
-			b.Name(): b, s.Name(): s, nb.Name(): nb, d.Name(): d, p.Name(): p,
-		}
 		req := request(pat, op, nDPU)
 		var baseTime sim.Time
 		cell := scalingCell{row: []string{fmt.Sprintf("%d", nDPU)}}
 		for _, name := range names {
-			be, ok := byName[name]
-			if !ok {
-				return scalingCell{}, fmt.Errorf("experiments: unknown backend %q", name)
+			kind, err := pimnet.ParseBackendKind(name)
+			if err != nil {
+				return scalingCell{}, err
+			}
+			be, err := pimnet.NewBackend(kind, sys, pimnet.WithPlanCache(ctx.Cache))
+			if err != nil {
+				return scalingCell{}, err
 			}
 			res, err := be.Collective(req)
 			if err != nil {
@@ -283,13 +261,13 @@ func Fig10Applications(scaled bool, opts ...sweep.Option) ([]AppResult, *report.
 		return nil, nil, err
 	}
 	cells, _, err := sweep.Run(suite, func(ctx *sweep.Context, wl machine.Workload) (appCell, error) {
-		b, s, nb, d, p, err := backendsFor(sys, ctx.Cache)
-		if err != nil {
-			return appCell{}, err
-		}
 		cell := appCell{res: AppResult{Workload: wl.Name, Reports: map[string]machine.Report{}},
 			row: []string{wl.Name}}
-		for _, be := range []backend.Backend{b, s, nb, d, p} {
+		for _, kind := range paperKinds {
+			be, err := pimnet.NewBackend(kind, sys, pimnet.WithPlanCache(ctx.Cache))
+			if err != nil {
+				return appCell{}, err
+			}
 			m, err := machine.New(sys, be)
 			if err != nil {
 				return appCell{}, err
@@ -349,13 +327,17 @@ func Fig11CommBreakdown(scaled bool, opts ...sweep.Option) ([]CommBreakdownRow, 
 	}
 	comps := []metrics.Component{metrics.InterBank, metrics.InterChip, metrics.InterRank, metrics.Sync, metrics.Mem}
 	cells, _, err := sweep.Run(suite, func(ctx *sweep.Context, wl machine.Workload) (commCell, error) {
-		_, _, nb, d, p, err := backendsFor(sys, ctx.Cache)
+		p, err := pimnet.NewBackend(pimnet.PIMnet, sys, pimnet.WithPlanCache(ctx.Cache))
 		if err != nil {
 			return commCell{}, err
 		}
-		ref := d
+		refKind := pimnet.DIMMLink
 		if wl.Name == "NTT" || wl.Name == "Join" {
-			ref = nb
+			refKind = pimnet.NDPBridge
+		}
+		ref, err := pimnet.NewBackend(refKind, sys)
+		if err != nil {
+			return commCell{}, err
 		}
 		mp, _ := machine.New(sys, p)
 		pr, err := mp.Run(wl)

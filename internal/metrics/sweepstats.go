@@ -15,9 +15,9 @@ type SweepStats struct {
 	Points  int
 	Workers int
 	Wall    time.Duration
-	// PointWall holds each point's wall time, indexed like the sweep's
-	// point slice.
-	PointWall []time.Duration
+	// PointWall summarizes the timed points' wall times. It stays one
+	// fixed-size value however many sweeps are merged into it.
+	PointWall WallSummary
 	// Compiled-plan cache effectiveness over the sweep's window.
 	CacheHits    uint64
 	CacheMisses  uint64
@@ -33,31 +33,32 @@ func (s SweepStats) HitRate() float64 {
 	return float64(s.CacheHits) / float64(total)
 }
 
-// MaxPointWall returns the slowest point's wall time.
-func (s SweepStats) MaxPointWall() time.Duration {
-	var max time.Duration
-	for _, d := range s.PointWall {
-		if d > max {
-			max = d
-		}
-	}
-	return max
+// WallSummary aggregates wall times as a count, a sum and a maximum.
+type WallSummary struct {
+	Count    int
+	Sum, Max time.Duration
 }
+
+// Add records one wall time.
+func (w *WallSummary) Add(d time.Duration) {
+	w.Count++
+	w.Sum += d
+	w.Max = max(w.Max, d)
+}
+
+// MaxPointWall returns the slowest point's wall time.
+func (s SweepStats) MaxPointWall() time.Duration { return s.PointWall.Max }
 
 // MeanPointWall returns the average point wall time.
 func (s SweepStats) MeanPointWall() time.Duration {
-	if len(s.PointWall) == 0 {
+	if s.PointWall.Count == 0 {
 		return 0
 	}
-	var sum time.Duration
-	for _, d := range s.PointWall {
-		sum += d
-	}
-	return sum / time.Duration(len(s.PointWall))
+	return s.PointWall.Sum / time.Duration(s.PointWall.Count)
 }
 
 // Merge folds another sweep's stats into s: points and cache counters add,
-// wall times accumulate, and Workers keeps the largest pool seen. Used by
+// wall times accumulate into fixed-size summaries, and Workers keeps the largest pool seen. Used by
 // harnesses that run several sweeps and report one aggregate.
 func (s *SweepStats) Merge(other SweepStats) {
 	s.Points += other.Points
@@ -65,7 +66,9 @@ func (s *SweepStats) Merge(other SweepStats) {
 		s.Workers = other.Workers
 	}
 	s.Wall += other.Wall
-	s.PointWall = append(s.PointWall, other.PointWall...)
+	s.PointWall.Count += other.PointWall.Count
+	s.PointWall.Sum += other.PointWall.Sum
+	s.PointWall.Max = max(s.PointWall.Max, other.PointWall.Max)
 	s.CacheHits += other.CacheHits
 	s.CacheMisses += other.CacheMisses
 	if other.CacheEntries > s.CacheEntries {

@@ -65,7 +65,7 @@ func TestWarmRestartSweepByteIdentical(t *testing.T) {
 		t.Fatalf("cold sweep stored %d results, want 4", stats.Results.Writes)
 	}
 	if stats.Plans.Writes != 4 {
-		t.Fatalf("cold sweep stored %d blueprints, want 4", stats.Plans.Writes)
+		t.Fatalf("cold sweep stored %d plans, want 4", stats.Plans.Writes)
 	}
 	ts1.Close()
 
@@ -166,7 +166,7 @@ func TestWarmRestartChunkAndCrossEndpointDedup(t *testing.T) {
 }
 
 // TestWarmRestartRecomputesWithPersistedPlans: with the result namespace
-// gone but blueprints intact, a restarted daemon recomputes every point —
+// gone but plans intact, a restarted daemon recomputes every point —
 // byte-identically — while loading every plan from disk instead of
 // compiling (DiskHits > 0, Misses == 0).
 func TestWarmRestartRecomputesWithPersistedPlans(t *testing.T) {

@@ -3,7 +3,7 @@ package store
 import "pimnet/internal/core"
 
 // PlanAdapter bridges the plan namespace to core.PlanCache's persistence
-// hook: blueprints are serialized through the self-verifying core codec and
+// hook: plans are serialized through the self-verifying core codec and
 // stored under their PlanKey digest. Persistence is strictly best-effort in
 // both directions — a load failure is a miss (the cache recompiles), a store
 // failure is dropped (the blob layer and the codec both reject rather than
@@ -13,28 +13,29 @@ type PlanAdapter struct {
 	S *Store
 }
 
-var _ core.BlueprintStore = PlanAdapter{}
+var _ core.PlanStore = PlanAdapter{}
 
-// LoadBlueprint implements read-through: fetch, decode, verify the embedded
-// digest. An undecodable payload inside a valid blob is codec-level
-// corruption — rejected and counted like a bit flip, never bound.
-func (a PlanAdapter) LoadBlueprint(k core.PlanKey) (*core.Blueprint, bool) {
+// LoadPlan implements read-through: fetch, decode, verify the embedded
+// digest and the schedule. An undecodable payload inside a valid blob is
+// codec-level corruption — rejected and counted like a bit flip, never
+// served.
+func (a PlanAdapter) LoadPlan(k core.PlanKey) (*core.Plan, bool) {
 	key := k.Digest()
 	payload, ok := a.S.Get(NSPlans, key)
 	if !ok {
 		return nil, false
 	}
-	bp, err := core.DecodeBlueprint(payload)
+	p, err := core.DecodePlan(payload)
 	if err != nil {
 		a.S.Reject(NSPlans, key)
 		return nil, false
 	}
-	return bp, true
+	return p, true
 }
 
-// StoreBlueprint implements write-behind on cache fill.
-func (a PlanAdapter) StoreBlueprint(k core.PlanKey, bp *core.Blueprint) {
-	payload, err := core.EncodeBlueprint(bp)
+// StorePlan implements write-behind on cache fill.
+func (a PlanAdapter) StorePlan(k core.PlanKey, p *core.Plan) {
+	payload, err := core.EncodePlan(p)
 	if err != nil {
 		return
 	}

@@ -13,9 +13,9 @@ import (
 
 // fingerprintFormat names the store's on-disk layout and blob framing; bump
 // it when either changes so old directories purge instead of misparse.
-const fingerprintFormat = "pimnet-store-format-1"
+const fingerprintFormat = "pimnet-store-format-2"
 
-// probe is one compilation point whose blueprint digest feeds the
+// probe is one compilation point whose plan digest feeds the
 // fingerprint. The set mirrors the golden-trace corpus: the four scaling
 // patterns at the two cheap population sizes the corpus pins, enough to
 // observe every compiler path that produces persisted artifacts without a
@@ -32,7 +32,7 @@ var probes = []struct {
 
 // Fingerprint derives the version stamp persisted entries are valid under:
 // a digest over the store format, the build identity (internal/version), and
-// the blueprint digests of a fixed probe set — the same digests the
+// the plan digests of a fixed probe set — the same digests the
 // golden-trace corpus pins. Any code change that alters compiled schedules
 // changes a probe digest; any rebuild changes the build identity; either way
 // a store stamped by the old world is purged on Open rather than trusted.
@@ -59,11 +59,7 @@ func Fingerprint() (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("store: fingerprint probe %v/%d: %w", p.pattern, p.dpus, err)
 		}
-		bp, err := core.BlueprintOf(plan, n)
-		if err != nil {
-			return "", fmt.Errorf("store: fingerprint probe %v/%d: %w", p.pattern, p.dpus, err)
-		}
-		io.WriteString(h, bp.Digest()+"\n")
+		io.WriteString(h, plan.Digest()+"\n")
 	}
 	return fmt.Sprintf("%x", h.Sum(nil)), nil
 }

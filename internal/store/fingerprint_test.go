@@ -27,8 +27,8 @@ func TestFingerprintDeterministic(t *testing.T) {
 	}
 }
 
-// compile produces a real (plan key, blueprint) pair for adapter tests.
-func compile(t *testing.T, dpus int) (core.PlanKey, *core.Blueprint) {
+// compile produces a real (plan key, plan) pair for adapter tests.
+func compile(t *testing.T, dpus int) (core.PlanKey, *core.Plan) {
 	t.Helper()
 	sys, err := config.Default().WithDPUs(dpus)
 	if err != nil {
@@ -44,31 +44,27 @@ func compile(t *testing.T, dpus int) (core.PlanKey, *core.Blueprint) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp, err := core.BlueprintOf(plan, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return core.KeyFor(n, req), bp
+	return core.KeyFor(n, req), plan
 }
 
-// TestPlanAdapterRoundTrip: a blueprint stored through the adapter loads
+// TestPlanAdapterRoundTrip: a plan stored through the adapter loads
 // back with the identical digest — the persistence hook cannot change what
 // a plan lookup returns.
 func TestPlanAdapterRoundTrip(t *testing.T) {
 	s := open(t, t.TempDir(), 0)
 	a := PlanAdapter{S: s}
-	k, bp := compile(t, 64)
+	k, plan := compile(t, 64)
 
-	if _, ok := a.LoadBlueprint(k); ok {
-		t.Fatal("empty store reported a blueprint")
+	if _, ok := a.LoadPlan(k); ok {
+		t.Fatal("empty store reported a plan")
 	}
-	a.StoreBlueprint(k, bp)
-	got, ok := a.LoadBlueprint(k)
+	a.StorePlan(k, plan)
+	got, ok := a.LoadPlan(k)
 	if !ok {
-		t.Fatal("stored blueprint missing")
+		t.Fatal("stored plan missing")
 	}
-	if got.Digest() != bp.Digest() {
-		t.Fatalf("digest changed through persistence: %s vs %s", got.Digest(), bp.Digest())
+	if got.Digest() != plan.Digest() {
+		t.Fatalf("digest changed through persistence: %s vs %s", got.Digest(), plan.Digest())
 	}
 	if st := s.Stats(); st.Plans.Writes != 1 || st.Plans.Hits != 1 {
 		t.Fatalf("plan namespace stats: %+v", st.Plans)
@@ -76,25 +72,25 @@ func TestPlanAdapterRoundTrip(t *testing.T) {
 }
 
 // TestPlanAdapterRejectsUndecodablePayload: a perfectly framed blob whose
-// payload is not a blueprint envelope is codec-level corruption — the load
-// is a miss, the entry is rejected and counted, never bound.
+// payload is not a plan envelope is codec-level corruption — the load is a
+// miss, the entry is rejected and counted, never served.
 func TestPlanAdapterRejectsUndecodablePayload(t *testing.T) {
 	s := open(t, t.TempDir(), 0)
 	a := PlanAdapter{S: s}
 	k, _ := compile(t, 64)
 	mustPut(t, s, NSPlans, k.Digest(), []byte("framed fine, but not an envelope"))
 
-	if _, ok := a.LoadBlueprint(k); ok {
-		t.Fatal("undecodable payload reported as a blueprint")
+	if _, ok := a.LoadPlan(k); ok {
+		t.Fatal("undecodable payload reported as a plan")
 	}
 	st := s.Stats()
 	if st.Plans.Corrupt != 1 || st.Plans.Entries != 0 {
 		t.Fatalf("after codec rejection: %+v", st.Plans)
 	}
 	// The poisoned entry is gone: a subsequent store-then-load works.
-	_, bp := compile(t, 64)
-	a.StoreBlueprint(k, bp)
-	if _, ok := a.LoadBlueprint(k); !ok {
+	_, plan := compile(t, 64)
+	a.StorePlan(k, plan)
+	if _, ok := a.LoadPlan(k); !ok {
 		t.Fatal("recovery store-then-load failed")
 	}
 }

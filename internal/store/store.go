@@ -1,5 +1,5 @@
 // Package store is the persistent, content-addressed blob store behind warm
-// daemon restarts and cross-fleet dedup: serialized plan blueprints and
+// daemon restarts and cross-fleet dedup: serialized compiled plans and
 // immutable simulation results survive the process, so a restarted or freshly
 // scaled-out pimnetd starts hot and repeated experiment points become a read.
 //
@@ -37,7 +37,7 @@ import (
 	"sync"
 )
 
-// Namespaces of the store. Plans hold serialized core.Blueprint envelopes;
+// Namespaces of the store. Plans hold serialized core.Plan envelopes;
 // results hold rendered simulation outputs (whole /v1/simulate bodies and
 // per-point sweep results).
 const (

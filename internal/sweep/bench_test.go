@@ -42,8 +42,8 @@ func BenchmarkSweepColdCache(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepWarmCache reuses one pre-populated cache: every point binds
-// a cached blueprint instead of compiling. The gap against ColdCache is the
+// BenchmarkSweepWarmCache reuses one pre-populated cache: every point reuses
+// a cached plan instead of compiling. The gap against ColdCache is the
 // compile time the cache saves.
 func BenchmarkSweepWarmCache(b *testing.B) {
 	b.ReportAllocs()

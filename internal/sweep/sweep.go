@@ -8,9 +8,9 @@
 // machines) itself. The simulator enforces the hard part by construction:
 // sim.Engine and sim.Link are documented single-owner types, and every
 // experiment point constructs its own. The only state fn may share is the
-// compiled-plan cache, whose entries are immutable blueprints behind a
-// mutex; cache hits change compile time, never compiled bytes, so results
-// stay bit-identical whether a plan was compiled or bound from cache.
+// compiled-plan cache, whose entries are read-only plans behind a mutex;
+// cache hits change compile time, never compiled bytes, so results stay
+// bit-identical whether a plan was compiled or taken from the cache.
 //
 // Errors are deterministic too: when points fail, Run reports the error of
 // the lowest-indexed failing point, no matter which worker hit an error
@@ -166,10 +166,12 @@ func Run[P, R any](points []P, fn func(*Context, P) (R, error), opts ...Option) 
 	}
 
 	stats := metrics.SweepStats{
-		Points:    len(points),
-		Workers:   o.Workers,
-		Wall:      time.Since(start),
-		PointWall: wall,
+		Points:  len(points),
+		Workers: o.Workers,
+		Wall:    time.Since(start),
+	}
+	for _, d := range wall {
+		stats.PointWall.Add(d)
 	}
 	if o.Cache != nil {
 		delta := o.Cache.Stats().Sub(cacheBefore)

@@ -44,7 +44,7 @@ func TestRunPreservesOrder(t *testing.T) {
 				t.Fatalf("workers=%d: slot %d holds %q", w, i, r)
 			}
 		}
-		if stats.Points != len(points) || len(stats.PointWall) != len(points) {
+		if stats.Points != len(points) || stats.PointWall.Count != len(points) {
 			t.Fatalf("workers=%d: bad stats %+v", w, stats)
 		}
 	}
@@ -108,7 +108,7 @@ func TestRunEmptyAndStats(t *testing.T) {
 	if agg.Points != 2 {
 		t.Fatalf("agg not merged: %+v", agg)
 	}
-	// Identical points: the second must bind the first's cached blueprint.
+	// Identical points: the second must reuse the first's cached plan.
 	if agg.CacheHits != 1 || agg.CacheMisses != 1 {
 		t.Fatalf("want 1 hit / 1 miss, got %d/%d", agg.CacheHits, agg.CacheMisses)
 	}

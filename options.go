@@ -27,7 +27,7 @@ type (
 	TraceLevel = trace.Level
 	// TraceSummary is the link-utilization aggregate a trace.Util builds.
 	TraceSummary = trace.Summary
-	// PlanCache shares compiled-plan blueprints across PIMnet backends.
+	// PlanCache shares compiled plans across PIMnet backends.
 	PlanCache = core.PlanCache
 )
 
