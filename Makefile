@@ -83,7 +83,8 @@ benchcmp:
 	@if [ "$(BENCH_EMIT_ONLY)" = "1" ]; then \
 		cp bench.json $(BENCH_BASELINE); echo "baseline refreshed: $(BENCH_BASELINE)"; \
 	else \
-		$(GO) run ./cmd/benchcmp -baseline $(BENCH_BASELINE) -current bench.json; \
+		$(GO) run ./cmd/benchcmp -baseline $(BENCH_BASELINE) -current bench.json \
+			-match '\.Benchmark($(GATED_BENCH))'; \
 	fi
 
 # CPU + heap profiles of the 2560-DPU allreduce sweep, the paper-scale
