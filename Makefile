@@ -17,9 +17,10 @@ COVER_FLOOR = 80
 # Noc covers the flat packet simulator at 256 and 2560 nodes, Cxl covers the
 # CXL-PIM backend's decompose + intra-phase replay path, RMATLogGowalla,
 # SparseGenerate and NamedFull cover the paper-sized workload input
-# generators and a one-workload lookup, and PlanWarm covers a plan-cache hit,
-# which returns the shared plan without allocating.
-GATED_BENCH = Engine|Execute|Store|Noc|Cxl|RMATLogGowalla|SparseGenerate|NamedFull|PlanWarm
+# generators and a one-workload lookup, PlanWarm covers a plan-cache hit,
+# which returns the shared plan without allocating, and NewNetwork covers
+# building a channel's link table, one slab per network.
+GATED_BENCH = Engine|Execute|Store|Noc|Cxl|RMATLogGowalla|SparseGenerate|NamedFull|PlanWarm|NewNetwork
 GATED_PKGS = ./internal/sim ./internal/core ./internal/store ./internal/noc ./internal/cxlpim \
 	./internal/graphgen ./internal/sparse ./internal/workloads
 

@@ -132,7 +132,7 @@ func (n *Network) executePhases(p *Plan, opt execOptions) (backend.Result, []sim
 			for _, tr := range st.Transfers {
 				done := sim.MaxTime
 				if !tr.Dead {
-					l := links[tr.Link]
+					l := &links[tr.Link]
 					var resStart sim.Time
 					resStart, done = l.Reserve(stepStart, tr.Bytes)
 					if n.traceLinks {
@@ -145,7 +145,7 @@ func (n *Network) executePhases(p *Plan, opt execOptions) (backend.Result, []sim
 							from, to := n.linkEndpoints(tr.Link)
 							n.tracer.Emit(trace.Event{Kind: trace.KindLinkBusy,
 								Tier: trace.Tier(ph.Tier), Name: ph.Name,
-								Link: l.Name(), Start: tb + int64(resStart),
+								Link: n.Topo.linkName(tr.Link), Start: tb + int64(resStart),
 								End: tb + int64(free), Bytes: tr.Bytes,
 								From: from, To: to, Seq: int64(si)})
 						}

@@ -407,8 +407,8 @@ func PlanForDegraded(n *Network, req collective.Request) (*Plan, error) {
 				if tr.Dead {
 					return nil, fmt.Errorf("core: phase %s still crosses a stuck crossbar pairing", ph.Name)
 				}
-				if l := n.links[tr.Link]; l.Failed() {
-					return nil, fmt.Errorf("core: %s is hard-failed and unroutable", l.Name())
+				if n.links[tr.Link].Failed() {
+					return nil, fmt.Errorf("core: %s is hard-failed and unroutable", n.Topo.linkName(tr.Link))
 				}
 			}
 		}
@@ -478,7 +478,7 @@ func (n *Network) rerouteRings(p *Plan) error {
 				}
 				role, rank, chip, bank := n.Topo.linkAt(tr.Link)
 				if role != roleRing {
-					return fmt.Errorf("core: failed link %s is not a ring segment", n.links[tr.Link].Name())
+					return fmt.Errorf("core: failed link %s is not a ring segment", n.Topo.linkName(tr.Link))
 				}
 				var survivors []int32
 				first := tr.Link - int32(bank) // segment 0 of the same ring

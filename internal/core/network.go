@@ -28,8 +28,9 @@ type Network struct {
 
 	// links is the link table every compiled Transfer indexes, laid out as
 	// Topology.linkIndex describes: ring segments, then chip send channels,
-	// then chip receive channels, then the shared DDR bus.
-	links []*sim.Link
+	// then chip receive channels, then the shared DDR bus, in one slab of
+	// link values.
+	links []sim.Link
 
 	// stepOverheadPs is an optional fixed guard charged at every lock-step
 	// boundary (ablation knob; see SetStepOverhead).
@@ -127,7 +128,8 @@ func (t Topology) linkAt(i int32) (role linkRole, rank, chip, bank int) {
 	}
 }
 
-// linkName renders table entry i as traces and error messages name it.
+// linkName renders table entry i as traces and error messages name it. Links
+// carry no stored name: the few sites that print one derive it here.
 func (t Topology) linkName(i int32) string {
 	switch role, r, c, b := t.linkAt(i); role {
 	case roleRing:
@@ -147,27 +149,31 @@ func NewNetwork(sys config.System) (*Network, error) {
 		return nil, err
 	}
 	topo := Topology{Ranks: sys.Ranks, Chips: sys.ChipsPerRank, Banks: sys.BanksPerChip}
-	n := &Network{Sys: sys, Topo: topo, links: make([]*sim.Link, topo.linkCount())}
-	ringBW := sys.BankRingBW()
-	for i := range n.links {
-		bw, lat := sys.Net.ChipChannelBW, sys.Net.ChipHopLat
-		switch role, _, _, _ := topo.linkAt(int32(i)); role {
-		case roleRing:
-			bw, lat = ringBW, sys.Net.BankHopLat
-		case roleChipSend:
-			lat += sys.Net.SwitchLat
-		case roleBus:
-			bw, lat = sys.Net.RankBusBW, sys.Net.RankBusLat
+	n := &Network{Sys: sys, Topo: topo, links: make([]sim.Link, topo.linkCount())}
+	// The table is four runs of identical links, in linkIndex order.
+	rings, chips := topo.Nodes(), topo.Ranks*topo.Chips
+	runs := [...]struct {
+		end  int
+		link sim.Link
+	}{
+		{rings, sim.NewLink(sys.BankRingBW(), sys.Net.BankHopLat)},
+		{rings + chips, sim.NewLink(sys.Net.ChipChannelBW, sys.Net.ChipHopLat+sys.Net.SwitchLat)},
+		{rings + 2*chips, sim.NewLink(sys.Net.ChipChannelBW, sys.Net.ChipHopLat)},
+		{len(n.links), sim.NewLink(sys.Net.RankBusBW, sys.Net.RankBusLat)},
+	}
+	i := 0
+	for _, r := range runs {
+		for ; i < r.end; i++ {
+			n.links[i] = r.link
 		}
-		n.links[i] = sim.NewLink(topo.linkName(int32(i)), bw, lat)
 	}
 	return n, nil
 }
 
 // Reset clears all reservations so the network can run another experiment.
 func (n *Network) Reset() {
-	for _, l := range n.links {
-		l.Reset()
+	for i := range n.links {
+		n.links[i].Reset()
 	}
 }
 
@@ -333,8 +339,8 @@ func (n *Network) ApplyFault(f faults.Fault) error {
 // ClearFaults repairs every link, forgets stuck crossbar pairings, and
 // drops any recompiled chip ordering, restoring the pristine topology.
 func (n *Network) ClearFaults() {
-	for _, l := range n.links {
-		l.Restore()
+	for i := range n.links {
+		n.links[i].Restore()
 	}
 	n.deadPath = nil
 	n.chipOrder = nil
@@ -347,8 +353,8 @@ func (n *Network) hasHardFaults() bool {
 	if len(n.deadPath) > 0 {
 		return true
 	}
-	for _, l := range n.links {
-		if l.Failed() {
+	for i := range n.links {
+		if n.links[i].Failed() {
 			return true
 		}
 	}
@@ -362,8 +368,8 @@ func (n *Network) Pristine() bool {
 	if len(n.deadPath) > 0 || n.chipOrder != nil {
 		return false
 	}
-	for _, l := range n.links {
-		if l.Faulty() {
+	for i := range n.links {
+		if n.links[i].Faulty() {
 			return false
 		}
 	}
@@ -375,8 +381,9 @@ func (n *Network) Pristine() bool {
 func (n *Network) ScaleBankBandwidth(perChannelBW float64) {
 	n.Sys.Net.BankChannelBW = perChannelBW
 	eff := n.Sys.BankRingBW()
-	for _, l := range n.links[:n.Topo.Nodes()] { // one ring segment per bank
-		l.SetBandwidth(eff)
+	rings := n.links[:n.Topo.Nodes()] // one ring segment per bank
+	for i := range rings {
+		rings[i].SetBandwidth(eff)
 	}
 }
 
@@ -386,8 +393,9 @@ func (n *Network) ScaleGlobalBandwidth(factor float64) {
 	n.Sys.Net.ChipChannelBW *= factor
 	n.Sys.Net.RankBusBW *= factor
 	bus := len(n.links) - 1
-	for _, l := range n.links[n.Topo.Nodes():bus] {
-		l.SetBandwidth(n.Sys.Net.ChipChannelBW)
+	chips := n.links[n.Topo.Nodes():bus]
+	for i := range chips {
+		chips[i].SetBandwidth(n.Sys.Net.ChipChannelBW)
 	}
 	n.links[bus].SetBandwidth(n.Sys.Net.RankBusBW)
 }

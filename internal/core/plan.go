@@ -45,8 +45,9 @@ func (t Tier) Component() metrics.Component {
 	}
 }
 
-// Kind classifies a resource for contention checking.
-type Kind int
+// Kind classifies a resource for contention checking. It is one byte so a
+// Transfer packs into 16 bytes.
+type Kind uint8
 
 // Resource kinds. Ring segments may be time-multiplexed within a step (the
 // static schedule serializes flows deliberately, e.g. the all-to-all shift
@@ -61,17 +62,19 @@ const (
 
 // Transfer is one scheduled link reservation. Link indexes the link table
 // of the plan's topology (Topology.linkIndex), so a plan runs unchanged on
-// every network built for that topology.
+// every network built for that topology. The fields are ordered so the
+// struct packs into 16 bytes: the plan cache retains every transfer of
+// every cached plan.
 type Transfer struct {
-	Link  int32
-	Kind  Kind
-	Bytes int64
+	Link int32
+	Kind Kind
 	// Dead marks a transfer whose compiled route traverses a hard-failed
 	// resource (a stuck crossbar pairing): the data never arrives, and the
 	// executor models it as a transfer that never completes so the phase
 	// timeout guard can catch it. Dead transfers still occupy their port in
 	// the contention check — the hardware does drive the channel.
-	Dead bool `json:",omitempty"`
+	Dead  bool `json:",omitempty"`
+	Bytes int64
 }
 
 // Step is a synchronized communication step: all transfers start together
@@ -150,11 +153,14 @@ func (p *Plan) TierBytes(t Tier) int64 {
 // violation means the compiler produced a schedule the bufferless hardware
 // could not execute; it is always a bug. A pass is memoized on the plan, so
 // the executor's defensive re-check is free for compiled plans.
+//
+// One dense counter over the link table serves every step: a step counts
+// its transfers into it and then zeroes exactly the entries it touched.
 func (p *Plan) CheckContention() error {
 	links := int32(p.Topo.linkCount())
+	seen := make([]int32, max(links, 0)) // an invalid topology fails every bounds check
 	for pi, ph := range p.Phases {
 		for si, st := range ph.Steps {
-			seen := make(map[int32]int)
 			for _, tr := range st.Transfers {
 				if tr.Bytes < 0 {
 					return fmt.Errorf("core: phase %d (%s) step %d: negative transfer", pi, ph.Name, si)
@@ -168,6 +174,9 @@ func (p *Plan) CheckContention() error {
 					return fmt.Errorf("core: phase %d (%s) step %d: %s scheduled %d times in one step",
 						pi, ph.Name, si, p.Topo.linkName(tr.Link), seen[tr.Link])
 				}
+			}
+			for _, tr := range st.Transfers {
+				seen[tr.Link] = 0
 			}
 		}
 	}

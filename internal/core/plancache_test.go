@@ -6,6 +6,7 @@ import (
 
 	"pimnet/internal/collective"
 	"pimnet/internal/config"
+	"pimnet/internal/trace"
 )
 
 func testNet(t testing.TB, dpus int) *Network {
@@ -111,8 +112,8 @@ func TestExecuteRejectsForeignTopology(t *testing.T) {
 }
 
 // TestLinkTable: linkAt inverts linkIndex over the whole table, the table
-// is laid out ring, send, receive, bus, and every name matches the link
-// NewNetwork built at that index.
+// is laid out ring, send, receive, bus, and a link-level trace names every
+// busy link by linkName of the transfer's table index.
 func TestLinkTable(t *testing.T) {
 	n := testNet(t, 256)
 	topo := n.Topo
@@ -125,9 +126,6 @@ func TestLinkTable(t *testing.T) {
 		}
 		if r, ra, c, b := topo.linkAt(i); r != role || ra != rank || c != chip || b != bank {
 			t.Fatalf("linkAt(%d) = %d, %d, %d, %d", i, r, ra, c, b)
-		}
-		if got := n.links[i].Name(); got != topo.linkName(i) {
-			t.Fatalf("link %d named %q, linkName says %q", i, got, topo.linkName(i))
 		}
 		want++
 	}
@@ -147,6 +145,40 @@ func TestLinkTable(t *testing.T) {
 	check(roleBus, 0, 0, 0)
 	if int(want) != len(n.links) || len(n.links) != topo.linkCount() {
 		t.Fatalf("table has %d links, indexed %d, linkCount %d", len(n.links), want, topo.linkCount())
+	}
+
+	// The executor emits one KindLinkBusy per transfer, in plan order.
+	rec := trace.NewRecorder(0)
+	n.SetTracer(rec, trace.LevelLink)
+	plan := mustPlan(t, n, testReq(collective.AllReduce, 256, 32<<10))
+	if _, err := n.Execute(plan); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.KindLinkBusy {
+			names = append(names, ev.Link)
+		}
+	}
+	roles := map[linkRole]bool{}
+	k := 0
+	for _, ph := range plan.Phases {
+		for _, st := range ph.Steps {
+			for _, tr := range st.Transfers {
+				if k >= len(names) {
+					t.Fatalf("trace has %d busy events, plan has more transfers", len(names))
+				}
+				if want := topo.linkName(tr.Link); names[k] != want {
+					t.Fatalf("busy event %d names %q, want %q", k, names[k], want)
+				}
+				role, _, _, _ := topo.linkAt(tr.Link)
+				roles[role] = true
+				k++
+			}
+		}
+	}
+	if k != len(names) || rec.Dropped() != 0 || len(roles) != 4 {
+		t.Fatalf("%d transfers, %d busy events (%d dropped), %d link roles", k, len(names), rec.Dropped(), len(roles))
 	}
 	for _, bad := range [][4]int{{int(roleRing), topo.Ranks, 0, 0}, {int(roleRing), 0, -1, 0},
 		{int(roleRing), 0, 0, topo.Banks}, {int(roleChipSend), 0, topo.Chips, 0}, {int(roleBus), -1, 0, 0}, {9, 0, 0, 0}} {

@@ -81,7 +81,7 @@ func ExpandSweep(req SweepRequest, maxPoints int) (SweepRequest, []GridPoint, []
 	keys := make([]string, len(pts))
 	for i, pt := range pts {
 		grid[i] = GridPoint{DPUs: pt.req.Nodes, BytesPerNode: pt.req.BytesPerNode}
-		keys[i] = pt.planKey().Digest()
+		keys[i] = pt.planKey
 	}
 	return norm, grid, keys, nil
 }

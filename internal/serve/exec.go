@@ -269,7 +269,7 @@ func (s *Server) runPoint(pt point) (record, error) {
 	if err != nil {
 		return record{}, err
 	}
-	rec := record{Backend: be.Name(), PlanKey: pt.planKey().Digest()}
+	rec := record{Backend: be.Name(), PlanKey: pt.planKey}
 	if pt.workload != "" {
 		wl, err := pimnet.NamedWorkload(pt.workload, pt.sys.DPUsPerChannel(), pt.seed, pt.scaled)
 		if err != nil {

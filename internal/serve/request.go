@@ -146,17 +146,16 @@ type point struct {
 	overhead int64
 	trace    string
 	noc      *noc.PatternPoint
+	// planKey is the core.PlanKey digest of a collective or workload point
+	// (system shape x collective request x step overhead), hashed once at
+	// normalization: the point key, the record and the coordinator's
+	// placement all name it.
+	planKey string
 }
 
 // keyTag versions the point identity together with the record encoding, so
 // results written under an older encoding are never looked up again.
 const keyTag = "point-record/v2"
-
-// planKey returns the compilation-point identity of a collective or
-// workload point.
-func (pt point) planKey() core.PlanKey {
-	return core.KeyForSystem(pt.sys, pt.req, pt.overhead)
-}
 
 // key returns the point's one identity: the coalescer's flight key and the
 // result store's key. It names every field that can change the result — the
@@ -172,7 +171,7 @@ func (pt point) key() string {
 			n.BufferPackets, n.PacketBytes, int64(n.SyncLatency),
 			int(c.Mode), int(c.Pattern), c.BytesPerNode, c.Steps, c.Seed)
 	} else {
-		fmt.Fprintf(h, "%s\x00%s\x00%s\x00%s\x00%t\x00%d\x00%s\x00%d\x00%s", keyTag, pt.planKey().Digest(),
+		fmt.Fprintf(h, "%s\x00%s\x00%s\x00%s\x00%t\x00%d\x00%s\x00%d\x00%s", keyTag, pt.planKey,
 			pt.kind, pt.workload, pt.scaled, pt.seed, pt.faults, pt.seedF, pt.trace)
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -329,6 +328,7 @@ func (req SimulateRequest) normalize() (SimulateRequest, point, error) {
 			req.Seed = 1
 		}
 		pt.workload, pt.scaled, pt.seed = name, *req.Scaled, req.Seed
+		pt.planKey = core.KeyForSystem(pt.sys, pt.req, pt.overhead).Digest()
 		return req, pt, nil
 	}
 	if req.Scaled != nil || req.Seed != 0 {
@@ -362,6 +362,7 @@ func (req SimulateRequest) normalize() (SimulateRequest, point, error) {
 	if err := pt.req.Validate(); err != nil {
 		return req, pt, err
 	}
+	pt.planKey = core.KeyForSystem(pt.sys, pt.req, pt.overhead).Digest()
 	return req, pt, nil
 }
 

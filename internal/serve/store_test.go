@@ -439,7 +439,7 @@ func TestOldStoreEncodingNeverServed(t *testing.T) {
 	// the point's identity fields.
 	oldKey := func(tag string) string {
 		h := sha256.New()
-		fmt.Fprintf(h, "%s\x00%s\x00%s\x00%s\x00%t\x00%d\x00%s\x00%d\x00%s", tag, pt.planKey().Digest(),
+		fmt.Fprintf(h, "%s\x00%s\x00%s\x00%s\x00%t\x00%d\x00%s\x00%d\x00%s", tag, pt.planKey,
 			pt.kind.String(), pt.workload, pt.scaled, pt.seed, pt.faults, pt.seedF, pt.trace)
 		return fmt.Sprintf("%x", h.Sum(nil))
 	}

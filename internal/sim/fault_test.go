@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 func TestLinkFaultState(t *testing.T) {
-	l := NewLink("wire", 1e9, 10*Nanosecond)
+	l := NewLink(1e9, 10*Nanosecond)
 	if l.Faulty() || l.DegradeFactor() != 1 || l.EffectiveBandwidth() != 1e9 {
 		t.Fatal("new link not healthy")
 	}
@@ -35,17 +35,17 @@ func TestLinkFaultState(t *testing.T) {
 	}
 }
 
-// TestLinkResetPreservesFaults: Reset clears reservations and statistics but
+// TestLinkResetPreservesFaults: Reset clears reservations but
 // a broken wire must stay broken across experiment re-runs.
 func TestLinkResetPreservesFaults(t *testing.T) {
-	l := NewLink("wire", 1e9, 0)
+	l := NewLink(1e9, 0)
 	l.Fail()
 	l.Reserve(0, 64)
 	l.Reset()
 	if !l.Failed() {
 		t.Fatal("Reset repaired a hard failure")
 	}
-	if l.Transfers() != 0 || l.FreeAt() != 0 {
+	if l.FreeAt() != 0 {
 		t.Fatal("Reset did not clear dynamic state")
 	}
 	l.Restore()
@@ -64,19 +64,21 @@ func TestDegradeRejectsBadFactor(t *testing.T) {
 					t.Errorf("Degrade(%v) did not panic", f)
 				}
 			}()
-			NewLink("wire", 1e9, 0).Degrade(f)
+			l := NewLink(1e9, 0)
+			l.Degrade(f)
 		}()
 	}
 	// Factor 1 is the healthy identity and must be accepted.
-	NewLink("wire", 1e9, 0).Degrade(1)
+	l := NewLink(1e9, 0)
+	l.Degrade(1)
 }
 
 // TestReserveAtExactCompletionInstant: a reservation arriving exactly when
 // the previous transfer's serialization ends must start immediately, with no
 // idle gap and no overlap.
 func TestReserveAtExactCompletionInstant(t *testing.T) {
-	l := NewLink("wire", 1e9, 5*Nanosecond) // 1 GB/s: 1 byte/ns
-	_, _ = l.Reserve(0, 1000)               // wire busy [0, 1000ns)
+	l := NewLink(1e9, 5*Nanosecond) // 1 GB/s: 1 byte/ns
+	_, _ = l.Reserve(0, 1000)       // wire busy [0, 1000ns)
 	busyUntil := l.FreeAt()
 	if busyUntil != 1000*Nanosecond {
 		t.Fatalf("FreeAt = %v, want 1000ns", busyUntil)
@@ -93,7 +95,7 @@ func TestReserveAtExactCompletionInstant(t *testing.T) {
 // TestLinkHalfDuplexSharing: the rank bus is one Link shared by both
 // directions, so opposing transfers serialize instead of overlapping.
 func TestLinkHalfDuplexSharing(t *testing.T) {
-	bus := NewLink("bus", 1e9, 0)
+	bus := NewLink(1e9, 0)
 	_, aDone := bus.Reserve(0, 1000) // A -> B
 	bStart, bDone := bus.Reserve(0, 1000)
 	if bStart != aDone {
@@ -102,15 +104,15 @@ func TestLinkHalfDuplexSharing(t *testing.T) {
 	if bDone != 2000*Nanosecond {
 		t.Fatalf("second transfer done %v, want 2000ns", bDone)
 	}
-	if bus.Occupancy() != 2000*Nanosecond {
-		t.Fatalf("occupancy %v, want 2000ns", bus.Occupancy())
+	if bus.FreeAt() != bDone {
+		t.Fatalf("bus free at %v, want %v (busy back to back)", bus.FreeAt(), bDone)
 	}
 }
 
 // TestReserveZeroBytesOnBusyLink: zero-byte control messages still queue
 // behind in-flight traffic but occupy the wire for no time.
 func TestReserveZeroBytesOnBusyLink(t *testing.T) {
-	l := NewLink("wire", 1e9, 7*Nanosecond)
+	l := NewLink(1e9, 7*Nanosecond)
 	l.Reserve(0, 1000)
 	start, done := l.Reserve(0, 0)
 	if start != 1000*Nanosecond {
@@ -198,7 +200,7 @@ func TestScheduleNegativeInstantClamps(t *testing.T) {
 // TestEngineAttachFaults: a timed failure fires between events, so an event
 // before the instant sees a healthy link and one after sees it failed.
 func TestEngineAttachFaults(t *testing.T) {
-	l := NewLink("wire", 1e9, 0)
+	l := NewLink(1e9, 0)
 	var s Schedule
 	s.Add(50, l.Fail)
 	e := NewEngine()

@@ -12,7 +12,6 @@ import "fmt"
 // Link is also used for half-duplex buses; callers that need direction
 // semantics simply share one Link between both directions.
 type Link struct {
-	name    string
 	bwBps   float64 // bytes per second
 	latency Time
 
@@ -24,20 +23,16 @@ type Link struct {
 	degrade float64
 	failed  bool
 
-	free      Time // instant the wire becomes idle
-	busyTotal Time // accumulated occupancy, for utilization reporting
-	transfers uint64
-	bytes     int64
+	free Time // instant the wire becomes idle
 }
 
 // NewLink returns a link with the given bandwidth (bytes/second) and
-// propagation latency.
-func NewLink(name string, bwBytesPerSec float64, latency Time) *Link {
-	return &Link{name: name, bwBps: bwBytesPerSec, latency: latency, degrade: 1}
+// propagation latency. Links are values so a network can hold its whole
+// link table in one slice; a link carries no name (its owner derives one
+// from the table index when it prints one).
+func NewLink(bwBytesPerSec float64, latency Time) Link {
+	return Link{bwBps: bwBytesPerSec, latency: latency, degrade: 1}
 }
-
-// Name returns the link's diagnostic name.
-func (l *Link) Name() string { return l.name }
 
 // Bandwidth returns the configured bandwidth in bytes per second.
 func (l *Link) Bandwidth() float64 { return l.bwBps }
@@ -52,7 +47,7 @@ func (l *Link) SetBandwidth(bwBytesPerSec float64) { l.bwBps = bwBytesPerSec }
 // factor times the configured bandwidth. The factor must be in (0, 1].
 func (l *Link) Degrade(factor float64) {
 	if factor <= 0 || factor > 1 {
-		panic(fmt.Sprintf("sim: degrade factor %v on %s outside (0,1]", factor, l.name))
+		panic(fmt.Sprintf("sim: degrade factor %v outside (0,1]", factor))
 	}
 	l.degrade = factor
 }
@@ -95,49 +90,20 @@ func (l *Link) FreeAt() Time { return l.free }
 // drains) and the instant the last byte arrives at the receiver.
 func (l *Link) Reserve(at Time, bytes int64) (start, done Time) {
 	if bytes < 0 {
-		panic(fmt.Sprintf("sim: negative transfer size %d on %s", bytes, l.name))
+		panic(fmt.Sprintf("sim: negative transfer size %d", bytes))
 	}
 	start = MaxOf(at, l.free)
 	if l.failed {
-		// A hard-failed wire never delivers: the reservation is queued (so
-		// statistics still count it) but completion is pushed to the
-		// "never" sentinel, which the detection layer turns into a timeout.
+		// A hard-failed wire never delivers: the reservation is queued but
+		// completion is pushed to the "never" sentinel, which the detection
+		// layer turns into a timeout.
 		l.free = MaxTime
-		l.transfers++
-		l.bytes += bytes
 		return start, MaxTime
 	}
-	ser := TransferTime(bytes, l.bwBps*l.degrade)
-	l.free = AddSat(start, ser)
-	l.busyTotal = AddSat(l.busyTotal, ser)
-	l.transfers++
-	l.bytes += bytes
+	l.free = AddSat(start, TransferTime(bytes, l.bwBps*l.degrade))
 	return start, AddSat(l.free, l.latency)
 }
 
-// Occupancy returns the total time the wire has spent busy.
-func (l *Link) Occupancy() Time { return l.busyTotal }
-
-// Transfers returns the number of reservations made.
-func (l *Link) Transfers() uint64 { return l.transfers }
-
-// Bytes returns the total bytes reserved across all transfers.
-func (l *Link) Bytes() int64 { return l.bytes }
-
-// Reset clears dynamic state (reservations and statistics) while keeping
-// the configuration, so one topology can be reused across experiment runs.
-func (l *Link) Reset() {
-	l.free = 0
-	l.busyTotal = 0
-	l.transfers = 0
-	l.bytes = 0
-}
-
-// Utilization returns occupancy as a fraction of the horizon (0 when the
-// horizon is empty).
-func (l *Link) Utilization(horizon Time) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return float64(l.busyTotal) / float64(horizon)
-}
+// Reset clears the reservations while keeping the configuration and the
+// fault state, so one topology can be reused across experiment runs.
+func (l *Link) Reset() { l.free = 0 }
