@@ -9,7 +9,7 @@ GO ?= go
 COVER_PKGS = ./internal/core ./internal/sweep
 COVER_FLOOR = 80
 
-.PHONY: build test vet check cover fuzz bench benchcmp profile profile-noc golden trace-smoke serve-smoke cluster-smoke store-smoke crossover-smoke
+.PHONY: build test vet check cover loc fuzz bench benchcmp profile profile-noc golden trace-smoke serve-smoke cluster-smoke store-smoke crossover-smoke
 
 # Benchmarks gated by the regression check (make benchcmp). Engine covers the
 # event queue, Execute covers the plan-replay hot path, Store covers the
@@ -56,6 +56,12 @@ cover:
 		ok=$$(awk -v p="$$pct" -v f="$(COVER_FLOOR)" 'BEGIN {print (p >= f) ? 1 : 0}'); \
 		if [ "$$ok" != "1" ]; then echo "coverage $$pkg below floor"; exit 1; fi; \
 	done; rm -f /tmp/pimnet-cover.out
+
+# Non-test Go lines with bench/ excluded: the code-size figure ROADMAP
+# quotes.
+loc:
+	@find . -path ./bench -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print \
+		| xargs cat | wc -l
 
 # Short fuzz pass over the collective verify interpreter (the recovery
 # ladder's correctness oracle), the plan-cache key, the persistent store's

@@ -302,7 +302,6 @@ func run(o options, workers []string, quotas map[string]int) error {
 			MaxAttempts:   o.chunkRetries,
 			HedgeAfter:    o.hedgeAfter,
 			ProbeInterval: o.probeEvery,
-			MaxPoints:     o.maxSweepPoints,
 			Local: func(ctx context.Context, req serve.ChunkRequest) ([]serve.SweepPoint, error) {
 				return s.RunChunk(ctx, req)
 			},

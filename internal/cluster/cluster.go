@@ -28,10 +28,10 @@
 // None of this machinery can alter results: every path — remote, retried,
 // hedged, local — executes the same deterministic points, and Assemble
 // verifies coverage and duplicate agreement before a response leaves the
-// coordinator. The chaos transport (WithChaos) makes that claim testable:
-// any seeded schedule of connection failures, 5xxs, latency spikes,
-// truncated bodies, and mid-chunk worker kills must yield bytes identical
-// to the single-node sweep.
+// coordinator. The tests' chaos transport (WithChaos, chaos_test.go) makes
+// that claim testable: any seeded schedule of connection failures, 5xxs,
+// latency spikes, truncated bodies, and mid-chunk worker kills must yield
+// bytes identical to the single-node sweep.
 package cluster
 
 import (
@@ -59,7 +59,10 @@ import (
 type LocalRunner func(ctx context.Context, req serve.ChunkRequest) ([]serve.SweepPoint, error)
 
 // Config parameterizes a Coordinator. The zero value of every field
-// selects a production-shaped default; Workers and Local are required.
+// selects a production-shaped default; Workers and Local are required. The
+// coordinator receives each sweep already normalized and capped by the
+// serving tier (serve.Config.MaxSweepPoints), so nothing here bounds or
+// re-validates a grid.
 type Config struct {
 	// Workers are the fleet's base URLs, e.g. "http://10.0.0.1:8080". An
 	// empty fleet is legal: every chunk runs locally.
@@ -72,9 +75,6 @@ type Config struct {
 	// MaxInFlightChunks bounds concurrently dispatched chunks per sweep
 	// (default 2x the fleet size, minimum 2).
 	MaxInFlightChunks int
-	// MaxPoints caps a sweep's grid, mirroring the serving tier's cap
-	// (default 4096).
-	MaxPoints int
 
 	// ChunkTimeout is the per-dispatch-attempt deadline (default 30s).
 	ChunkTimeout time.Duration
@@ -102,7 +102,7 @@ type Config struct {
 	ReadmitAfter int
 
 	// Transport is the HTTP transport for dispatches and probes (nil
-	// selects http.DefaultTransport). Tests wrap it with WithChaos.
+	// selects http.DefaultTransport). Tests wrap it with a chaos transport.
 	Transport http.RoundTripper
 	// Seed seeds the backoff jitter (default 1). Jitter never affects
 	// results, only timing.
@@ -122,9 +122,6 @@ func (c Config) withDefaults() Config {
 		if c.MaxInFlightChunks < 2 {
 			c.MaxInFlightChunks = 2
 		}
-	}
-	if c.MaxPoints <= 0 {
-		c.MaxPoints = 4096
 	}
 	if c.ChunkTimeout <= 0 {
 		c.ChunkTimeout = 30 * time.Second
@@ -241,13 +238,6 @@ func (c *Coordinator) Close() {
 	}
 }
 
-// ProbeOnce sweeps every worker's health once, synchronously. Tests and
-// operators (via a future admin surface) use it to advance the state
-// machine deterministically.
-func (c *Coordinator) ProbeOnce(ctx context.Context) {
-	c.reg.probeAll(ctx, c.probeClient)
-}
-
 // chunkSpan is one chunk's half-open global index range.
 type chunkSpan struct{ start, end int }
 
@@ -264,24 +254,21 @@ func chunkSpans(n, size int) []chunkSpan {
 	return spans
 }
 
-// RunSweep implements serve.SweepRunner: expand the grid, fan the chunks
-// over the fleet, reassemble deterministically. Every chunk runs to
-// completion even when another fails — exactly like the single-node sweep
-// engine — and the returned error is the lowest-indexed failing point's
-// (chunks are contiguous index ranges processed in order, so the first
-// failing chunk holds the globally lowest failing point).
-func (c *Coordinator) RunSweep(ctx context.Context, req serve.SweepRequest) (*serve.SweepResponse, error) {
-	norm, grid, keys, err := serve.ExpandSweep(req, c.cfg.MaxPoints)
-	if err != nil {
-		return nil, err
-	}
+// RunSweep implements serve.SweepRunner: slice the normalized grid into
+// chunks placed by their first point's plan key, fan them over the fleet,
+// reassemble deterministically. Every chunk runs to completion even when
+// another fails — exactly like the single-node sweep engine — and the
+// returned error is the lowest-indexed failing point's (chunks are
+// contiguous index ranges processed in order, so the first failing chunk
+// holds the globally lowest failing point).
+func (c *Coordinator) RunSweep(ctx context.Context, req serve.SweepRequest, grid []serve.GridPoint, keys []string) (*serve.SweepResponse, error) {
 	c.met.sweeps.Add(1)
 	start := time.Now()
 	base := serve.ChunkRequest{
-		Backend:  norm.Backend,
-		Pattern:  norm.Pattern,
-		Op:       norm.Op,
-		ElemSize: norm.ElemSize,
+		Backend:  req.Backend,
+		Pattern:  req.Pattern,
+		Op:       req.Op,
+		ElemSize: req.ElemSize,
 		SweepID:  fmt.Sprintf("sweep-%d", c.sweepSeq.Add(1)),
 	}
 
@@ -331,8 +318,8 @@ func (c *Coordinator) RunSweep(ctx context.Context, req serve.SweepRequest) (*se
 	}
 	stats := metrics.SweepStats{Points: len(grid), Workers: c.reg.healthyCount(), Wall: time.Since(start)}
 	return &serve.SweepResponse{
-		Backend: norm.Backend,
-		Pattern: norm.Pattern,
+		Backend: req.Backend,
+		Pattern: req.Pattern,
 		Points:  assembled,
 		Stats:   report.NewSweepStatsJSON(stats),
 	}, nil

@@ -80,6 +80,12 @@ func startFleet(t *testing.T, n int, mutate func(*Config)) *testFleet {
 	return f
 }
 
+// probeOnce sweeps every worker's health once, synchronously, so tests
+// advance the eject/readmit state machine deterministically.
+func (c *Coordinator) probeOnce(ctx context.Context) {
+	c.reg.probeAll(ctx, c.probeClient)
+}
+
 // delay returns worker i's straggle knob.
 func (f *testFleet) delay(i int) *delayedHandler {
 	return f.workers[i].Config.Handler.(*delayedHandler)
@@ -125,15 +131,48 @@ func postSweepPoints(t *testing.T, base, grid string) []byte {
 	return wire.Points
 }
 
+// expandedSweep is what a serving tier hands its SweepRunner for one
+// /v1/sweep payload.
+type expandedSweep struct {
+	req  serve.SweepRequest
+	grid []serve.GridPoint
+	keys []string
+}
+
+// RunSweep records its arguments; it makes expandedSweep a SweepRunner.
+func (x *expandedSweep) RunSweep(_ context.Context, req serve.SweepRequest, grid []serve.GridPoint, keys []string) (*serve.SweepResponse, error) {
+	x.req, x.grid, x.keys = req, grid, keys
+	return &serve.SweepResponse{}, nil
+}
+
+// expand decodes a sweep payload through a serve.Server's /v1/sweep
+// handler and returns the normalized request, grid and plan keys the
+// server delegates, so tests drive RunSweep with exactly what the serving
+// tier would pass.
+func expand(t *testing.T, payload string) expandedSweep {
+	t.Helper()
+	var x expandedSweep
+	rec := httptest.NewRecorder()
+	serve.New(serve.Config{Sweeper: &x}).ServeHTTP(rec,
+		httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(payload)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("expanding %s: status %d: %s", payload, rec.Code, rec.Body)
+	}
+	return x
+}
+
+// runSweep runs a sweep payload through the coordinator.
+func runSweep(ctx context.Context, t *testing.T, c *Coordinator, payload string) (*serve.SweepResponse, error) {
+	t.Helper()
+	x := expand(t, payload)
+	return c.RunSweep(ctx, x.req, x.grid, x.keys)
+}
+
 // runSweepPoints runs the grid through the coordinator and marshals the
 // assembled points the same way the serving tier would.
 func runSweepPoints(t *testing.T, c *Coordinator, grid string) []byte {
 	t.Helper()
-	var req serve.SweepRequest
-	if err := json.Unmarshal([]byte(grid), &req); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := c.RunSweep(context.Background(), req)
+	resp, err := runSweep(context.Background(), t, c, grid)
 	if err != nil {
 		t.Fatalf("RunSweep: %v", err)
 	}
@@ -188,6 +227,27 @@ func TestClusterSweepMatchesSingleNode(t *testing.T) {
 	}
 	if workers != 3 || healthy != 3 {
 		t.Fatalf("metrics cluster families: %d healthy worker series, healthy_workers %v", workers, healthy)
+	}
+}
+
+// TestSweep422MatchesCoordinator: a grid with a deterministically failing
+// point renders byte-identical 422 bodies, point_index included, on a single
+// node and through a two-worker coordinator.
+func TestSweep422MatchesCoordinator(t *testing.T) {
+	const failing = `{"backend":"ndpbridge","pattern":"allreduce","dpus":[8,64],"bytes_per_node":[4096]}`
+	post := func(h http.Handler) (int, string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(failing)))
+		return rec.Code, rec.Body.String()
+	}
+	localCode, local := post(serve.New(serve.Config{}))
+	f := startFleet(t, 2, nil)
+	distCode, dist := post(serve.New(serve.Config{Sweeper: f.coord}))
+	if localCode != http.StatusUnprocessableEntity || distCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status: local %d, coordinator %d, want 422 from both", localCode, distCode)
+	}
+	if local != dist {
+		t.Fatalf("422 bodies differ:\n local       %s\n coordinator %s", local, dist)
 	}
 }
 
@@ -246,7 +306,7 @@ func TestWorkerKilledMidSweep(t *testing.T) {
 	// The victim only ends up ejected if placement actually routed it a
 	// chunk; with 3 chunks over 3 workers that is overwhelmingly likely,
 	// but probe it explicitly to make the final state deterministic.
-	f2.coord.ProbeOnce(context.Background())
+	f2.coord.probeOnce(context.Background())
 	snap := f2.coord.MetricsSnapshot()
 	for _, w := range snap.Workers {
 		if strings.Contains(w.Addr, killed) && w.State != "ejected" {
@@ -302,13 +362,7 @@ func TestHedgedDispatchWinsOverStraggler(t *testing.T) {
 		cfg.ChunkSize = 6 // one chunk: placement is a single ring lookup
 	})
 	// Find the single chunk's placed worker and make it straggle.
-	_, _, keys, err := serve.ExpandSweep(serve.SweepRequest{
-		Pattern: "allreduce", DPUs: []int{64, 256}, BytesPerNode: []int64{4096, 16384, 32768},
-	}, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	primary := f.coord.ring.order(keys[0])[0]
+	primary := f.coord.ring.order(expand(t, testGrid).keys[0])[0]
 	f.delay(primary).delay.Store(int64(2 * time.Second))
 
 	start := time.Now()
@@ -353,11 +407,7 @@ func TestPointErrorPropagatesWithGlobalIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var req serve.SweepRequest
-	if err := json.Unmarshal([]byte(testGrid), &req); err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.RunSweep(context.Background(), req)
+	_, err = runSweep(context.Background(), t, c, testGrid)
 	if err == nil {
 		t.Fatal("sweep succeeded against an always-failing worker")
 	}
@@ -437,19 +487,19 @@ func TestProbeDrivesStateMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	c.ProbeOnce(ctx)
+	c.probeOnce(ctx)
 	if !c.reg.workers[0].healthy() {
 		t.Fatal("healthy probe must keep the worker in")
 	}
 	status.Store(http.StatusServiceUnavailable)
-	c.ProbeOnce(ctx)
-	c.ProbeOnce(ctx)
+	c.probeOnce(ctx)
+	c.probeOnce(ctx)
 	if c.reg.workers[0].healthy() {
 		t.Fatal("two failed probes must eject")
 	}
 	status.Store(http.StatusOK)
-	c.ProbeOnce(ctx)
-	c.ProbeOnce(ctx)
+	c.probeOnce(ctx)
+	c.probeOnce(ctx)
 	if !c.reg.workers[0].healthy() {
 		t.Fatal("two healthy probes must readmit")
 	}
@@ -636,11 +686,7 @@ func TestSweepCancellation(t *testing.T) {
 	f.delay(1).delay.Store(int64(time.Second))
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	var req serve.SweepRequest
-	if err := json.Unmarshal([]byte(testGrid), &req); err != nil {
-		t.Fatal(err)
-	}
-	_, err := f.coord.RunSweep(ctx, req)
+	_, err := runSweep(ctx, t, f.coord, testGrid)
 	if err == nil {
 		t.Fatal("cancelled sweep returned a result")
 	}

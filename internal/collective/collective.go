@@ -156,14 +156,6 @@ type Request struct {
 	Root         int // root node for rooted patterns
 }
 
-// Elements returns the element count of the per-node payload.
-func (r Request) Elements() int64 {
-	if r.ElemSize <= 0 {
-		return 0
-	}
-	return r.BytesPerNode / int64(r.ElemSize)
-}
-
 // TotalBytes returns the aggregate payload across all nodes.
 func (r Request) TotalBytes() int64 { return r.BytesPerNode * int64(r.Nodes) }
 
@@ -205,16 +197,4 @@ func ChunkBounds(words, n, i int) (lo, hi int) {
 		panic(fmt.Sprintf("collective: chunk %d of %d", i, n))
 	}
 	return words * i / n, words * (i + 1) / n
-}
-
-// MaxChunkWords returns the largest chunk size produced by ChunkBounds.
-func MaxChunkWords(words, n int) int {
-	max := 0
-	for i := 0; i < n; i++ {
-		lo, hi := ChunkBounds(words, n, i)
-		if hi-lo > max {
-			max = hi - lo
-		}
-	}
-	return max
 }

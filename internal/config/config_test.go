@@ -2,6 +2,8 @@ package config
 
 import (
 	"testing"
+
+	"pimnet/internal/sim"
 )
 
 func TestDefaultValidates(t *testing.T) {
@@ -36,7 +38,7 @@ func TestUPMEMServerShape(t *testing.T) {
 func TestRankAggregateBW(t *testing.T) {
 	s := Default()
 	// Paper: 2.8 GB/s per bank x 64 banks = 179.2 GB/s per rank.
-	got := s.RankAggregateBW()
+	got := float64(s.Net.BankChannels) * s.Net.BankChannelBW * float64(s.BanksPerRank())
 	want := 179.2 * GBps
 	if diff := got - want; diff > 1e6 || diff < -1e6 {
 		t.Fatalf("rank aggregate BW = %v, want %v", got, want)
@@ -140,14 +142,14 @@ func TestTierTable(t *testing.T) {
 func TestPIMMemory(t *testing.T) {
 	s := Default()
 	// 256 DPUs x 64 MB = 16 GB per channel.
-	if got := s.PIMMemory(); got != 16<<30 {
+	if got := int64(s.DPUsPerChannel()) * s.DPU.MRAMBytes; got != 16<<30 {
 		t.Fatalf("PIM memory = %d, want 16 GiB", got)
 	}
 }
 
 func TestCycleTime(t *testing.T) {
 	s := Default()
-	ct := s.CycleTime()
+	ct := sim.Cycles(1, s.DPU.FreqHz)
 	if ct < 2857 || ct > 2858 {
 		t.Fatalf("cycle time = %d ps, want ~2857", int64(ct))
 	}

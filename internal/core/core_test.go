@@ -135,7 +135,17 @@ func TestAllReduceTierVolumes(t *testing.T) {
 	}
 	// Bank-tier volume: every DPU sends (b-1)/b*D twice (RS + AG):
 	// 256 * 2 * 7/8 * 32K = 14 MiB.
-	bank := plan.TierBytes(TierBank)
+	var bank int64
+	for _, ph := range plan.Phases {
+		if ph.Tier != TierBank {
+			continue
+		}
+		for _, st := range ph.Steps {
+			for _, tr := range st.Transfers {
+				bank += tr.Bytes
+			}
+		}
+	}
 	want := int64(256) * 2 * (D * 7 / 8)
 	if bank != want {
 		t.Fatalf("bank tier bytes = %d, want %d", bank, want)

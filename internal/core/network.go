@@ -336,16 +336,6 @@ func (n *Network) ApplyFault(f faults.Fault) error {
 	}
 }
 
-// ClearFaults repairs every link, forgets stuck crossbar pairings, and
-// drops any recompiled chip ordering, restoring the pristine topology.
-func (n *Network) ClearFaults() {
-	for i := range n.links {
-		n.links[i].Restore()
-	}
-	n.deadPath = nil
-	n.chipOrder = nil
-}
-
 // hasHardFaults reports whether any resource is hard-failed (as opposed to
 // merely degraded): a failed link or a stuck crossbar pairing. Hard faults
 // require recompilation; soft faults only slow the existing plan down.

@@ -118,35 +118,6 @@ type Plan struct {
 	verified bool
 }
 
-// TotalTransferBytes sums scheduled bytes across all phases (diagnostics).
-func (p *Plan) TotalTransferBytes() int64 {
-	var total int64
-	for _, ph := range p.Phases {
-		for _, st := range ph.Steps {
-			for _, tr := range st.Transfers {
-				total += tr.Bytes
-			}
-		}
-	}
-	return total
-}
-
-// TierBytes sums scheduled bytes on one tier.
-func (p *Plan) TierBytes(t Tier) int64 {
-	var total int64
-	for _, ph := range p.Phases {
-		if ph.Tier != t {
-			continue
-		}
-		for _, st := range ph.Steps {
-			for _, tr := range st.Transfers {
-				total += tr.Bytes
-			}
-		}
-	}
-	return total
-}
-
 // CheckContention verifies the static-schedule property: within any single
 // step, every crossbar port and the bus appear in at most one transfer. It
 // also checks that every transfer names a link of the plan's topology. A

@@ -29,7 +29,7 @@ import (
 // degraded/failed link makes a network non-pristine; PlanVia then falls
 // through to a direct compile, and recompiled (routed-around) plans stay in
 // the per-backend recovery state (ftState.dplans), never in the shared
-// cache. ClearFaults restores pristinity and with it cache eligibility.
+// cache.
 
 // BlueprintOf checks that p is a healthy plan compiled for n's topology and
 // returns p itself. It and Bind remain only because the benchmark ladder
@@ -270,7 +270,7 @@ func (c *PlanCache) Reset() {
 // read-only plan itself. A nil cache or a non-pristine network falls
 // through to a direct PlanFor — the cache never observes fault state in
 // either direction, which is the whole invalidation story: fault
-// recompilation happens outside it, and ClearFaults restores eligibility.
+// recompilation happens outside it.
 func PlanVia(c *PlanCache, n *Network, req collective.Request) (*Plan, error) {
 	if c == nil || !n.Pristine() {
 		return PlanFor(n, req)

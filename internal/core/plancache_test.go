@@ -87,7 +87,7 @@ func TestBlueprintBindRejectsFaultedNetwork(t *testing.T) {
 	if _, err := plan.Bind(dst); err == nil {
 		t.Fatal("bound a cached plan to a faulted network")
 	}
-	dst.links[0].Restore()
+	dst.links[0].Degrade(1)
 	if !dst.Pristine() {
 		t.Fatal("restored network not pristine")
 	}
@@ -313,8 +313,8 @@ func TestPlanViaBypassesFaultedNetwork(t *testing.T) {
 	if s := c.Stats(); s.Hits != 0 || s.Misses != 0 || s.Entries != 0 {
 		t.Fatalf("faulted network touched the cache: %+v", s)
 	}
-	// Restoration re-enables caching (the ClearFaults story).
-	n.links[0].Restore()
+	// Lifting the degradation re-enables caching.
+	n.links[0].Degrade(1)
 	if _, err := PlanVia(c, n, req); err != nil {
 		t.Fatal(err)
 	}

@@ -51,17 +51,6 @@ func (t Topology) Coord(id NodeID) Coord {
 	}
 }
 
-// SameChip reports whether two nodes share a DRAM chip.
-func (t Topology) SameChip(a, b NodeID) bool {
-	ca, cb := t.Coord(a), t.Coord(b)
-	return ca.Rank == cb.Rank && ca.Chip == cb.Chip
-}
-
-// SameRank reports whether two nodes share a rank (DIMM).
-func (t Topology) SameRank(a, b NodeID) bool {
-	return t.Coord(a).Rank == t.Coord(b).Rank
-}
-
 // String renders the topology as "RxCxB".
 func (t Topology) String() string {
 	return fmt.Sprintf("%dx%dx%d", t.Ranks, t.Chips, t.Banks)

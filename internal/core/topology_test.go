@@ -63,17 +63,14 @@ func TestTopologyPanics(t *testing.T) {
 
 func TestSameChipSameRank(t *testing.T) {
 	topo := Topology{Ranks: 2, Chips: 2, Banks: 2}
-	if !topo.SameChip(0, 1) {
+	if topo.Coord(0) != (Coord{0, 0, 0}) || topo.Coord(1) != (Coord{0, 0, 1}) {
 		t.Fatal("banks 0,1 share a chip")
 	}
-	if topo.SameChip(1, 2) {
+	if topo.Coord(2).Chip != 1 {
 		t.Fatal("nodes 1,2 are on different chips")
 	}
-	if !topo.SameRank(0, 3) {
-		t.Fatal("nodes 0,3 share rank 0")
-	}
-	if topo.SameRank(3, 4) {
-		t.Fatal("nodes 3,4 are on different ranks")
+	if topo.Coord(3).Rank != 0 || topo.Coord(4).Rank != 1 {
+		t.Fatal("nodes 0-3 share rank 0, node 4 is on rank 1")
 	}
 	if topo.String() != "2x2x2" {
 		t.Fatalf("String = %q", topo.String())

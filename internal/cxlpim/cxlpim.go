@@ -33,7 +33,6 @@ import (
 type CXLPIM struct {
 	sys     config.System // full-population system the requests address
 	cxl     config.CXL    // fabric parameters, defaults filled
-	devSys  config.System // one device's shape (population / devices DPUs)
 	net     *core.Network // simulates one device; all devices are lockstep
 	devices int
 	perDev  int
@@ -71,7 +70,7 @@ func New(sys config.System) (*CXLPIM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cxlpim: %w", err)
 	}
-	return &CXLPIM{sys: sys, cxl: cxl, devSys: devSys, net: net, devices: devices, perDev: perDev}, nil
+	return &CXLPIM{sys: sys, cxl: cxl, net: net, devices: devices, perDev: perDev}, nil
 }
 
 // Name implements backend.Backend.
@@ -80,23 +79,8 @@ func (c *CXLPIM) Name() string { return "CXL-PIM" }
 // Devices returns the number of PIM devices on the fabric.
 func (c *CXLPIM) Devices() int { return c.devices }
 
-// PerDevice returns the DPUs per device.
-func (c *CXLPIM) PerDevice() int { return c.perDev }
-
-// DeviceSystem returns the device-shaped system the intra-device plans
-// compile against; its PlanKeys are shared with any PIMnet backend of the
-// same shape.
-func (c *CXLPIM) DeviceSystem() config.System { return c.devSys }
-
 // Network exposes the device sub-network (diagnostics and golden tests).
 func (c *CXLPIM) Network() *core.Network { return c.net }
-
-// Capacity returns the aggregate PIM-addressable memory of the fabric:
-// Devices x DeviceMemBytes. This is the sharding-constraint relaxation —
-// compare config.System.PIMMemory, which is bounded by MRAM per bank.
-func (c *CXLPIM) Capacity() int64 {
-	return int64(c.devices) * c.cxl.DeviceMemBytes
-}
 
 // WithPlanCache attaches a shared compiled-plan cache to the intra-device
 // path and returns the backend (builder style). Pass nil to detach.
@@ -250,26 +234,6 @@ func (c *CXLPIM) decompose(req collective.Request) ([]phase, error) {
 	default:
 		return nil, fmt.Errorf("cxlpim: unsupported pattern %v", req.Pattern)
 	}
-}
-
-// IntraRequests returns the intra-device sub-collectives of req's schedule
-// in execution order — the compiled, cacheable part of the backend. Golden
-// tests pin their plan digests.
-func (c *CXLPIM) IntraRequests(req collective.Request) ([]collective.Request, error) {
-	if err := c.check(req); err != nil {
-		return nil, err
-	}
-	phases, err := c.decompose(req)
-	if err != nil {
-		return nil, err
-	}
-	var out []collective.Request
-	for _, ph := range phases {
-		if ph.intra != nil {
-			out = append(out, *ph.intra)
-		}
-	}
-	return out, nil
 }
 
 func (c *CXLPIM) check(req collective.Request) error {

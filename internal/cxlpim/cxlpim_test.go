@@ -24,16 +24,12 @@ func mustNew(t *testing.T, sys config.System) *CXLPIM {
 }
 
 func TestNewSplitsPopulation(t *testing.T) {
-	sys := config.Default() // 256 DPUs, 4 devices
-	c := mustNew(t, sys)
-	if c.Devices() != 4 || c.PerDevice() != 64 {
-		t.Fatalf("got %d devices x %d, want 4 x 64", c.Devices(), c.PerDevice())
+	c := mustNew(t, config.Default()) // 256 DPUs, 4 devices
+	if c.Devices() != 4 || c.perDev != 64 {
+		t.Fatalf("got %d devices x %d, want 4 x 64", c.Devices(), c.perDev)
 	}
-	if got := c.DeviceSystem().DPUsPerChannel(); got != 64 {
-		t.Fatalf("device system hosts %d DPUs, want 64", got)
-	}
-	if c.Capacity() != 4*sys.CXL.DeviceMemBytes {
-		t.Fatalf("capacity = %d", c.Capacity())
+	if got := c.Network().Sys.DPUsPerChannel(); got != 64 {
+		t.Fatalf("device network hosts %d DPUs, want 64", got)
 	}
 }
 
@@ -43,8 +39,8 @@ func TestNewCapsDevicesAtPopulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := mustNew(t, sys) // 2 DPUs, 4 requested devices -> capped at 2
-	if c.Devices() != 2 || c.PerDevice() != 1 {
-		t.Fatalf("got %d devices x %d, want 2 x 1", c.Devices(), c.PerDevice())
+	if c.Devices() != 2 || c.perDev != 1 {
+		t.Fatalf("got %d devices x %d, want 2 x 1", c.Devices(), c.perDev)
 	}
 }
 
@@ -169,12 +165,12 @@ func TestPlanCacheSharedWithPIMnet(t *testing.T) {
 	}
 
 	// A PIMnet backend shaped like one device reuses the same entries.
-	p, err := core.NewPIMnet(c.DeviceSystem())
+	p, err := core.NewPIMnet(c.Network().Sys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.WithPlanCache(cache)
-	intra, err := c.IntraRequests(req(collective.AllReduce, 256))
+	intra, err := c.intraRequests(req(collective.AllReduce, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,6 +182,26 @@ func TestPlanCacheSharedWithPIMnet(t *testing.T) {
 	if s := cache.Stats(); s.Misses != misses {
 		t.Fatalf("device-shaped PIMnet missed the shared cache: %+v", s)
 	}
+}
+
+// intraRequests returns the intra-device sub-collectives of req's schedule
+// in execution order — the compiled, cacheable part of the backend. Golden
+// tests pin their plan digests.
+func (c *CXLPIM) intraRequests(req collective.Request) ([]collective.Request, error) {
+	if err := c.check(req); err != nil {
+		return nil, err
+	}
+	phases, err := c.decompose(req)
+	if err != nil {
+		return nil, err
+	}
+	var out []collective.Request
+	for _, ph := range phases {
+		if ph.intra != nil {
+			out = append(out, *ph.intra)
+		}
+	}
+	return out, nil
 }
 
 // TestIntraRequestsValidate: every sub-request the decomposition emits must
@@ -201,7 +217,7 @@ func TestIntraRequestsValidate(t *testing.T) {
 		if pat == collective.Broadcast || pat == collective.Gather || pat == collective.Reduce {
 			r.Root = 255
 		}
-		intra, err := c.IntraRequests(r)
+		intra, err := c.intraRequests(r)
 		if err != nil {
 			t.Fatalf("%v: %v", pat, err)
 		}
@@ -212,8 +228,8 @@ func TestIntraRequestsValidate(t *testing.T) {
 			if err := sub.Validate(); err != nil {
 				t.Errorf("%v: invalid intra request %+v: %v", pat, sub, err)
 			}
-			if sub.Nodes != c.PerDevice() {
-				t.Errorf("%v: intra request spans %d nodes, want %d", pat, sub.Nodes, c.PerDevice())
+			if sub.Nodes != c.perDev {
+				t.Errorf("%v: intra request spans %d nodes, want %d", pat, sub.Nodes, c.perDev)
 			}
 		}
 	}

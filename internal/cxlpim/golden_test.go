@@ -73,7 +73,7 @@ func resultFor(t *testing.T, pat collective.Pattern, dpus int) goldenResult {
 		BytesPerNode: r.BytesPerNode,
 		ElemSize:     r.ElemSize,
 		Devices:      c.Devices(),
-		PerDevice:    c.PerDevice(),
+		PerDevice:    c.perDev,
 		TimePs:       int64(res.Time),
 		BreakdownPs:  map[string]int64{},
 	}
@@ -82,9 +82,9 @@ func resultFor(t *testing.T, pat collective.Pattern, dpus int) goldenResult {
 			out.BreakdownPs[comp.String()] = int64(d)
 		}
 	}
-	intra, err := c.IntraRequests(r)
+	intra, err := c.intraRequests(r)
 	if err != nil {
-		t.Fatalf("IntraRequests: %v", err)
+		t.Fatalf("intraRequests: %v", err)
 	}
 	for _, sub := range intra {
 		plan, err := core.PlanVia(nil, c.Network(), sub)

@@ -43,11 +43,6 @@ func (k Kernel) Scale(f int64) Kernel {
 		Stores: k.Stores * f, Other: k.Other * f}
 }
 
-// Instructions returns the total instruction count.
-func (k Kernel) Instructions() int64 {
-	return k.Adds + k.Muls + k.Loads + k.Stores + k.Other
-}
-
 // Model evaluates kernels against a DPU configuration.
 type Model struct {
 	cfg config.DPU
@@ -128,21 +123,4 @@ func (m *Model) DMATime(bytes int64) sim.Time {
 // second across the pipeline), the compute roof of the roofline model.
 func (m *Model) PeakOpsPerSec() float64 {
 	return m.cfg.FreqHz / m.cfg.AddCycles * m.cfg.ComputeScale
-}
-
-// MulOpsPerSec returns the multiply throughput, the relevant roof for
-// GEMV/MLP/NTT-class kernels.
-func (m *Model) MulOpsPerSec() float64 {
-	return m.cfg.FreqHz / m.cfg.MulCycles * m.cfg.ComputeScale
-}
-
-// ReduceKernel returns the kernel of an elementwise reduction over n
-// elements (load both operands, combine, store).
-func ReduceKernel(n int64) Kernel {
-	return Kernel{Adds: n, Loads: 2 * n, Stores: n}
-}
-
-// CopyKernel returns the kernel of a WRAM-to-WRAM copy of n elements.
-func CopyKernel(n int64) Kernel {
-	return Kernel{Loads: n, Stores: n}
 }

@@ -8,7 +8,6 @@ package embtab
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -40,9 +39,6 @@ func (t Table) Validate() error {
 
 // Bytes returns the table's storage footprint (4-byte elements).
 func (t Table) Bytes() int64 { return int64(t.Entries) * int64(t.Dim) * 4 }
-
-// LookupsPerBatch returns the raw row reads per batch.
-func (t Table) LookupsPerBatch() int64 { return int64(t.Batch) * int64(t.Pooling) }
 
 // Synthetic returns the paper's EMB_Synth geometry: 4M entries, dimension
 // 64, pooling factor 8, batch 256.
@@ -168,14 +164,4 @@ func Analyze(t Table, p Partitioning, b *Batch) (Stats, error) {
 		AccumOps:      maxLookups * int64(dimPerCol),
 	}
 	return st, nil
-}
-
-// IdealZipfShare returns the fraction of lookups hitting the hottest 1/k of
-// rows under a Zipf(s) distribution — a sanity metric used by tests to
-// confirm the generator actually skews.
-func IdealZipfShare(s float64, k int) float64 {
-	if s <= 0 || k <= 1 {
-		return 1 / math.Max(float64(k), 1)
-	}
-	return 0.5 // coarse expectation: Zipf concentrates at least half the mass
 }

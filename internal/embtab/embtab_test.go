@@ -29,9 +29,6 @@ func TestPresetShapes(t *testing.T) {
 	if s.Bytes() != int64(4<<20)*64*4 {
 		t.Fatalf("bytes = %d", s.Bytes())
 	}
-	if s.LookupsPerBatch() != 2048 {
-		t.Fatalf("lookups = %d", s.LookupsPerBatch())
-	}
 	// RM3 must have the highest communication-to-compute ratio: comm
 	// scales with batch, compute with batch x pooling, so the ratio is
 	// 1/pooling — strictly growing RM1 -> RM3 (the paper's reason RM3
@@ -139,7 +136,7 @@ func TestAnalyze(t *testing.T) {
 		t.Fatalf("partial bytes = %d", st.PartialBytes)
 	}
 	// Busiest row partition sees at least the average lookup load.
-	avg := tb.LookupsPerBatch() / int64(p.Rows)
+	avg := int64(tb.Batch) * int64(tb.Pooling) / int64(p.Rows)
 	if st.LookupsPerDPU < avg {
 		t.Fatalf("max lookups %d below average %d", st.LookupsPerDPU, avg)
 	}

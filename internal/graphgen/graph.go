@@ -28,17 +28,6 @@ func (g *Graph) Degree(v int) int64 { return g.Offsets[v+1] - g.Offsets[v] }
 // Neighbors returns the adjacency list of vertex v (shared storage).
 func (g *Graph) Neighbors(v int) []int32 { return g.Edges[g.Offsets[v]:g.Offsets[v+1]] }
 
-// MaxDegree returns the largest degree.
-func (g *Graph) MaxDegree() int64 {
-	var m int64
-	for v := 0; v < g.N; v++ {
-		if d := g.Degree(v); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // RMATConfig parameterizes the recursive-matrix generator.
 type RMATConfig struct {
 	Vertices int     // rounded up to a power of two internally

@@ -83,9 +83,6 @@ func (p *Path) Name() string {
 	}
 }
 
-// Ideal reports whether this is the idealized path.
-func (p *Path) Ideal() bool { return p.v == ideal }
-
 // SetTracer attaches a tracer; every subsequent collective emits its stage
 // timeline as KindHostStage spans. Pass nil to detach.
 func (p *Path) SetTracer(t trace.Tracer) { p.tracer = t }

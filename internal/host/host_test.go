@@ -45,7 +45,7 @@ func TestIdealRemovesOverheads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Name() != "Software(Ideal)" || !s.Ideal() {
+	if s.Name() != "Software(Ideal)" {
 		t.Fatal("ideal identity wrong")
 	}
 	res, err := s.Collective(request(collective.AllReduce, 32<<10, 256))

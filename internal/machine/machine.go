@@ -44,22 +44,6 @@ type Workload struct {
 	Phases []Phase
 }
 
-// TotalCollectiveBytes sums the per-node payloads of all collectives
-// (diagnostics; weak-scaling checks).
-func (w Workload) TotalCollectiveBytes() int64 {
-	var total int64
-	for _, ph := range w.Phases {
-		if ph.Collective != nil {
-			rep := ph.Repeat
-			if rep < 1 {
-				rep = 1
-			}
-			total += ph.Collective.BytesPerNode * int64(rep)
-		}
-	}
-	return total
-}
-
 // Report is the outcome of one workload execution. Report is comparable
 // with ==; the fault-determinism regression test relies on two identically
 // seeded runs producing identical values. The json tags define the wire

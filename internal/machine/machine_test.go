@@ -213,13 +213,6 @@ func TestTenantIsolation(t *testing.T) {
 	}
 }
 
-func TestWorkloadTotalCollectiveBytes(t *testing.T) {
-	wl := testWorkload(64)
-	if got := wl.TotalCollectiveBytes(); got != 3*32<<10 {
-		t.Fatalf("collective bytes = %d", got)
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	bad := config.Default()
 	bad.Ranks = 0

@@ -22,12 +22,6 @@ type FaultCounters struct {
 	Degraded   uint64 `json:"degraded"`
 }
 
-// Any reports whether any counter is nonzero.
-func (f FaultCounters) Any() bool {
-	return f.Injected != 0 || f.Detected != 0 || f.Retried != 0 ||
-		f.Recompiled != 0 || f.Degraded != 0
-}
-
 // Merge adds another counter set into f.
 func (f *FaultCounters) Merge(o FaultCounters) {
 	f.Injected += o.Injected

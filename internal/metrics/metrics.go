@@ -58,12 +58,6 @@ func Components() []Component {
 	return out
 }
 
-// CommComponents lists the components that count as communication time in
-// the paper's figures.
-func CommComponents() []Component {
-	return []Component{InterBank, InterChip, InterRank, HostXfer, HostCompute, Launch, Sync, Mem, Recovery, CXLLink}
-}
-
 // Breakdown accumulates time per component. The zero value is ready to use.
 type Breakdown struct {
 	t [numComponents]sim.Time

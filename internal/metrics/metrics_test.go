@@ -84,17 +84,6 @@ func TestComponentNames(t *testing.T) {
 	}
 }
 
-func TestCommComponentsExcludeCompute(t *testing.T) {
-	for _, c := range CommComponents() {
-		if c == Compute {
-			t.Fatal("CommComponents includes Compute")
-		}
-	}
-	if len(CommComponents()) != len(Components())-1 {
-		t.Fatal("CommComponents missing entries")
-	}
-}
-
 func TestStringOrdersBySize(t *testing.T) {
 	var b Breakdown
 	b.Add(Sync, 1*sim.Nanosecond)

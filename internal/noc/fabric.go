@@ -1,10 +1,6 @@
 package noc
 
-import (
-	"fmt"
-
-	"pimnet/internal/sim"
-)
+import "pimnet/internal/sim"
 
 // The PIMnet hop graph, flattened. Hops are not objects: a hop is an int32
 // id into dense arenas, laid out so every structural property — tier, rate,
@@ -128,35 +124,5 @@ func (f *fabric) path(src, dst int) (off, length int32) {
 	default:
 		p2 := int32(dr)*f.chips + int32(dc)
 		return f.pairBase + (p1*f.ports+p2)*3, 3
-	}
-}
-
-// ringID returns the hop id of ring segment (rank, chip, bank).
-func (f *fabric) ringID(r, c, b int) int32 {
-	return (int32(r)*f.chips+int32(c))*f.banks + int32(b)
-}
-
-// outID returns the hop id of the DQ send port of (rank, chip).
-func (f *fabric) outID(r, c int) int32 { return f.outBase + int32(r)*f.chips + int32(c) }
-
-// inID returns the hop id of the DQ receive port of (rank, chip).
-func (f *fabric) inID(r, c int) int32 { return f.inBase + int32(r)*f.chips + int32(c) }
-
-// hopName derives hop h's display name on demand. Names exist only for
-// tests and diagnostics; fabric construction never materializes them (the
-// old design fmt.Sprintf'ed ranks x chips x banks strings up front).
-func (f *fabric) hopName(h int32) string {
-	switch {
-	case h < f.outBase:
-		q, b := h/f.banks, h%f.banks
-		return fmt.Sprintf("ring[%d,%d,%d]", q/f.chips, q%f.chips, b)
-	case h < f.inBase:
-		q := h - f.outBase
-		return fmt.Sprintf("out[%d,%d]", q/f.chips, q%f.chips)
-	case h < f.busID:
-		q := h - f.inBase
-		return fmt.Sprintf("in[%d,%d]", q/f.chips, q%f.chips)
-	default:
-		return "bus"
 	}
 }

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"testing"
 
 	"pimnet/internal/sim"
@@ -12,6 +13,34 @@ func flat(n int, t sim.Time) []sim.Time {
 		out[i] = t
 	}
 	return out
+}
+
+// ringID returns the hop id of ring segment (rank, chip, bank).
+func (f *fabric) ringID(r, c, b int) int32 {
+	return (int32(r)*f.chips+int32(c))*f.banks + int32(b)
+}
+
+// outID returns the hop id of the DQ send port of (rank, chip).
+func (f *fabric) outID(r, c int) int32 { return f.outBase + int32(r)*f.chips + int32(c) }
+
+// inID returns the hop id of the DQ receive port of (rank, chip).
+func (f *fabric) inID(r, c int) int32 { return f.inBase + int32(r)*f.chips + int32(c) }
+
+// hopName derives hop h's display name, for test failure messages.
+func (f *fabric) hopName(h int32) string {
+	switch {
+	case h < f.outBase:
+		q, b := h/f.banks, h%f.banks
+		return fmt.Sprintf("ring[%d,%d,%d]", q/f.chips, q%f.chips, b)
+	case h < f.inBase:
+		q := h - f.outBase
+		return fmt.Sprintf("out[%d,%d]", q/f.chips, q%f.chips)
+	case h < f.busID:
+		q := h - f.inBase
+		return fmt.Sprintf("in[%d,%d]", q/f.chips, q%f.chips)
+	default:
+		return "bus"
+	}
 }
 
 func TestConfigValidation(t *testing.T) {

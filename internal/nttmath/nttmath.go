@@ -61,15 +61,6 @@ func Pow(a, e uint64) uint64 {
 	return result
 }
 
-// Inv returns the multiplicative inverse of a mod P (Fermat). a must be
-// nonzero mod P.
-func Inv(a uint64) (uint64, error) {
-	if a%P == 0 {
-		return 0, fmt.Errorf("nttmath: zero has no inverse")
-	}
-	return Pow(a, P-2), nil
-}
-
 // RootOfUnity returns a primitive n-th root of unity; n must be a power of
 // two not exceeding 2^MaxLogN.
 func RootOfUnity(n uint64) (uint64, error) {
@@ -124,36 +115,6 @@ func NTT(a []uint64) error {
 	return transform(a, root)
 }
 
-// INTT computes the inverse transform of a in place; INTT(NTT(x)) == x.
-func INTT(a []uint64) error {
-	if err := checkLen(len(a)); err != nil {
-		return err
-	}
-	n := len(a)
-	if n == 1 {
-		return nil
-	}
-	root, err := RootOfUnity(uint64(n))
-	if err != nil {
-		return err
-	}
-	invRoot, err := Inv(root)
-	if err != nil {
-		return err
-	}
-	if err := transform(a, invRoot); err != nil {
-		return err
-	}
-	invN, err := Inv(uint64(n))
-	if err != nil {
-		return err
-	}
-	for i := range a {
-		a[i] = Mul(a[i], invN)
-	}
-	return nil
-}
-
 // transform is the shared Cooley-Tukey butterfly network.
 func transform(a []uint64, root uint64) error {
 	n := len(a)
@@ -173,30 +134,6 @@ func transform(a []uint64, root uint64) error {
 		}
 	}
 	return nil
-}
-
-// Convolve returns the cyclic convolution of a and b (equal power-of-two
-// lengths) computed through the transform — the convolution-theorem
-// witness used by the tests.
-func Convolve(a, b []uint64) ([]uint64, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("nttmath: length mismatch %d vs %d", len(a), len(b))
-	}
-	fa := append([]uint64(nil), a...)
-	fb := append([]uint64(nil), b...)
-	if err := NTT(fa); err != nil {
-		return nil, err
-	}
-	if err := NTT(fb); err != nil {
-		return nil, err
-	}
-	for i := range fa {
-		fa[i] = Mul(fa[i], fb[i])
-	}
-	if err := INTT(fa); err != nil {
-		return nil, err
-	}
-	return fa, nil
 }
 
 // NTT2D computes an N = rows*cols transform with the Bailey four-step

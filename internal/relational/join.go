@@ -50,18 +50,6 @@ func Partition(tuples []Tuple, p int) ([][]Tuple, error) {
 	return parts, nil
 }
 
-// MaxPartition returns the heaviest partition's tuple count — the busiest
-// DPU's local join work after redistribution.
-func MaxPartition(parts [][]Tuple) int64 {
-	var m int64
-	for _, p := range parts {
-		if int64(len(p)) > m {
-			m = int64(len(p))
-		}
-	}
-	return m
-}
-
 // JoinPair is one match of the equi-join.
 type JoinPair struct {
 	Key        int32
@@ -111,19 +99,6 @@ func PartitionedHashJoin(left, right []Tuple, p int) ([]JoinPair, error) {
 		out = append(out, HashJoin(lp[i], rp[i])...)
 	}
 	return out, nil
-}
-
-// NestedLoopJoin is the O(n*m) reference oracle.
-func NestedLoopJoin(left, right []Tuple) []JoinPair {
-	var out []JoinPair
-	for _, l := range left {
-		for _, r := range right {
-			if l.Key == r.Key {
-				out = append(out, JoinPair{Key: l.Key, LVal: l.Val, RVal: r.Val})
-			}
-		}
-	}
-	return out
 }
 
 // ShuffleStats describes the redistribution traffic of a partitioned join.

@@ -84,7 +84,7 @@ func TestPartitionCoversAll(t *testing.T) {
 			owner[tu.Key] = i
 		}
 	}
-	if MaxPartition(parts) <= 0 {
+	if maxPartition(parts) <= 0 {
 		t.Fatal("max partition empty")
 	}
 	if _, err := Partition(tuples, 0); err == nil {
@@ -92,17 +92,42 @@ func TestPartitionCoversAll(t *testing.T) {
 	}
 }
 
+// maxPartition returns the heaviest partition's tuple count — the busiest
+// DPU's local join work after redistribution.
+func maxPartition(parts [][]Tuple) int64 {
+	var m int64
+	for _, p := range parts {
+		if int64(len(p)) > m {
+			m = int64(len(p))
+		}
+	}
+	return m
+}
+
+// nestedLoopJoin is the O(n*m) reference oracle.
+func nestedLoopJoin(left, right []Tuple) []JoinPair {
+	var out []JoinPair
+	for _, l := range left {
+		for _, r := range right {
+			if l.Key == r.Key {
+				out = append(out, JoinPair{Key: l.Key, LVal: l.Val, RVal: r.Val})
+			}
+		}
+	}
+	return out
+}
+
 func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	left, _ := Generate(300, 64, 6)
 	right, _ := Generate(400, 64, 7)
-	want := NestedLoopJoin(left, right)
+	want := nestedLoopJoin(left, right)
 	got := HashJoin(left, right)
 	if !pairsEqual(want, got) {
 		t.Fatalf("hash join differs from nested loop: %d vs %d pairs", len(got), len(want))
 	}
 	// Swapped build side (right smaller).
 	got2 := HashJoin(right, left)
-	want2 := NestedLoopJoin(right, left)
+	want2 := nestedLoopJoin(right, left)
 	if !pairsEqual(want2, got2) {
 		t.Fatal("swapped-side hash join wrong")
 	}

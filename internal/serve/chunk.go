@@ -66,26 +66,6 @@ func (e *PointError) Error() string { return fmt.Sprintf("sweep: point %d: %v", 
 
 func (e *PointError) Unwrap() error { return e.Err }
 
-// ExpandSweep validates a sweep request's grid and returns the normalized
-// request (defaults applied, names lowercased), the grid's points in
-// row-major order, and each point's plan-key digest — the placement key a
-// coordinator hashes for plan-cache locality. It performs exactly the
-// validation /v1/sweep decoding does, so a grid that expands here executes
-// everywhere.
-func ExpandSweep(req SweepRequest, maxPoints int) (SweepRequest, []GridPoint, []string, error) {
-	norm, pts, err := req.normalizeGrid(maxPoints)
-	if err != nil {
-		return norm, nil, nil, err
-	}
-	grid := make([]GridPoint, len(pts))
-	keys := make([]string, len(pts))
-	for i, pt := range pts {
-		grid[i] = GridPoint{DPUs: pt.req.Nodes, BytesPerNode: pt.req.BytesPerNode}
-		keys[i] = pt.planKey
-	}
-	return norm, grid, keys, nil
-}
-
 // decodeChunk is /v1/chunk's decoder.
 func decodeChunk(s *Server, r io.Reader) (*batch, error) {
 	var req ChunkRequest

@@ -228,7 +228,10 @@ func decodeSimulate(_ *Server, r io.Reader) (*batch, error) {
 }
 
 // decodeSweep is /v1/sweep's decoder: the grid's points in row-major order.
-// In coordinator mode the configured SweepRunner executes the list instead.
+// In coordinator mode the configured SweepRunner executes the grid instead,
+// taking the normalized request, the grid cells and their plan keys from
+// this one expansion. A failing point renders the same 422, carrying
+// point_index, either way.
 func decodeSweep(s *Server, r io.Reader) (*batch, error) {
 	var req SweepRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -243,9 +246,16 @@ func decodeSweep(s *Server, r io.Reader) (*batch, error) {
 			return okResponse(SweepResponse{Backend: req.Backend, Pattern: req.Pattern,
 				Points: sweepPoints(pts, recs), Stats: report.NewSweepStatsJSON(stats)})
 		},
+		fail: func(pe *PointError) response { return pointErrorResponse(pe, false) },
 	}
 	if s.cfg.Sweeper != nil {
-		b.delegate = func(ctx context.Context) response { return s.executeDelegatedSweep(ctx, req) }
+		grid := make([]GridPoint, len(pts))
+		keys := make([]string, len(pts))
+		for i, pt := range pts {
+			grid[i] = GridPoint{DPUs: pt.req.Nodes, BytesPerNode: pt.req.BytesPerNode}
+			keys[i] = pt.planKey
+		}
+		b.delegate = func(ctx context.Context) response { return s.executeDelegatedSweep(ctx, req, grid, keys) }
 	}
 	return b, nil
 }
@@ -368,8 +378,8 @@ func (req SimulateRequest) normalize() (SimulateRequest, point, error) {
 
 // normalizeGrid applies defaults, validates the grid, and expands it into
 // executable points in row-major order (the order the response preserves).
-// It is the shared expansion path of /v1/sweep decoding and the
-// coordinator's ExpandSweep, so both agree exactly on what a grid means.
+// It is a sweep's only expansion: in coordinator mode the SweepRunner
+// receives its output rather than expanding the grid again.
 func (req SweepRequest) normalizeGrid(maxPoints int) (SweepRequest, []point, error) {
 	if req.Backend == "" {
 		req.Backend = "pimnet"

@@ -99,14 +99,18 @@ type Config struct {
 	Tracer trace.Tracer
 }
 
-// SweepRunner executes a validated sweep request end to end. The
+// SweepRunner executes an already-normalized sweep grid end to end. The
+// server expands each /v1/sweep grid once, while decoding it, and hands the
+// runner the result: req with defaults applied and names lowercased, grid
+// (its points in row-major order) and keys, where keys[i] is grid[i]'s
+// plan-key digest, the placement key for plan-cache locality. The
 // implementation must honor the sweep determinism contract: the returned
 // Points must be exactly what a local sweep.Run over the same grid would
 // produce, and failures must report the lowest-indexed failing point
 // (return a *PointError with the global index). Context errors abort with
 // the context's error.
 type SweepRunner interface {
-	RunSweep(ctx context.Context, req SweepRequest) (*SweepResponse, error)
+	RunSweep(ctx context.Context, req SweepRequest, grid []GridPoint, keys []string) (*SweepResponse, error)
 }
 
 // withDefaults resolves the zero-value fields.
@@ -328,13 +332,13 @@ func (s *Server) handleBatch(requests *atomic.Uint64, decode decoder) http.Handl
 	}
 }
 
-// executeDelegatedSweep hands a validated sweep to the configured
+// executeDelegatedSweep hands a normalized sweep grid to the configured
 // SweepRunner (coordinator mode) and maps its failure classes: context
-// errors to 504/499, deterministic point failures to 422 (the same class a
-// local execution produces), and anything else — the cluster genuinely
-// could not complete the sweep — to 502.
-func (s *Server) executeDelegatedSweep(ctx context.Context, req SweepRequest) response {
-	resp, err := s.cfg.Sweeper.RunSweep(ctx, req)
+// errors to 504/499, deterministic point failures to the same 422 a local
+// execution renders, and anything else — the cluster genuinely could not
+// complete the sweep — to 502.
+func (s *Server) executeDelegatedSweep(ctx context.Context, req SweepRequest, grid []GridPoint, keys []string) response {
+	resp, err := s.cfg.Sweeper.RunSweep(ctx, req, grid, keys)
 	if err != nil {
 		if ctx.Err() != nil {
 			return deadlineResponse(ctx.Err())

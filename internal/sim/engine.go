@@ -125,18 +125,6 @@ func (q *eventQueue) minEntry() (heapEntry, int) {
 	return be, src
 }
 
-// peek returns the earliest pending instant. now is the engine clock: a
-// non-empty nowq means something is pending at this very instant.
-func (q *eventQueue) peek(now Time) (Time, bool) {
-	if q.nqHead < len(q.nowq) {
-		return now, true
-	}
-	if be, src := q.minEntry(); src != srcNone {
-		return be.at, true
-	}
-	return 0, false
-}
-
 // pushNow appends an event at the current instant to the FIFO ring.
 func (q *eventQueue) pushNow(e event) { q.nowq = append(q.nowq, e) }
 
@@ -276,13 +264,10 @@ func siftDown(ev []heapEntry, e heapEntry) {
 // concurrent use; all actors in a simulation share one engine and one
 // logical timeline.
 type Engine struct {
-	now       Time
-	q         eventQueue
-	seq       uint64
-	processed uint64
-	stopped   bool
-	faults    *Schedule
-	tracer    trace.Tracer
+	now    Time
+	q      eventQueue
+	seq    uint64
+	tracer trace.Tracer
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -290,9 +275,6 @@ func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
-
-// Processed reports how many events have run so far.
-func (e *Engine) Processed() uint64 { return e.processed }
 
 // At schedules fn to run at absolute instant t. Scheduling in the past
 // panics: it always indicates a modelling bug, and silently reordering the
@@ -326,11 +308,6 @@ func (e *Engine) After(d Time, fn func()) {
 // zero allocations — the contract the Engine benchmarks gate.
 func (e *Engine) SetTracer(t trace.Tracer) { e.tracer = t }
 
-// AttachFaults binds a fault schedule to the engine: pending activations
-// with At <= now fire just before each event runs, so timed faults take
-// effect at deterministic points of the event order. Pass nil to detach.
-func (e *Engine) AttachFaults(s *Schedule) { e.faults = s }
-
 // Step runs the earliest pending event, advancing the clock. It reports
 // whether an event was run.
 func (e *Engine) Step() bool {
@@ -339,10 +316,6 @@ func (e *Engine) Step() bool {
 	}
 	ev := e.q.pop(e.now)
 	e.now = ev.at
-	if e.faults != nil {
-		e.faults.ApplyUpTo(e.now)
-	}
-	e.processed++
 	if e.tracer != nil {
 		e.tracer.Emit(trace.Event{Kind: trace.KindEngineStep, Tier: trace.TierNone,
 			Start: int64(ev.at), End: int64(ev.at), From: -1, To: -1, Seq: int64(ev.seq)})
@@ -351,35 +324,10 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until none remain or Stop is called, and returns the
-// final simulated time.
+// Run executes events until none remain and returns the final simulated
+// time.
 func (e *Engine) Run() Time {
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 	return e.now
 }
-
-// RunUntil executes events with timestamps <= deadline, then advances the
-// clock to the deadline. Events scheduled beyond it stay pending.
-func (e *Engine) RunUntil(deadline Time) Time {
-	e.stopped = false
-	for !e.stopped {
-		at, ok := e.q.peek(e.now)
-		if !ok || at > deadline {
-			break
-		}
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return e.now
-}
-
-// Stop makes the current Run/RunUntil return after the in-flight event
-// completes. Pending events remain queued.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return e.q.len() }

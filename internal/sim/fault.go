@@ -31,15 +31,6 @@ func (s *Schedule) Add(at Time, apply func()) {
 	s.sorted = false
 }
 
-// Len returns the total number of activations (fired and pending).
-func (s *Schedule) Len() int { return len(s.acts) }
-
-// Pending returns the number of activations not yet applied.
-func (s *Schedule) Pending() int {
-	s.sortOnce()
-	return len(s.acts) - s.next
-}
-
 // ApplyUpTo fires, in order, every pending activation with At <= now, and
 // returns how many fired. Activations fire at most once; Rewind re-arms them.
 func (s *Schedule) ApplyUpTo(now Time) int {

@@ -122,8 +122,8 @@ func TestEngineAtPanicDoesNotBurnSeq(t *testing.T) {
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("post-recovery order = %v, want [1 2]", order)
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("panicked schedule left %d events queued", e.Pending())
+	if n := e.q.len(); n != 0 {
+		t.Fatalf("panicked schedule left %d events queued", n)
 	}
 }
 

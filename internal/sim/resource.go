@@ -19,7 +19,7 @@ type Link struct {
 	// bandwidth multiplier in (0, 1]; failed marks a hard failure, on which
 	// reservations never complete (they return MaxTime). Fault state is
 	// deliberately preserved across Reset: a broken wire stays broken when
-	// an experiment re-runs; only Restore repairs it.
+	// an experiment re-runs.
 	degrade float64
 	failed  bool
 
@@ -33,12 +33,6 @@ type Link struct {
 func NewLink(bwBytesPerSec float64, latency Time) Link {
 	return Link{bwBps: bwBytesPerSec, latency: latency, degrade: 1}
 }
-
-// Bandwidth returns the configured bandwidth in bytes per second.
-func (l *Link) Bandwidth() float64 { return l.bwBps }
-
-// Latency returns the configured propagation latency.
-func (l *Link) Latency() Time { return l.latency }
 
 // SetBandwidth adjusts the link bandwidth; used by sensitivity sweeps.
 func (l *Link) SetBandwidth(bwBytesPerSec float64) { l.bwBps = bwBytesPerSec }
@@ -64,23 +58,6 @@ func (l *Link) Failed() bool { return l.failed }
 
 // Faulty reports whether any fault (degradation or hard failure) is active.
 func (l *Link) Faulty() bool { return l.failed || l.degrade != 1 }
-
-// Restore repairs all fault state, returning the link to its configured
-// bandwidth.
-func (l *Link) Restore() {
-	l.degrade = 1
-	l.failed = false
-}
-
-// EffectiveBandwidth returns the bandwidth transfers currently observe:
-// zero when hard-failed, otherwise the configured rate scaled by any active
-// degradation.
-func (l *Link) EffectiveBandwidth() float64 {
-	if l.failed {
-		return 0
-	}
-	return l.bwBps * l.degrade
-}
 
 // FreeAt returns the instant the wire next becomes idle.
 func (l *Link) FreeAt() Time { return l.free }

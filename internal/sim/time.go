@@ -38,12 +38,6 @@ const MaxTime Time = math.MaxInt64
 // Seconds converts t to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Micros converts t to floating-point microseconds.
-func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
-
-// Nanos converts t to floating-point nanoseconds.
-func (t Time) Nanos() float64 { return float64(t) / float64(Nanosecond) }
-
 // String renders the duration with an auto-selected unit, e.g. "12.50us".
 func (t Time) String() string {
 	neg := ""
@@ -64,15 +58,6 @@ func (t Time) String() string {
 	default:
 		return fmt.Sprintf("%s%.3fs", neg, float64(v)/float64(Second))
 	}
-}
-
-// FromSeconds converts floating-point seconds to a Time, rounding up so that
-// a nonzero duration never collapses to zero.
-func FromSeconds(s float64) Time {
-	if s <= 0 {
-		return 0
-	}
-	return Time(math.Ceil(s * float64(Second)))
 }
 
 // Cycles returns the duration of n clock cycles at the given frequency.
@@ -112,14 +97,6 @@ func AddSat(a, b Time) Time {
 // MaxOf returns the larger of a and b.
 func MaxOf(a, b Time) Time {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinOf returns the smaller of a and b.
-func MinOf(a, b Time) Time {
-	if a < b {
 		return a
 	}
 	return b

@@ -264,30 +264,3 @@ func (d *DBCOO) PartialOutputBytes() int64 {
 	rowsPerBand := (d.Matrix.Rows + d.RowBands - 1) / d.RowBands
 	return int64(rowsPerBand) * 4
 }
-
-// PartitionedSpMV executes SpMV tile by tile and combines partials exactly
-// as the PIM offload does, returning the same result as SpMV. It is the
-// correctness witness that the DBCOO decomposition preserves semantics.
-func (d *DBCOO) PartitionedSpMV(x []int32) ([]int64, error) {
-	if len(x) != d.Matrix.Cols {
-		return nil, fmt.Errorf("sparse: x has %d entries, want %d", len(x), d.Matrix.Cols)
-	}
-	m := d.Matrix
-	y := make([]int64, m.Rows)
-	// Per column block: partial y, then reduce (the RS collective).
-	for cb := 0; cb < d.ColBlocks; cb++ {
-		partial := make([]int64, m.Rows)
-		loCol := cb * m.Cols / d.ColBlocks
-		hiCol := (cb + 1) * m.Cols / d.ColBlocks
-		for i := range m.Val {
-			c := int(m.ColIdx[i])
-			if c >= loCol && c < hiCol {
-				partial[m.RowIdx[i]] += int64(m.Val[i]) * int64(x[c])
-			}
-		}
-		for r := range y {
-			y[r] += partial[r]
-		}
-	}
-	return y, nil
-}

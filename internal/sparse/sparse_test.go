@@ -129,38 +129,6 @@ func TestDBCOOPartition(t *testing.T) {
 	}
 }
 
-func TestPartitionedSpMVMatchesReference(t *testing.T) {
-	m := testMatrix(t)
-	rng := rand.New(rand.NewSource(5))
-	x := make([]int32, m.Cols)
-	for i := range x {
-		x[i] = int32(rng.Intn(50) - 25)
-	}
-	want, err := SpMV(m, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, blocks := range []int{1, 4, 32} {
-		d, err := PartitionDBCOO(m, blocks, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := d.PartitionedSpMV(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := range want {
-			if got[r] != want[r] {
-				t.Fatalf("blocks=%d row %d: got %d want %d", blocks, r, got[r], want[r])
-			}
-		}
-	}
-	d, _ := PartitionDBCOO(m, 4, 4)
-	if _, err := d.PartitionedSpMV(x[:3]); err == nil {
-		t.Fatal("wrong x length accepted")
-	}
-}
-
 // TestGenerateLastDrawWins replays the generator's RNG stream draw by draw
 // on shapes where many draws repeat a coordinate, and checks that every
 // nonzero carries the last value drawn for its coordinate, not a sum or the

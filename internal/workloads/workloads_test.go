@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pimnet/internal/collective"
+	"pimnet/internal/dpu"
 	"pimnet/internal/embtab"
 	"pimnet/internal/graphgen"
 	"pimnet/internal/sparse"
@@ -36,7 +37,7 @@ func TestBFSWorkload(t *testing.T) {
 		if ph.Collective.BytesPerNode != 256 { // 2048 vertices / 8 bits
 			t.Fatalf("frontier bitmap = %d bytes", ph.Collective.BytesPerNode)
 		}
-		if ph.Kernel.Instructions() == 0 {
+		if ph.Kernel == (dpu.Kernel{}) {
 			t.Fatal("BFS level with no compute")
 		}
 	}
