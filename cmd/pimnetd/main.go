@@ -35,11 +35,12 @@
 // execution as the degradation path. Assembled results are byte-identical
 // to a single-node sweep regardless of fleet behavior.
 //
-// With -store-dir the daemon keeps a persistent, content-addressed plan &
-// result store: compiled plans and finished results survive restarts
-// (warm daemons answer repeated points and chunks from disk, byte-identical
-// and without simulating), bounded by -store-max-bytes with LRU eviction. A
-// store written by a different build is purged on boot, never trusted.
+// With -store-dir the daemon keeps a persistent, content-addressed result
+// store: finished results survive restarts (warm daemons answer repeated
+// points and chunks from disk, byte-identical and without simulating or
+// compiling), bounded by -store-max-bytes with LRU eviction. Compiled plans
+// stay in memory. A store written by a different build is purged on boot,
+// never trusted.
 //
 // The daemon sheds load with 503 + a jittered Retry-After once
 // -max-inflight requests are executing and -queue-depth more are waiting,
@@ -110,7 +111,7 @@ func main() {
 	flag.IntVar(&o.maxJobs, "max-jobs", 0, "max concurrently running async jobs (0 = max-inflight)")
 	flag.DurationVar(&o.jobTTL, "job-ttl", 0, "how long finished jobs stay fetchable (0 = default 15m)")
 	flag.StringVar(&o.tenantQuotas, "tenant-quotas", "", "per-tenant job quotas, e.g. \"acme=4,free=1\" (0 rejects the tenant; unlisted tenants share the default pool)")
-	flag.StringVar(&o.storeDir, "store-dir", "", "persistent plan/result store directory: restarts start hot (empty = no store)")
+	flag.StringVar(&o.storeDir, "store-dir", "", "persistent result store directory: restarts start hot (empty = no store)")
 	flag.Int64Var(&o.storeMaxBytes, "store-max-bytes", 0, "store disk budget before LRU eviction (0 = unlimited; requires -store-dir)")
 	flag.BoolVar(&o.coordinator, "coordinator", false, "run as a cluster coordinator: fan /v1/sweep grids over -workers")
 	flag.StringVar(&o.workers, "workers", "", "comma-separated worker base URLs (coordinator mode)")

@@ -53,7 +53,7 @@ func (p *Plan) sharableOn(n *Network) error {
 
 // checkHealthy rejects a plan that routes a transfer through a stuck
 // crossbar pairing: such a plan belongs to one faulted network and is never
-// cached or persisted.
+// cached.
 func (p *Plan) checkHealthy() error {
 	for _, ph := range p.Phases {
 		for si, st := range ph.Steps {
@@ -143,44 +143,25 @@ func (k PlanKey) Digest() string {
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness counters.
-// Misses count true compiles: a lookup satisfied by the persistence layer is
-// a DiskHit, not a miss — after a warm restart a fully persisted workload
-// runs with Misses == 0.
+// Misses count compiles.
 type CacheStats struct {
 	Hits, Misses uint64
-	// DiskHits counts lookups that missed memory but were satisfied by the
-	// attached PlanStore (zero when none is attached).
-	DiskHits uint64
-	Entries  int
+	Entries      int
 }
 
 // Sub returns the delta s - prev (for windowed measurements around a sweep).
 func (s CacheStats) Sub(prev CacheStats) CacheStats {
-	return CacheStats{Hits: s.Hits - prev.Hits, Misses: s.Misses - prev.Misses,
-		DiskHits: s.DiskHits - prev.DiskHits, Entries: s.Entries}
-}
-
-// PlanStore is the optional persistence layer under a PlanCache: a durable
-// keyed plan store consulted on memory misses (read-through) and fed on
-// fills (write-behind). Implementations must be safe for concurrent use and
-// strictly best-effort — a load may always report false and a store may
-// silently drop, but a load that reports true must return exactly the plan
-// that was stored under k, verified (internal/store enforces this with blob
-// checksums plus DecodePlan's self-verifying envelope).
-type PlanStore interface {
-	LoadPlan(k PlanKey) (*Plan, bool)
-	StorePlan(k PlanKey, p *Plan)
+	return CacheStats{Hits: s.Hits - prev.Hits, Misses: s.Misses - prev.Misses, Entries: s.Entries}
 }
 
 // PlanCache is a concurrency-safe keyed store of verified compiled plans,
-// shared by all workers of a sweep.
+// shared by all workers of a sweep. It lives in memory only: recompiling a
+// plan is cheaper than reading it back from disk.
 type PlanCache struct {
-	mu       sync.Mutex
-	plans    map[PlanKey]*Plan
-	persist  PlanStore
-	hits     uint64
-	misses   uint64
-	diskHits uint64
+	mu     sync.Mutex
+	plans  map[PlanKey]*Plan
+	hits   uint64
+	misses uint64
 }
 
 // NewPlanCache returns an empty cache.
@@ -188,82 +169,35 @@ func NewPlanCache() *PlanCache {
 	return &PlanCache{plans: make(map[PlanKey]*Plan)}
 }
 
-// SetPersistence attaches (or, with nil, detaches) the durable plan store
-// under the cache. Safe to call while the cache is in use; entries already
-// in memory are unaffected.
-func (c *PlanCache) SetPersistence(p PlanStore) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.persist = p
-}
-
-// Lookup returns the plan cached under k. Memory misses read through the
-// attached persistence layer (counted as DiskHits and promoted into memory);
-// only a miss at both layers counts as a Miss — the signal that a compile is
-// about to happen.
+// Lookup returns the plan cached under k. A miss is the signal that a
+// compile is about to happen.
 func (c *PlanCache) Lookup(k PlanKey) (*Plan, bool) {
 	c.mu.Lock()
-	if p, ok := c.plans[k]; ok {
+	defer c.mu.Unlock()
+	p, ok := c.plans[k]
+	if ok {
 		c.hits++
-		c.mu.Unlock()
-		return p, true
+	} else {
+		c.misses++
 	}
-	ps := c.persist
-	c.mu.Unlock()
-
-	if ps != nil {
-		// Disk I/O happens outside the lock so concurrent sweep workers do
-		// not serialize on it. Two goroutines may both load the same key;
-		// shared plans are read-only, so keeping the first promoted
-		// instance is merely a de-dup, not a correctness need.
-		if p, ok := ps.LoadPlan(k); ok {
-			c.mu.Lock()
-			if cur, dup := c.plans[k]; dup {
-				p = cur
-			} else {
-				c.plans[k] = p
-			}
-			c.diskHits++
-			c.mu.Unlock()
-			return p, true
-		}
-	}
-	c.mu.Lock()
-	c.misses++
-	c.mu.Unlock()
-	return nil, false
+	return p, ok
 }
 
 // Insert stores p under k. From then on p is shared and read-only: the
 // cache and every executor read the same instance, so p must already be
-// verified. With persistence attached the fill is written behind to the
-// durable store as well (the pristine-only rule is upstream: only plans
-// compiled on pristine networks ever reach Insert).
+// verified (the pristine-only rule is upstream: only plans compiled on
+// pristine networks ever reach Insert).
 func (c *PlanCache) Insert(k PlanKey, p *Plan) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.plans[k] = p
-	ps := c.persist
-	c.mu.Unlock()
-	if ps != nil {
-		ps.StorePlan(k, p)
-	}
 }
 
 // Stats snapshots the effectiveness counters.
 func (c *PlanCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, DiskHits: c.diskHits, Entries: len(c.plans)}
-}
-
-// Reset drops every in-memory entry and zeroes the counters. The attached
-// persistence layer (if any) keeps its entries — Reset models a restart,
-// which is exactly what persistence exists to survive.
-func (c *PlanCache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.plans = make(map[PlanKey]*Plan)
-	c.hits, c.misses, c.diskHits = 0, 0, 0
+	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: len(c.plans)}
 }
 
 // PlanVia compiles req for n through the cache. A hit returns the shared,

@@ -288,9 +288,13 @@ func TestPlanCacheCounters(t *testing.T) {
 	if s := c.Stats(); s.Misses != 2 || s.Entries != 2 {
 		t.Fatalf("after second pattern: %+v", s)
 	}
-	c.Reset()
-	if s := c.Stats(); s != (CacheStats{}) {
-		t.Fatalf("after reset: %+v", s)
+	// A fresh cache (a restarted daemon's) starts empty and compiles again.
+	c = NewPlanCache()
+	if _, err := PlanVia(c, n, req); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s != (CacheStats{Misses: 1, Entries: 1}) {
+		t.Fatalf("fresh cache: %+v", s)
 	}
 }
 
@@ -422,5 +426,15 @@ func TestPlanKeyDigest(t *testing.T) {
 			t.Fatalf("variant %d digest collides: %s", i, d)
 		}
 		seen[d] = true
+	}
+}
+
+// TestCacheStatsSub: the windowed delta arithmetic the sweep engine uses
+// subtracts the counters and keeps the current entry count.
+func TestCacheStatsSub(t *testing.T) {
+	a := CacheStats{Hits: 10, Misses: 4, Entries: 3}
+	b := CacheStats{Hits: 4, Misses: 1, Entries: 2}
+	if d := a.Sub(b); d != (CacheStats{Hits: 6, Misses: 3, Entries: 3}) {
+		t.Fatalf("Sub = %+v", d)
 	}
 }

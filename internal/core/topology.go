@@ -26,9 +26,6 @@ type Topology struct {
 // Nodes returns the DPU count.
 func (t Topology) Nodes() int { return t.Ranks * t.Chips * t.Banks }
 
-// Valid reports whether all dimensions are positive.
-func (t Topology) Valid() bool { return t.Ranks >= 1 && t.Chips >= 1 && t.Banks >= 1 }
-
 // ID maps a coordinate to its flat node index.
 func (t Topology) ID(c Coord) NodeID {
 	if c.Rank < 0 || c.Rank >= t.Ranks || c.Chip < 0 || c.Chip >= t.Chips ||

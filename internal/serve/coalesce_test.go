@@ -217,7 +217,7 @@ func TestSharedPointEchoesEachCaller(t *testing.T) {
 				t.Fatalf("payload %s:\n got %s\nwant %s", body, got, want[body])
 			}
 		}
-		if rs := st.Stats().Results; rs.Hits != 1 || rs.Writes != 1 {
+		if rs := st.Stats(); rs.Hits != 1 || rs.Writes != 1 {
 			t.Fatalf("results traffic %+v, want the second spelling served from the first's record", rs)
 		}
 	})

@@ -134,7 +134,7 @@ func TestNocSweepWarmRestart(t *testing.T) {
 		t.Fatalf("warm restart changed bytes:\ncold %s\nwarm %s", cold, warm)
 	}
 	const points = 4 // 2 patterns x 2 modes
-	if rs := st.Stats().Results; rs.Hits != points || rs.Misses != 0 {
+	if rs := st.Stats(); rs.Hits != points || rs.Misses != 0 {
 		t.Fatalf("warm results traffic %+v, want %d hits, 0 misses", rs, points)
 	}
 }

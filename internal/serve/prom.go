@@ -6,7 +6,6 @@ import (
 
 	"pimnet/internal/metrics"
 	"pimnet/internal/report"
-	"pimnet/internal/store"
 )
 
 // promSource is implemented by a Sweeper that exports its own families (the
@@ -86,19 +85,18 @@ func (s *Server) promFamilies() []metrics.PromFamily {
 	fams = append(fams, metrics.PromFamily{Name: "pimnetd_request_duration_seconds",
 		Help: "Gated execution latency.", Kind: metrics.PromHistogram, Samples: hsamples})
 
-	// Plan cache. Misses count true compiles (a persisted-store hit is a
-	// disk hit), so a fully warm restart shows misses == 0.
+	// Plan cache. Misses count compiles; a warm restart whose points are
+	// all store hits compiles nothing and shows misses == 0.
 	cs := s.cache.Stats()
 	rate := 0.0
-	if total := cs.Hits + cs.DiskHits + cs.Misses; total > 0 {
-		rate = float64(cs.Hits+cs.DiskHits) / float64(total)
+	if total := cs.Hits + cs.Misses; total > 0 {
+		rate = float64(cs.Hits) / float64(total)
 	}
 	fams = append(fams,
 		counter("pimnetd_plan_cache_hits_total", "Plan compilations answered from the in-memory cache.", float64(cs.Hits)),
 		counter("pimnetd_plan_cache_misses_total", "Plan compilations that actually compiled.", float64(cs.Misses)),
-		counter("pimnetd_plan_cache_disk_hits_total", "Plan compilations answered from the persistent store.", float64(cs.DiskHits)),
 		gauge("pimnetd_plan_cache_entries", "Compiled plans resident in the cache.", float64(cs.Entries)),
-		gauge("pimnetd_plan_cache_hit_rate", "Lifetime plan-cache hit rate (hits+disk_hits over lookups).", rate),
+		gauge("pimnetd_plan_cache_hit_rate", "Lifetime plan-cache hit rate (hits over lookups).", rate),
 	)
 
 	// Sweep engine aggregate.
@@ -110,33 +108,26 @@ func (s *Server) promFamilies() []metrics.PromFamily {
 		gauge("pimnetd_sweep_plan_cache_hit_rate", "Plan-cache hit rate measured across sweep runs.", agg.CacheHitRate),
 	)
 
-	// Persistent store, one family per counter with a namespace label
-	// (absent without -store-dir).
+	// Persistent store, one family per counter (absent without -store-dir).
+	// The store holds results only, but every sample keeps its
+	// namespace="results" label: dashboards and scrapers select on it.
 	if s.cfg.Store != nil {
 		st := s.cfg.Store.Stats()
-		ns := func(pick func(store.NSStats) float64) []metrics.PromSample {
-			return []metrics.PromSample{
-				{Labels: [][2]string{{"namespace", "plans"}}, Value: pick(st.Plans)},
-				{Labels: [][2]string{{"namespace", "results"}}, Value: pick(st.Results)},
-			}
+		ns := func(v float64) []metrics.PromSample {
+			return []metrics.PromSample{{Labels: [][2]string{{"namespace", "results"}}, Value: v}}
 		}
 		fams = append(fams,
-			counter("pimnetd_store_hits_total", "Store reads answered from disk.", 0,
-				ns(func(n store.NSStats) float64 { return float64(n.Hits) })...),
-			counter("pimnetd_store_misses_total", "Store reads that fell through to recompute.", 0,
-				ns(func(n store.NSStats) float64 { return float64(n.Misses) })...),
-			counter("pimnetd_store_writes_total", "Store write-behinds.", 0,
-				ns(func(n store.NSStats) float64 { return float64(n.Writes) })...),
-			counter("pimnetd_store_evictions_total", "Store entries evicted by capacity.", 0,
-				ns(func(n store.NSStats) float64 { return float64(n.Evictions) })...),
-			counter("pimnetd_store_corrupt_total", "Store blobs rejected by checksum or codec.", 0,
-				ns(func(n store.NSStats) float64 { return float64(n.Corrupt) })...),
+			counter("pimnetd_store_hits_total", "Store reads answered from disk.", 0, ns(float64(st.Hits))...),
+			counter("pimnetd_store_misses_total", "Store reads that fell through to recompute.", 0, ns(float64(st.Misses))...),
+			counter("pimnetd_store_writes_total", "Store write-behinds.", 0, ns(float64(st.Writes))...),
+			counter("pimnetd_store_evictions_total", "Store entries evicted by capacity.", 0, ns(float64(st.Evictions))...),
+			counter("pimnetd_store_corrupt_total", "Store blobs rejected by checksum or codec.", 0, ns(float64(st.Corrupt))...),
 			counter("pimnetd_store_divergent_total", "Store writes rejected for diverging from the stored bytes.", 0,
-				ns(func(n store.NSStats) float64 { return float64(n.Divergent) })...),
+				ns(float64(st.Divergent))...),
 			metrics.PromFamily{Name: "pimnetd_store_entries", Help: "Store entries resident, by namespace.",
-				Kind: metrics.PromGauge, Samples: ns(func(n store.NSStats) float64 { return float64(n.Entries) })},
+				Kind: metrics.PromGauge, Samples: ns(float64(st.Entries))},
 			metrics.PromFamily{Name: "pimnetd_store_bytes", Help: "Store bytes on disk, by namespace.",
-				Kind: metrics.PromGauge, Samples: ns(func(n store.NSStats) float64 { return float64(n.Bytes) })},
+				Kind: metrics.PromGauge, Samples: ns(float64(st.Bytes))},
 		)
 	}
 

@@ -64,10 +64,9 @@ type Config struct {
 	// one). Passing a cache lets several servers — or a server plus batch
 	// jobs — share one.
 	Cache *core.PlanCache
-	// Store, when non-nil, is the persistent plan & result store: the plan
-	// cache reads through / writes behind it, and every point of every
-	// endpoint is answered from its result namespace before any simulation
-	// runs. Responses served from the store are byte-identical to
+	// Store, when non-nil, is the persistent result store: every point of
+	// every endpoint is answered from it before any simulation runs.
+	// Responses served from the store are byte-identical to
 	// recomputation by construction (only completed points are stored, under
 	// their full identity, behind blob checksums).
 	Store *store.Store
@@ -180,12 +179,6 @@ func New(cfg Config) *Server {
 		cache: cfg.Cache,
 		gate:  newGate(cfg.MaxInFlight, cfg.QueueDepth),
 		mux:   http.NewServeMux(),
-	}
-	if cfg.Store != nil {
-		// Attach the plan cache's persistence layer: compiles performed for
-		// any request write behind to disk, and a restarted daemon's fresh
-		// cache reads them back instead of recompiling.
-		s.cache.SetPersistence(store.PlanAdapter{S: cfg.Store})
 	}
 	s.met.start = time.Now()
 	s.jobs = newJobManager(s)

@@ -8,10 +8,10 @@ import (
 )
 
 // This file wires the persistent result store (internal/store) into the
-// serving tier. The result namespace holds one shape: a point's record,
-// keyed by point.key — the same identity the coalescer uses — so a result
-// computed for any endpoint (simulate, sweep, chunk, NoC sweep, or a job)
-// answers every later request for the point, across process lifetimes.
+// serving tier. The store holds one shape: a point's record, keyed by
+// point.key — the same identity the coalescer uses — so a result computed
+// for any endpoint (simulate, sweep, chunk, NoC sweep, or a job) answers
+// every later request for the point, across process lifetimes.
 //
 // Only completed points are stored; a failing point, a shed or cancelled
 // execution never enters the store. Reads are strictly best-effort: a miss,
@@ -33,7 +33,7 @@ func (s *Server) storeGet(k string) (record, bool) {
 	}
 	var rec record
 	if err := decodeJSON(bytes.NewReader(payload), &rec); err != nil || rec == (record{}) {
-		s.cfg.Store.Reject(store.NSResults, k)
+		s.cfg.Store.Reject(k)
 		return record{}, false
 	}
 	return rec, true

@@ -61,11 +61,8 @@ func TestWarmRestartSweepByteIdentical(t *testing.T) {
 		t.Fatalf("cold sweep: %d %s", code, cold)
 	}
 	stats := st1.Stats()
-	if stats.Results.Writes != 4 {
-		t.Fatalf("cold sweep stored %d results, want 4", stats.Results.Writes)
-	}
-	if stats.Plans.Writes != 4 {
-		t.Fatalf("cold sweep stored %d plans, want 4", stats.Plans.Writes)
+	if stats.Writes != 4 || stats.Entries != 4 {
+		t.Fatalf("cold sweep stored %d results in %d entries, want 4 and 4 (results only)", stats.Writes, stats.Entries)
 	}
 	ts1.Close()
 
@@ -81,7 +78,7 @@ func TestWarmRestartSweepByteIdentical(t *testing.T) {
 	if cs := s2.cache.Stats(); cs.Misses != 0 {
 		t.Fatalf("warm restart compiled %d plans, want 0", cs.Misses)
 	}
-	if rs := st2.Stats().Results; rs.Hits != 4 || rs.Misses != 0 {
+	if rs := st2.Stats(); rs.Hits != 4 || rs.Misses != 0 {
 		t.Fatalf("warm restart results traffic: %+v, want 4 hits, 0 misses", rs)
 	}
 }
@@ -112,7 +109,7 @@ func TestWarmRestartSimulateByteIdentical(t *testing.T) {
 	if cs := s2.cache.Stats(); cs.Misses != 0 {
 		t.Fatalf("warm restart compiled %d plans, want 0", cs.Misses)
 	}
-	if rs := st2.Stats().Results; rs.Hits != 1 {
+	if rs := st2.Stats(); rs.Hits != 1 {
 		t.Fatalf("warm restart results traffic: %+v, want 1 hit", rs)
 	}
 }
@@ -160,40 +157,34 @@ func TestWarmRestartChunkAndCrossEndpointDedup(t *testing.T) {
 	if cs := s2.cache.Stats(); cs.Misses != 0 {
 		t.Fatalf("warm chunk compiled %d plans, want 0", cs.Misses)
 	}
-	if rs := st2.Stats().Results; rs.Hits != 2 {
+	if rs := st2.Stats(); rs.Hits != 2 {
 		t.Fatalf("warm chunk results traffic: %+v, want 2 hits", rs)
 	}
 }
 
-// TestWarmRestartRecomputesWithPersistedPlans: with the result namespace
-// gone but plans intact, a restarted daemon recomputes every point —
-// byte-identically — while loading every plan from disk instead of
-// compiling (DiskHits > 0, Misses == 0).
-func TestWarmRestartRecomputesWithPersistedPlans(t *testing.T) {
-	dir := t.TempDir()
-	st1 := openStore(t, dir)
-	_, ts1 := newTestServer(t, Config{Store: st1})
-	code, _, cold := post(t, ts1.URL+"/v1/sweep", warmSweepBody)
-	if code != http.StatusOK {
-		t.Fatalf("cold sweep: %d %s", code, cold)
-	}
-	ts1.Close()
-
-	if err := os.RemoveAll(filepath.Join(dir, store.NSResults)); err != nil {
+// TestBudgetKeepsResultsUnderLargeSweeps: under an 8 MiB budget, a sweep
+// of paper-scale all-to-all points must not evict the results of an earlier
+// small sweep — the store holds result records only, a few hundred bytes
+// each — so repeating the small sweep is answered entirely from the store.
+func TestBudgetKeepsResultsUnderLargeSweeps(t *testing.T) {
+	st, err := store.Open(store.Config{Dir: t.TempDir(), MaxBytes: 8 << 20, Fingerprint: serveTestFP})
+	if err != nil {
 		t.Fatal(err)
 	}
-	st2 := openStore(t, dir)
-	s2, ts2 := newTestServer(t, Config{Store: st2})
-	code, _, warm := post(t, ts2.URL+"/v1/sweep", warmSweepBody)
-	if code != http.StatusOK {
-		t.Fatalf("warm sweep: %d %s", code, warm)
+	_, ts := newTestServer(t, Config{Store: st})
+	sweep := func(body string) {
+		t.Helper()
+		if code, _, got := post(t, ts.URL+"/v1/sweep", body); code != http.StatusOK {
+			t.Fatalf("sweep %s: %d %s", body, code, got)
+		}
 	}
-	if !bytes.Equal(trimStats(t, warm), trimStats(t, cold)) {
-		t.Fatalf("plan-only warm restart changed bytes:\ncold %s\nwarm %s", cold, warm)
-	}
-	cs := s2.cache.Stats()
-	if cs.Misses != 0 || cs.DiskHits != 4 {
-		t.Fatalf("plan-only warm restart: %+v, want 0 misses, 4 disk hits", cs)
+	sweep(warmSweepBody)
+	sweep(`{"pattern": "alltoall", "dpus": [2560], "bytes_per_node": [4096, 65536, 1048576]}`)
+	before := st.Stats()
+	sweep(warmSweepBody)
+	after := st.Stats()
+	if hits := after.Hits - before.Hits; hits != 4 || after.Evictions != 0 {
+		t.Fatalf("repeated sweep: %d store hits, %d evictions; want 4 hits, 0 evictions", hits, after.Evictions)
 	}
 }
 
@@ -250,7 +241,7 @@ func TestStoreHitLeaderFeedsCoalescedFollowers(t *testing.T) {
 		}
 	}
 	// One store hit total: the flight fanned the single disk read out.
-	if rs := st.Stats().Results; rs.Hits != 1 {
+	if rs := st.Stats(); rs.Hits != 1 {
 		t.Fatalf("results hits = %d, want 1 (followers ride the leader's read)", rs.Hits)
 	}
 }
@@ -317,7 +308,7 @@ func TestCanceledLeaderNeverPoisonsStore(t *testing.T) {
 			t.Fatalf("follower %d: status %d body %s, want the leader's 499", i, statuses[i], bodies[i])
 		}
 	}
-	if rs := st.Stats().Results; rs.Writes != 0 {
+	if rs := st.Stats(); rs.Writes != 0 {
 		t.Fatalf("a 499 entered the store: %+v", rs)
 	}
 
@@ -332,7 +323,7 @@ func TestCanceledLeaderNeverPoisonsStore(t *testing.T) {
 	if code != http.StatusOK || !bytes.Equal(second, first) {
 		t.Fatalf("warm replay after 499: %d, bytes equal %v", code, bytes.Equal(second, first))
 	}
-	if rs := st.Stats().Results; rs.Writes != 1 || rs.Hits != 1 {
+	if rs := st.Stats(); rs.Writes != 1 || rs.Hits != 1 {
 		t.Fatalf("post-499 store traffic: %+v, want 1 write, 1 hit", rs)
 	}
 }
@@ -374,7 +365,7 @@ func TestCorruptResultBlobRecomputedNeverServed(t *testing.T) {
 	if !bytes.Equal(replay, original) {
 		t.Fatalf("recomputed bytes diverged:\noriginal %s\nreplay   %s", original, replay)
 	}
-	rs := st.Stats().Results
+	rs := st.Stats()
 	if rs.Corrupt != 1 {
 		t.Fatalf("Corrupt = %d, want 1", rs.Corrupt)
 	}
@@ -401,13 +392,13 @@ func TestMetricsStoreSection(t *testing.T) {
 		t.Fatalf("store results hits %v, writes %v, want 1 hit, 1 write", hits, writes)
 	}
 	var bytes, entries float64
-	for _, ns := range []string{"plans", "results"} {
-		b, _ := promValue(scrape, "pimnetd_store_bytes", "namespace", ns)
-		e, _ := promValue(scrape, "pimnetd_store_entries", "namespace", ns)
-		bytes, entries = bytes+b, entries+e
-	}
+	bytes, _ = promValue(scrape, "pimnetd_store_bytes", "namespace", "results")
+	entries, _ = promValue(scrape, "pimnetd_store_entries", "namespace", "results")
 	if bytes <= 0 || entries <= 0 {
 		t.Fatalf("store families report empty disk: %v bytes, %v entries", bytes, entries)
+	}
+	if _, ok := promValue(scrape, "pimnetd_store_entries", "namespace", "plans"); ok {
+		t.Fatal("metrics still report a plans namespace")
 	}
 
 	// Without a store the families are absent, not zeroed.
@@ -463,7 +454,7 @@ func TestOldStoreEncodingNeverServed(t *testing.T) {
 	if _, _, got := post(t, ts.URL+"/v1/sweep", grid); !bytes.Equal(trimStats(t, got), trimStats(t, wantSweep)) {
 		t.Fatalf("sweep served old store data:\n got %s\nwant %s", got, wantSweep)
 	}
-	if rs := st.Stats().Results; rs.Corrupt != 1 || rs.Writes != 4 {
+	if rs := st.Stats(); rs.Corrupt != 1 || rs.Writes != 4 {
 		t.Fatalf("results traffic %+v, want the SweepPoint payload rejected once and one recomputed record written", rs)
 	}
 }
@@ -525,7 +516,7 @@ func TestEmptyRecordNeverServed(t *testing.T) {
 	if code, _, got := post(t, ts.URL+"/v1/simulate", coalesceBody); code != http.StatusOK || !bytes.Equal(got, want) {
 		t.Fatalf("simulate over an empty record: %d\n got %s\nwant %s", code, got, want)
 	}
-	if rs := st.Stats().Results; rs.Corrupt != 1 {
+	if rs := st.Stats(); rs.Corrupt != 1 {
 		t.Fatalf("results traffic %+v, want the empty record rejected once", rs)
 	}
 }

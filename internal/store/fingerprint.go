@@ -13,13 +13,15 @@ import (
 
 // fingerprintFormat names the store's on-disk layout and blob framing; bump
 // it when either changes so old directories purge instead of misparse.
-const fingerprintFormat = "pimnet-store-format-2"
+// Format 3 stores results only; format 2 also kept compiled plans.
+const fingerprintFormat = "pimnet-store-format-3"
 
-// probe is one compilation point whose plan digest feeds the
-// fingerprint. The set mirrors the golden-trace corpus: the four scaling
-// patterns at the two cheap population sizes the corpus pins, enough to
-// observe every compiler path that produces persisted artifacts without a
-// paper-scale compile at daemon boot.
+// probe is one compilation point whose plan digest feeds the fingerprint.
+// Plans are not stored, but every stored result was timed on a compiled
+// schedule, so a compiler change must invalidate the results. The set
+// mirrors the golden-trace corpus: the four scaling patterns at the two
+// cheap population sizes the corpus pins, enough to observe every compiler
+// path without a paper-scale compile at daemon boot.
 var probes = []struct {
 	pattern collective.Pattern
 	dpus    int
@@ -33,8 +35,8 @@ var probes = []struct {
 // Fingerprint derives the version stamp persisted entries are valid under:
 // a digest over the store format, the build identity (internal/version), and
 // the plan digests of a fixed probe set — the same digests the
-// golden-trace corpus pins. Any code change that alters compiled schedules
-// changes a probe digest; any rebuild changes the build identity; either way
+// golden-trace corpus pins. Any code change that alters compiled schedules,
+// and with them the results timed on those schedules, changes a probe digest; any rebuild changes the build identity; either way
 // a store stamped by the old world is purged on Open rather than trusted.
 // Within one binary the result is deterministic, which is what makes warm
 // restarts warm.

@@ -1,11 +1,10 @@
 package store
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
-
-	"pimnet/internal/collective"
-	"pimnet/internal/config"
-	"pimnet/internal/core"
 )
 
 // TestFingerprintDeterministic: within one binary the fingerprint is a
@@ -27,70 +26,41 @@ func TestFingerprintDeterministic(t *testing.T) {
 	}
 }
 
-// compile produces a real (plan key, plan) pair for adapter tests.
-func compile(t *testing.T, dpus int) (core.PlanKey, *core.Plan) {
-	t.Helper()
-	sys, err := config.Default().WithDPUs(dpus)
+// TestFormatTwoStorePurgesBothTrees: a directory left by a format-2 daemon
+// (its own VERSION stamp, blobs under plans/ as well as results/) opens
+// empty under the current fingerprint, and neither old tree keeps a blob on
+// disk — the plans/ tree is removed outright.
+func TestFormatTwoStorePurgesBothTrees(t *testing.T) {
+	dir := t.TempDir()
+	old := map[string]string{"plans": key("old plan"), NSResults: key("old result")}
+	for ns, k := range old {
+		path := filepath.Join(dir, ns, k[:2], k)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, encodeBlob([]byte("format-2 "+ns)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "VERSION"), []byte(key("format-2 build")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fp, err := Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := core.NewNetwork(sys)
+	s, err := Open(Config{Dir: dir, Fingerprint: fp})
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := collective.Request{Pattern: collective.AllReduce, Op: collective.Sum,
-		BytesPerNode: 32 << 10, ElemSize: 4, Nodes: dpus}
-	plan, err := core.PlanFor(n, req)
-	if err != nil {
-		t.Fatal(err)
+	if st := s.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("format-2 store opened with %d entries, %d bytes", st.Entries, st.Bytes)
 	}
-	return core.KeyFor(n, req), plan
-}
-
-// TestPlanAdapterRoundTrip: a plan stored through the adapter loads
-// back with the identical digest — the persistence hook cannot change what
-// a plan lookup returns.
-func TestPlanAdapterRoundTrip(t *testing.T) {
-	s := open(t, t.TempDir(), 0)
-	a := PlanAdapter{S: s}
-	k, plan := compile(t, 64)
-
-	if _, ok := a.LoadPlan(k); ok {
-		t.Fatal("empty store reported a plan")
+	if _, err := os.Stat(filepath.Join(dir, "plans")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("plans/ tree survived the purge (err %v)", err)
 	}
-	a.StorePlan(k, plan)
-	got, ok := a.LoadPlan(k)
-	if !ok {
-		t.Fatal("stored plan missing")
-	}
-	if got.Digest() != plan.Digest() {
-		t.Fatalf("digest changed through persistence: %s vs %s", got.Digest(), plan.Digest())
-	}
-	if st := s.Stats(); st.Plans.Writes != 1 || st.Plans.Hits != 1 {
-		t.Fatalf("plan namespace stats: %+v", st.Plans)
-	}
-}
-
-// TestPlanAdapterRejectsUndecodablePayload: a perfectly framed blob whose
-// payload is not a plan envelope is codec-level corruption — the load is a
-// miss, the entry is rejected and counted, never served.
-func TestPlanAdapterRejectsUndecodablePayload(t *testing.T) {
-	s := open(t, t.TempDir(), 0)
-	a := PlanAdapter{S: s}
-	k, _ := compile(t, 64)
-	mustPut(t, s, NSPlans, k.Digest(), []byte("framed fine, but not an envelope"))
-
-	if _, ok := a.LoadPlan(k); ok {
-		t.Fatal("undecodable payload reported as a plan")
-	}
-	st := s.Stats()
-	if st.Plans.Corrupt != 1 || st.Plans.Entries != 0 {
-		t.Fatalf("after codec rejection: %+v", st.Plans)
-	}
-	// The poisoned entry is gone: a subsequent store-then-load works.
-	_, plan := compile(t, 64)
-	a.StorePlan(k, plan)
-	if _, ok := a.LoadPlan(k); !ok {
-		t.Fatal("recovery store-then-load failed")
+	if fans, err := os.ReadDir(filepath.Join(dir, NSResults)); err != nil || len(fans) != 0 {
+		t.Fatalf("results/ holds %d entries after the purge (err %v)", len(fans), err)
 	}
 }

@@ -44,7 +44,7 @@ func FuzzStoreDecode(f *testing.F) {
 		if err := s.Put(NSResults, k, want); err != nil {
 			t.Fatalf("re-store: %v", err)
 		}
-		if err := os.WriteFile(blobPath(dir, NSResults, k), data, 0o644); err != nil {
+		if err := os.WriteFile(blobPath(dir, k), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if got, ok := s.Get(NSResults, k); ok && !bytes.Equal(got, want) {

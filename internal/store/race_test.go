@@ -58,11 +58,11 @@ func TestConcurrentWritersReadersEvictor(t *testing.T) {
 	wg.Wait()
 
 	st := s.Stats()
-	if st.Results.Divergent != 0 {
-		t.Fatalf("agreeing writers counted divergent: %+v", st.Results)
+	if st.Divergent != 0 {
+		t.Fatalf("agreeing writers counted divergent: %+v", st)
 	}
-	if st.Results.Corrupt != 0 {
-		t.Fatalf("concurrent traffic produced corruption: %+v", st.Results)
+	if st.Corrupt != 0 {
+		t.Fatalf("concurrent traffic produced corruption: %+v", st)
 	}
 	if st.Bytes > s.max {
 		t.Fatalf("budget breached: %d > %d", st.Bytes, s.max)
@@ -110,7 +110,7 @@ func TestConcurrentDivergentWritersRejectLoudly(t *testing.T) {
 			t.Fatalf("loser writer %d of %q: err = %v, want ErrDivergent", i, loser, err)
 		}
 	}
-	if st := s.Stats(); st.Results.Divergent != perSide {
-		t.Fatalf("Divergent = %d, want %d", st.Results.Divergent, perSide)
+	if st := s.Stats(); st.Divergent != perSide {
+		t.Fatalf("Divergent = %d, want %d", st.Divergent, perSide)
 	}
 }

@@ -1,11 +1,12 @@
 // Package store is the persistent, content-addressed blob store behind warm
-// daemon restarts and cross-fleet dedup: serialized compiled plans and
-// immutable simulation results survive the process, so a restarted or freshly
-// scaled-out pimnetd starts hot and repeated experiment points become a read.
+// daemon restarts and cross-fleet dedup: immutable simulation results survive
+// the process, so a restarted or freshly scaled-out pimnetd starts hot and
+// repeated experiment points become a read. Compiled plans are not stored:
+// recompiling one is cheaper than reading it back.
 //
-// The store holds two namespaces — NSPlans and NSResults — of immutable
-// blobs keyed by hex digests (core.PlanKey.Digest for plans, the serving
-// tier's result keys for results). Three invariants define it:
+// The store holds the serving tier's results — point records and finished
+// job views — as immutable blobs keyed by hex digests. Three invariants
+// define it:
 //
 //   - Byte identity: a stored blob is returned verbatim or not at all. Every
 //     blob carries its own SHA-256; any header damage, truncation, or payload
@@ -37,13 +38,10 @@ import (
 	"sync"
 )
 
-// Namespaces of the store. Plans hold serialized core.Plan envelopes;
-// results hold rendered simulation outputs (whole /v1/simulate bodies and
-// per-point sweep results).
-const (
-	NSPlans   = "plans"
-	NSResults = "results"
-)
+// NSResults is the store's only namespace and the directory its blobs live
+// under. Get and Put still take it because the benchmark ladder calls them
+// that way; any other namespace is refused.
+const NSResults = "results"
 
 // blob wire format: magic, little-endian payload length, SHA-256 of the
 // payload, payload. The digest makes every blob self-verifying; the length
@@ -66,8 +64,8 @@ var errCorrupt = errors.New("store: corrupt blob")
 type Config struct {
 	// Dir is the store's root directory (created if absent).
 	Dir string
-	// MaxBytes bounds the bytes on disk across both namespaces; once
-	// exceeded, least-recently-used entries are evicted. <= 0 is unlimited.
+	// MaxBytes bounds the bytes on disk; once exceeded, least-recently-used
+	// entries are evicted. <= 0 is unlimited.
 	MaxBytes int64
 	// Fingerprint is the version stamp entries are only valid under
 	// (normally Fingerprint()). Opening a directory stamped differently
@@ -79,8 +77,8 @@ type Config struct {
 	Failpoint func(stage string) error
 }
 
-// NSStats counts one namespace's traffic.
-type NSStats struct {
+// Stats is a point-in-time snapshot of the store's traffic.
+type Stats struct {
 	Hits      uint64
 	Misses    uint64
 	Writes    uint64
@@ -93,22 +91,13 @@ type NSStats struct {
 	// Divergent counts loud ErrDivergent write rejections.
 	Divergent uint64
 	Entries   int
-	Bytes     int64
-}
-
-// Stats is a point-in-time snapshot of the store.
-type Stats struct {
-	Plans   NSStats
-	Results NSStats
-	// Entries and Bytes aggregate both namespaces; Bytes includes blob
-	// headers (it is the on-disk footprint the MaxBytes budget bounds).
-	Entries int
-	Bytes   int64
+	// Bytes includes blob headers: it is the on-disk footprint the MaxBytes
+	// budget bounds.
+	Bytes int64
 }
 
 // entry is the in-memory index record of one on-disk blob.
 type entry struct {
-	ns   string
 	key  string
 	size int64             // file size (header + payload)
 	sum  [sha256.Size]byte // payload digest, from the blob header
@@ -122,12 +111,10 @@ type Store struct {
 	fp   string
 	fail func(stage string) error
 
-	mu      sync.Mutex
-	index   map[string]*entry // "ns/key" -> entry
-	bytes   int64
-	seq     uint64
-	plans   NSStats
-	results NSStats
+	mu    sync.Mutex
+	index map[string]*entry // key -> entry
+	seq   uint64
+	stats Stats // Entries and Bytes track the index
 }
 
 // Open opens (creating if needed) the store rooted at cfg.Dir. A directory
@@ -150,7 +137,7 @@ func Open(cfg Config) (*Store, error) {
 		fail:  cfg.Failpoint,
 		index: make(map[string]*entry),
 	}
-	for _, d := range []string{cfg.Dir, s.tmpDir(), s.nsDir(NSPlans), s.nsDir(NSResults)} {
+	for _, d := range []string{cfg.Dir, s.tmpDir(), s.blobDir()} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
@@ -168,32 +155,32 @@ func Open(cfg Config) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-func (s *Store) tmpDir() string           { return filepath.Join(s.dir, "tmp") }
-func (s *Store) nsDir(ns string) string   { return filepath.Join(s.dir, ns) }
-func (s *Store) versionPath() string      { return filepath.Join(s.dir, "VERSION") }
-func (s *Store) blobPath(e *entry) string { return blobPath(s.dir, e.ns, e.key) }
+func (s *Store) tmpDir() string      { return filepath.Join(s.dir, "tmp") }
+func (s *Store) blobDir() string     { return filepath.Join(s.dir, NSResults) }
+func (s *Store) versionPath() string { return filepath.Join(s.dir, "VERSION") }
 
-func blobPath(dir, ns, key string) string {
+func blobPath(dir, key string) string {
 	// Two-hex-char fan-out keeps any one directory small at fleet scale.
-	return filepath.Join(dir, ns, key[:2], key)
+	return filepath.Join(dir, NSResults, key[:2], key)
 }
 
 // checkVersion compares the on-disk stamp with the configured fingerprint
-// and purges a mismatched (or unstamped) directory. The stamp itself is
-// written with the same atomic protocol as blobs, so a crash between purge
-// and stamp leaves an unstamped directory that simply purges again.
+// and purges a mismatched (or unstamped) directory, including the plans/
+// tree older formats kept beside the results. The stamp itself is written
+// with the same atomic protocol as blobs, so a crash between purge and stamp
+// leaves an unstamped directory that simply purges again.
 func (s *Store) checkVersion() error {
 	cur, err := os.ReadFile(s.versionPath())
 	if err == nil && string(cur) == s.fp+"\n" {
 		return nil
 	}
-	for _, ns := range []string{NSPlans, NSResults} {
-		if err := os.RemoveAll(s.nsDir(ns)); err != nil {
-			return fmt.Errorf("store: purging stale %s: %w", ns, err)
+	for _, d := range []string{filepath.Join(s.dir, "plans"), s.blobDir()} {
+		if err := os.RemoveAll(d); err != nil {
+			return fmt.Errorf("store: purging stale %s: %w", d, err)
 		}
-		if err := os.MkdirAll(s.nsDir(ns), 0o755); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
+	}
+	if err := os.MkdirAll(s.blobDir(), 0o755); err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
 	return s.atomicWrite(s.versionPath(), []byte(s.fp+"\n"))
 }
@@ -216,44 +203,41 @@ func (s *Store) sweepTmp() {
 // (no reader ever trusted them).
 func (s *Store) scan() error {
 	var found []*entry
-	for _, ns := range []string{NSPlans, NSResults} {
-		fans, err := os.ReadDir(s.nsDir(ns))
+	fans, err := os.ReadDir(s.blobDir())
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	for _, fan := range fans {
+		if !fan.IsDir() {
+			continue
+		}
+		dir := filepath.Join(s.blobDir(), fan.Name())
+		files, err := os.ReadDir(dir)
 		if err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
-		for _, fan := range fans {
-			if !fan.IsDir() {
+		for _, f := range files {
+			path := filepath.Join(dir, f.Name())
+			info, err := f.Info()
+			if err != nil {
 				continue
 			}
-			dir := filepath.Join(s.nsDir(ns), fan.Name())
-			files, err := os.ReadDir(dir)
-			if err != nil {
-				return fmt.Errorf("store: %w", err)
+			e := &entry{key: f.Name(), size: info.Size()}
+			if !validKey(e.key) || !s.scanHeader(path, e) {
+				os.Remove(path)
+				continue
 			}
-			for _, f := range files {
-				path := filepath.Join(dir, f.Name())
-				info, err := f.Info()
-				if err != nil {
-					continue
-				}
-				e := &entry{ns: ns, key: f.Name(), size: info.Size()}
-				if !validKey(e.key) || !s.scanHeader(path, e) {
-					os.Remove(path)
-					continue
-				}
-				// mtime seeds the access order; Get/Put refresh it.
-				e.seq = uint64(info.ModTime().UnixNano())
-				found = append(found, e)
-			}
+			// mtime seeds the access order; Get/Put refresh it.
+			e.seq = uint64(info.ModTime().UnixNano())
+			found = append(found, e)
 		}
 	}
 	sort.Slice(found, func(i, j int) bool { return found[i].seq < found[j].seq })
 	for i, e := range found {
 		e.seq = uint64(i + 1)
-		s.index[e.ns+"/"+e.key] = e
-		s.bytes += e.size
-		s.nsStats(e.ns).Entries++
-		s.nsStats(e.ns).Bytes += e.size
+		s.index[e.key] = e
+		s.stats.Entries++
+		s.stats.Bytes += e.size
 	}
 	s.seq = uint64(len(found))
 	return nil
@@ -281,14 +265,6 @@ func (s *Store) scanHeader(path string, e *entry) bool {
 	return true
 }
 
-// nsStats returns the counters of ns. Callers hold s.mu.
-func (s *Store) nsStats(ns string) *NSStats {
-	if ns == NSPlans {
-		return &s.plans
-	}
-	return &s.results
-}
-
 // validKey accepts lowercase-hex keys of at least one fan-out byte — the
 // only shape the digest-producing callers emit, and the only shape that is
 // unconditionally safe as a file name.
@@ -306,7 +282,7 @@ func validKey(key string) bool {
 }
 
 func checkNS(ns string) error {
-	if ns != NSPlans && ns != NSResults {
+	if ns != NSResults {
 		return fmt.Errorf("store: unknown namespace %q", ns)
 	}
 	return nil
@@ -345,31 +321,32 @@ func decodeBlob(blob []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// Get returns the payload stored under ns/key verbatim, or (nil, false).
-// Corrupt entries — torn, truncated, bit-flipped, or not matching the digest
-// the index expects — are discarded and counted; the caller recomputes.
+// Get returns the payload stored under key verbatim, or (nil, false); ns
+// must be NSResults. Corrupt entries — torn, truncated, bit-flipped, or not
+// matching the digest the index expects — are discarded and counted; the
+// caller recomputes.
 func (s *Store) Get(ns, key string) ([]byte, bool) {
 	if checkNS(ns) != nil || !validKey(key) {
 		return nil, false
 	}
 	s.mu.Lock()
-	e, ok := s.index[ns+"/"+key]
+	e, ok := s.index[key]
 	if !ok {
-		s.nsStats(ns).Misses++
+		s.stats.Misses++
 		s.mu.Unlock()
 		return nil, false
 	}
 	s.seq++
 	e.seq = s.seq // LRU touch
-	path, want := s.blobPath(e), e.sum
+	path, want := blobPath(s.dir, key), e.sum
 	s.mu.Unlock()
 
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		// Evicted or removed concurrently: absence, not corruption.
 		s.mu.Lock()
-		s.dropLocked(ns, key, false)
-		s.nsStats(ns).Misses++
+		s.dropLocked(key, false)
+		s.stats.Misses++
 		s.mu.Unlock()
 		return nil, false
 	}
@@ -382,53 +359,49 @@ func (s *Store) Get(ns, key string) ([]byte, bool) {
 	}
 	if derr != nil {
 		s.mu.Lock()
-		s.dropLocked(ns, key, true)
-		s.nsStats(ns).Misses++
+		s.dropLocked(key, true)
+		s.stats.Misses++
 		s.mu.Unlock()
 		os.Remove(path)
 		return nil, false
 	}
 	s.mu.Lock()
-	s.nsStats(ns).Hits++
+	s.stats.Hits++
 	s.mu.Unlock()
 	return payload, true
 }
 
-// Reject discards ns/key as corrupt at a layer above blob framing — the
-// caller decoded a perfectly framed payload and found garbage (a codec
-// version skew the fingerprint should have caught, or a tampered file whose
-// digest was recomputed). Counted alongside framing-level rejections.
-func (s *Store) Reject(ns, key string) {
-	if checkNS(ns) != nil || !validKey(key) {
+// Reject discards key as corrupt at a layer above blob framing — the caller
+// decoded a perfectly framed payload and found garbage (a codec version skew
+// the fingerprint should have caught, or a tampered file whose digest was
+// recomputed). Counted alongside framing-level rejections.
+func (s *Store) Reject(key string) {
+	if !validKey(key) {
 		return
 	}
 	s.mu.Lock()
-	path := blobPath(s.dir, ns, key)
-	s.dropLocked(ns, key, true)
+	s.dropLocked(key, true)
 	s.mu.Unlock()
-	os.Remove(path)
+	os.Remove(blobPath(s.dir, key))
 }
 
-// dropLocked removes ns/key from the index, optionally counting it corrupt.
+// dropLocked removes key from the index, optionally counting it corrupt.
 // Callers hold s.mu and remove the file themselves.
-func (s *Store) dropLocked(ns, key string, corrupt bool) {
-	e, ok := s.index[ns+"/"+key]
-	if ok {
-		delete(s.index, ns+"/"+key)
-		s.bytes -= e.size
-		st := s.nsStats(ns)
-		st.Entries--
-		st.Bytes -= e.size
+func (s *Store) dropLocked(key string, corrupt bool) {
+	if e, ok := s.index[key]; ok {
+		delete(s.index, key)
+		s.stats.Entries--
+		s.stats.Bytes -= e.size
 	}
 	if corrupt {
-		s.nsStats(ns).Corrupt++
+		s.stats.Corrupt++
 	}
 }
 
-// Put stores payload under ns/key. An agreeing duplicate (identical bytes
-// already stored) is a cheap no-op; a divergent one is ErrDivergent. The
-// write is crash-safe: temp file, fsync, atomic rename — a reader or a
-// reopened store sees the complete blob or nothing.
+// Put stores payload under key; ns must be NSResults. An agreeing duplicate
+// (identical bytes already stored) is a cheap no-op; a divergent one is
+// ErrDivergent. The write is crash-safe: temp file, fsync, atomic rename — a
+// reader or a reopened store sees the complete blob or nothing.
 func (s *Store) Put(ns, key string, payload []byte) error {
 	if err := checkNS(ns); err != nil {
 		return err
@@ -439,15 +412,9 @@ func (s *Store) Put(ns, key string, payload []byte) error {
 	sum := sha256.Sum256(payload)
 
 	s.mu.Lock()
-	if e, ok := s.index[ns+"/"+key]; ok {
+	if e, ok := s.index[key]; ok {
 		defer s.mu.Unlock()
-		if e.sum != sum {
-			s.nsStats(ns).Divergent++
-			return fmt.Errorf("%w: %s/%s already holds different bytes", ErrDivergent, ns, key)
-		}
-		s.seq++
-		e.seq = s.seq
-		return nil
+		return s.duplicateLocked(e, sum)
 	}
 	s.mu.Unlock()
 
@@ -491,20 +458,14 @@ func (s *Store) Put(ns, key string, payload []byte) error {
 	// see absence or one complete agreed-upon blob).
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.index[ns+"/"+key]; ok {
+	if e, ok := s.index[key]; ok {
 		os.Remove(tmp.Name())
-		if e.sum != sum {
-			s.nsStats(ns).Divergent++
-			return fmt.Errorf("%w: %s/%s already holds different bytes", ErrDivergent, ns, key)
-		}
-		s.seq++
-		e.seq = s.seq
-		return nil
+		return s.duplicateLocked(e, sum)
 	}
 	if err := s.failpoint("rename", nil); err != nil {
 		return err // fully synced temp file left behind, like a real crash
 	}
-	final := blobPath(s.dir, ns, key)
+	final := blobPath(s.dir, key)
 	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
@@ -516,14 +477,24 @@ func (s *Store) Put(ns, key string, payload []byte) error {
 	syncDir(filepath.Dir(final))
 
 	s.seq++
-	e := &entry{ns: ns, key: key, size: int64(len(blob)), sum: sum, seq: s.seq}
-	s.index[ns+"/"+key] = e
-	s.bytes += e.size
-	st := s.nsStats(ns)
-	st.Entries++
-	st.Bytes += e.size
-	st.Writes++
+	e := &entry{key: key, size: int64(len(blob)), sum: sum, seq: s.seq}
+	s.index[key] = e
+	s.stats.Entries++
+	s.stats.Bytes += e.size
+	s.stats.Writes++
 	s.evictLocked()
+	return nil
+}
+
+// duplicateLocked settles a Put of an already-indexed key: agreeing bytes
+// refresh its recency, different bytes are ErrDivergent. Callers hold s.mu.
+func (s *Store) duplicateLocked(e *entry, sum [sha256.Size]byte) error {
+	if e.sum != sum {
+		s.stats.Divergent++
+		return fmt.Errorf("%w: %s already holds different bytes", ErrDivergent, e.key)
+	}
+	s.seq++
+	e.seq = s.seq
 	return nil
 }
 
@@ -549,20 +520,16 @@ func (s *Store) evictLocked() {
 	if s.max <= 0 {
 		return
 	}
-	for s.bytes > s.max && len(s.index) > 0 {
+	for s.stats.Bytes > s.max && len(s.index) > 0 {
 		var victim *entry
 		for _, e := range s.index {
 			if victim == nil || e.seq < victim.seq {
 				victim = e
 			}
 		}
-		delete(s.index, victim.ns+"/"+victim.key)
-		s.bytes -= victim.size
-		st := s.nsStats(victim.ns)
-		st.Entries--
-		st.Bytes -= victim.size
-		st.Evictions++
-		os.Remove(s.blobPath(victim))
+		s.dropLocked(victim.key, false)
+		s.stats.Evictions++
+		os.Remove(blobPath(s.dir, victim.key))
 	}
 }
 
@@ -570,12 +537,7 @@ func (s *Store) evictLocked() {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Stats{
-		Plans:   s.plans,
-		Results: s.results,
-		Entries: len(s.index),
-		Bytes:   s.bytes,
-	}
+	return s.stats
 }
 
 // atomicWrite is the write protocol for non-blob metadata (the VERSION

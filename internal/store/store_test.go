@@ -32,15 +32,15 @@ func key(s string) string {
 }
 
 // mustPut stores payload, failing the test on error.
-func mustPut(t *testing.T, s *Store, ns, k string, payload []byte) {
+func mustPut(t *testing.T, s *Store, k string, payload []byte) {
 	t.Helper()
-	if err := s.Put(ns, k, payload); err != nil {
-		t.Fatalf("Put(%s, %.12s..): %v", ns, k, err)
+	if err := s.Put(NSResults, k, payload); err != nil {
+		t.Fatalf("Put(%.12s..): %v", k, err)
 	}
 }
 
 // TestPutGetRoundTrip: the fundamental contract — what goes in comes out
-// verbatim, in both namespaces, including empty and binary payloads.
+// verbatim, including empty and binary payloads.
 func TestPutGetRoundTrip(t *testing.T) {
 	s := open(t, t.TempDir(), 0)
 	payloads := map[string][]byte{
@@ -48,28 +48,26 @@ func TestPutGetRoundTrip(t *testing.T) {
 		"json":   []byte(`{"time_ps": 123456}`),
 		"binary": {0x00, 0xff, 0x7f, 0x80, '\n', 0x00},
 	}
-	for _, ns := range []string{NSPlans, NSResults} {
-		for name, want := range payloads {
-			k := key(ns + "/" + name)
-			mustPut(t, s, ns, k, want)
-			got, ok := s.Get(ns, k)
-			if !ok {
-				t.Fatalf("%s/%s: stored payload missing", ns, name)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s/%s: got %q, want %q", ns, name, got, want)
-			}
+	for name, want := range payloads {
+		k := key(name)
+		mustPut(t, s, k, want)
+		got, ok := s.Get(NSResults, k)
+		if !ok {
+			t.Fatalf("%s: stored payload missing", name)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: got %q, want %q", name, got, want)
 		}
 	}
 	st := s.Stats()
-	if st.Entries != 2*len(payloads) {
-		t.Fatalf("Entries = %d, want %d", st.Entries, 2*len(payloads))
+	if st.Entries != len(payloads) {
+		t.Fatalf("Entries = %d, want %d", st.Entries, len(payloads))
 	}
-	if st.Plans.Writes != uint64(len(payloads)) || st.Results.Writes != uint64(len(payloads)) {
-		t.Fatalf("writes = %d/%d, want %d each", st.Plans.Writes, st.Results.Writes, len(payloads))
+	if st.Writes != uint64(len(payloads)) {
+		t.Fatalf("writes = %d, want %d", st.Writes, len(payloads))
 	}
-	if st.Plans.Hits != uint64(len(payloads)) || st.Results.Hits != uint64(len(payloads)) {
-		t.Fatalf("hits = %d/%d, want %d each", st.Plans.Hits, st.Results.Hits, len(payloads))
+	if st.Hits != uint64(len(payloads)) {
+		t.Fatalf("hits = %d, want %d", st.Hits, len(payloads))
 	}
 }
 
@@ -79,23 +77,26 @@ func TestGetMiss(t *testing.T) {
 	if _, ok := s.Get(NSResults, key("absent")); ok {
 		t.Fatal("Get of absent key reported ok")
 	}
-	if st := s.Stats(); st.Results.Misses != 1 {
-		t.Fatalf("Misses = %d, want 1", st.Results.Misses)
+	if st := s.Stats(); st.Misses != 1 {
+		t.Fatalf("Misses = %d, want 1", st.Misses)
 	}
 }
 
-// TestInvalidInputs: bad namespaces and non-hex keys are rejected without
-// touching the disk — Put errors, Get misses.
+// TestInvalidInputs: bad namespaces (the retired "plans" among them) and
+// non-hex keys are rejected without touching the disk — Put errors, Get
+// misses.
 func TestInvalidInputs(t *testing.T) {
 	s := open(t, t.TempDir(), 0)
-	if err := s.Put("schemes", key("x"), []byte("p")); err == nil {
-		t.Fatal("Put accepted an unknown namespace")
+	for _, ns := range []string{"schemes", "plans"} {
+		if err := s.Put(ns, key("x"), []byte("p")); err == nil {
+			t.Fatalf("Put accepted the unknown namespace %q", ns)
+		}
 	}
 	for _, bad := range []string{"", "a", "UPPERHEX00", "..", "../../etc/passwd", "zz00"} {
-		if err := s.Put(NSPlans, bad, []byte("p")); err == nil {
+		if err := s.Put(NSResults, bad, []byte("p")); err == nil {
 			t.Fatalf("Put accepted key %q", bad)
 		}
-		if _, ok := s.Get(NSPlans, bad); ok {
+		if _, ok := s.Get(NSResults, bad); ok {
 			t.Fatalf("Get(%q) reported ok", bad)
 		}
 	}
@@ -107,8 +108,8 @@ func TestDuplicateWrites(t *testing.T) {
 	s := open(t, t.TempDir(), 0)
 	k := key("dup")
 	want := []byte("the one true result")
-	mustPut(t, s, NSResults, k, want)
-	mustPut(t, s, NSResults, k, want) // agreeing duplicate: fine
+	mustPut(t, s, k, want)
+	mustPut(t, s, k, want) // agreeing duplicate: fine
 
 	err := s.Put(NSResults, k, []byte("a different result"))
 	if !errors.Is(err, ErrDivergent) {
@@ -119,11 +120,11 @@ func TestDuplicateWrites(t *testing.T) {
 		t.Fatalf("after divergent write: got %q ok=%v, want original %q", got, ok, want)
 	}
 	st := s.Stats()
-	if st.Results.Divergent != 1 {
-		t.Fatalf("Divergent = %d, want 1", st.Results.Divergent)
+	if st.Divergent != 1 {
+		t.Fatalf("Divergent = %d, want 1", st.Divergent)
 	}
-	if st.Results.Writes != 1 {
-		t.Fatalf("Writes = %d, want 1 (duplicates must not recount)", st.Results.Writes)
+	if st.Writes != 1 {
+		t.Fatalf("Writes = %d, want 1 (duplicates must not recount)", st.Writes)
 	}
 }
 
@@ -136,7 +137,7 @@ func TestReopenKeepsEntries(t *testing.T) {
 		k := key(fmt.Sprint("entry", i))
 		p := []byte(fmt.Sprint("payload ", i))
 		want[k] = p
-		mustPut(t, s, NSResults, k, p)
+		mustPut(t, s, k, p)
 	}
 
 	s2 := open(t, dir, 0)
@@ -147,11 +148,11 @@ func TestReopenKeepsEntries(t *testing.T) {
 		}
 	}
 	st := s2.Stats()
-	if st.Entries != len(want) || st.Results.Entries != len(want) {
-		t.Fatalf("after reopen: Entries = %d/%d, want %d", st.Entries, st.Results.Entries, len(want))
+	if st.Entries != len(want) {
+		t.Fatalf("after reopen: Entries = %d, want %d", st.Entries, len(want))
 	}
-	if st.Bytes == 0 || st.Bytes != st.Results.Bytes {
-		t.Fatalf("after reopen: Bytes = %d (results %d)", st.Bytes, st.Results.Bytes)
+	if st.Bytes == 0 {
+		t.Fatalf("after reopen: Bytes = %d", st.Bytes)
 	}
 }
 
@@ -161,13 +162,13 @@ func TestVersionMismatchPurges(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, 0)
 	k := key("stale")
-	mustPut(t, s, NSPlans, k, []byte("compiled under the old world"))
+	mustPut(t, s, k, []byte("compiled under the old world"))
 
 	s2, err := Open(Config{Dir: dir, Fingerprint: "a-newer-build"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s2.Get(NSPlans, k); ok {
+	if _, ok := s2.Get(NSResults, k); ok {
 		t.Fatal("entry from a differently-stamped store was served")
 	}
 	if st := s2.Stats(); st.Entries != 0 {
@@ -175,20 +176,20 @@ func TestVersionMismatchPurges(t *testing.T) {
 	}
 	// The purge restamps: reopening under the new fingerprint keeps fresh
 	// entries, and the old fingerprint now purges in turn.
-	mustPut(t, s2, NSPlans, k, []byte("new world"))
+	mustPut(t, s2, k, []byte("new world"))
 	s3, err := Open(Config{Dir: dir, Fingerprint: "a-newer-build"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := s3.Get(NSPlans, k); !ok || string(got) != "new world" {
+	if got, ok := s3.Get(NSResults, k); !ok || string(got) != "new world" {
 		t.Fatalf("restamped store lost its entry: %q ok=%v", got, ok)
 	}
 }
 
-// corruptOnDisk rewrites the stored blob file of ns/key through mutate.
-func corruptOnDisk(t *testing.T, s *Store, ns, k string, mutate func([]byte) []byte) {
+// corruptOnDisk rewrites the stored blob file of key k through mutate.
+func corruptOnDisk(t *testing.T, s *Store, k string, mutate func([]byte) []byte) {
 	t.Helper()
-	path := blobPath(s.dir, ns, k)
+	path := blobPath(s.dir, k)
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -233,21 +234,21 @@ func TestCorruptionBattery(t *testing.T) {
 			s := open(t, t.TempDir(), 0)
 			k := key(tc.name)
 			want := []byte("precious deterministic bytes for " + tc.name)
-			mustPut(t, s, NSResults, k, want)
-			corruptOnDisk(t, s, NSResults, k, tc.mutate)
+			mustPut(t, s, k, want)
+			corruptOnDisk(t, s, k, tc.mutate)
 
 			if got, ok := s.Get(NSResults, k); ok {
 				t.Fatalf("corrupt blob served: %q", got)
 			}
 			st := s.Stats()
-			if st.Results.Corrupt != 1 {
-				t.Fatalf("Corrupt = %d, want 1", st.Results.Corrupt)
+			if st.Corrupt != 1 {
+				t.Fatalf("Corrupt = %d, want 1", st.Corrupt)
 			}
-			if st.Results.Entries != 0 {
-				t.Fatalf("Entries = %d, want 0 (corrupt entry must drop)", st.Results.Entries)
+			if st.Entries != 0 {
+				t.Fatalf("Entries = %d, want 0 (corrupt entry must drop)", st.Entries)
 			}
 			// The recompute path: the key is writable again and round-trips.
-			mustPut(t, s, NSResults, k, want)
+			mustPut(t, s, k, want)
 			if got, ok := s.Get(NSResults, k); !ok || !bytes.Equal(got, want) {
 				t.Fatalf("recomputed entry: got %q ok=%v", got, ok)
 			}
@@ -263,8 +264,8 @@ func TestCorruptionSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, 0)
 	k := key("reopened-corruption")
-	mustPut(t, s, NSResults, k, []byte("original"))
-	corruptOnDisk(t, s, NSResults, k, func(b []byte) []byte {
+	mustPut(t, s, k, []byte("original"))
+	corruptOnDisk(t, s, k, func(b []byte) []byte {
 		b[headerSize] ^= 0xff // payload damage: invisible to the scan
 		return b
 	})
@@ -273,8 +274,8 @@ func TestCorruptionSurvivesReopen(t *testing.T) {
 	if got, ok := s2.Get(NSResults, k); ok {
 		t.Fatalf("reopened store served corrupt bytes: %q", got)
 	}
-	if st := s2.Stats(); st.Results.Corrupt != 1 {
-		t.Fatalf("Corrupt = %d, want 1", st.Results.Corrupt)
+	if st := s2.Stats(); st.Corrupt != 1 {
+		t.Fatalf("Corrupt = %d, want 1", st.Corrupt)
 	}
 }
 
@@ -286,18 +287,18 @@ func TestScanRemovesCrashDebris(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, 0)
 	k := key("good")
-	mustPut(t, s, NSResults, k, []byte("good payload"))
+	mustPut(t, s, k, []byte("good payload"))
 
 	// Plant debris next to it: a truncated header and an appended tail
 	// (size disagrees with the declared length).
-	short := blobPath(dir, NSResults, key("short"))
+	short := blobPath(dir, key("short"))
 	if err := os.MkdirAll(filepath.Dir(short), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(short, []byte(blobMagic[:4]), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	corruptOnDisk(t, s, NSResults, k, func(b []byte) []byte { return append(b, "trailing garbage"...) })
+	corruptOnDisk(t, s, k, func(b []byte) []byte { return append(b, "trailing garbage"...) })
 	// And a file whose name is not a digest at all.
 	if err := os.WriteFile(filepath.Join(dir, NSResults, key("good")[:2], "README"), []byte("hi"), 0o644); err != nil {
 		t.Fatal(err)
@@ -307,7 +308,7 @@ func TestScanRemovesCrashDebris(t *testing.T) {
 	if st := s2.Stats(); st.Entries != 0 {
 		t.Fatalf("Entries = %d, want 0 (all debris)", st.Entries)
 	}
-	for _, p := range []string{short, blobPath(dir, NSResults, k)} {
+	for _, p := range []string{short, blobPath(dir, k)} {
 		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
 			t.Fatalf("debris %s survived the scan (err %v)", p, err)
 		}
@@ -341,7 +342,7 @@ func TestFailpointBattery(t *testing.T) {
 			if _, ok := s.Get(NSResults, k); ok {
 				t.Fatal("half-written key visible after simulated crash")
 			}
-			if st := s.Stats(); st.Results.Writes != 0 || st.Entries != 0 {
+			if st := s.Stats(); st.Writes != 0 || st.Entries != 0 {
 				t.Fatalf("stats after crash: %+v, want no writes, no entries", st)
 			}
 			// A crashed process cleans nothing up: the torn temp file must
@@ -360,7 +361,7 @@ func TestFailpointBattery(t *testing.T) {
 			}
 			// Disarmed (fresh store, no failpoint): the write now lands.
 			want := []byte("recomputed after crash")
-			mustPut(t, s2, NSResults, k, want)
+			mustPut(t, s2, k, want)
 			if got, ok := s2.Get(NSResults, k); !ok || !bytes.Equal(got, want) {
 				t.Fatalf("rewrite after crash: got %q ok=%v", got, ok)
 			}
@@ -373,22 +374,21 @@ func TestFailpointBattery(t *testing.T) {
 func TestReject(t *testing.T) {
 	s := open(t, t.TempDir(), 0)
 	k := key("framed-garbage")
-	mustPut(t, s, NSPlans, k, []byte("not a decodable blueprint"))
-	s.Reject(NSPlans, k)
-	if _, ok := s.Get(NSPlans, k); ok {
+	mustPut(t, s, k, []byte("not a decodable blueprint"))
+	s.Reject(k)
+	if _, ok := s.Get(NSResults, k); ok {
 		t.Fatal("rejected entry still served")
 	}
 	st := s.Stats()
-	if st.Plans.Corrupt != 1 || st.Plans.Entries != 0 {
-		t.Fatalf("after Reject: %+v", st.Plans)
+	if st.Corrupt != 1 || st.Entries != 0 {
+		t.Fatalf("after Reject: %+v", st)
 	}
-	if _, err := os.Stat(blobPath(s.dir, NSPlans, k)); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(blobPath(s.dir, k)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("rejected blob still on disk (err %v)", err)
 	}
 	// Rejecting an absent or invalid key is a harmless no-op.
-	s.Reject(NSPlans, k)
-	s.Reject("bogus", k)
-	s.Reject(NSPlans, "ZZ")
+	s.Reject(k)
+	s.Reject("ZZ")
 }
 
 // TestLRUEviction: once the byte budget is exceeded the least-recently-used
@@ -402,7 +402,7 @@ func TestLRUEviction(t *testing.T) {
 	keys := make([]string, 4)
 	for i := 0; i < 3; i++ {
 		keys[i] = key(fmt.Sprint("lru", i))
-		mustPut(t, s, NSResults, keys[i], payload)
+		mustPut(t, s, keys[i], payload)
 	}
 	// Touch the oldest so it is now the most recent.
 	if _, ok := s.Get(NSResults, keys[0]); !ok {
@@ -410,7 +410,7 @@ func TestLRUEviction(t *testing.T) {
 	}
 	// A fourth blob must evict exactly one entry: keys[1], the true LRU.
 	keys[3] = key("lru3")
-	mustPut(t, s, NSResults, keys[3], payload)
+	mustPut(t, s, keys[3], payload)
 
 	if _, ok := s.Get(NSResults, keys[1]); ok {
 		t.Fatal("LRU victim survived")
@@ -421,8 +421,8 @@ func TestLRUEviction(t *testing.T) {
 		}
 	}
 	st := s.Stats()
-	if st.Results.Evictions != 1 {
-		t.Fatalf("Evictions = %d, want 1", st.Results.Evictions)
+	if st.Evictions != 1 {
+		t.Fatalf("Evictions = %d, want 1", st.Evictions)
 	}
 	if st.Bytes > s.max {
 		t.Fatalf("Bytes = %d over budget %d", st.Bytes, s.max)
@@ -438,10 +438,10 @@ func TestEvictionOrderSurvivesRestart(t *testing.T) {
 	payload := bytes.Repeat([]byte("y"), 64)
 	blobSize := int64(headerSize + len(payload))
 	old, young := key("older"), key("younger")
-	mustPut(t, s, NSResults, old, payload)
-	mustPut(t, s, NSResults, young, payload)
+	mustPut(t, s, old, payload)
+	mustPut(t, s, young, payload)
 	// Make the age gap visible to filesystems with coarse mtimes.
-	oldPath := blobPath(dir, NSResults, old)
+	oldPath := blobPath(dir, old)
 	info, err := os.Stat(oldPath)
 	if err != nil {
 		t.Fatal(err)
@@ -452,7 +452,7 @@ func TestEvictionOrderSurvivesRestart(t *testing.T) {
 	}
 
 	s2 := open(t, dir, 2*blobSize)
-	mustPut(t, s2, NSResults, key("third"), payload) // forces one eviction
+	mustPut(t, s2, key("third"), payload) // forces one eviction
 	if _, ok := s2.Get(NSResults, old); ok {
 		t.Fatal("restart evicted the younger entry instead of the older")
 	}
@@ -476,18 +476,18 @@ func TestOpenValidation(t *testing.T) {
 func TestConcurrentRemovalIsMiss(t *testing.T) {
 	s := open(t, t.TempDir(), 0)
 	k := key("vanishing")
-	mustPut(t, s, NSResults, k, []byte("p"))
-	if err := os.Remove(blobPath(s.dir, NSResults, k)); err != nil {
+	mustPut(t, s, k, []byte("p"))
+	if err := os.Remove(blobPath(s.dir, k)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get(NSResults, k); ok {
 		t.Fatal("Get served a removed file")
 	}
 	st := s.Stats()
-	if st.Results.Corrupt != 0 {
-		t.Fatalf("Corrupt = %d, want 0 (removal is absence)", st.Results.Corrupt)
+	if st.Corrupt != 0 {
+		t.Fatalf("Corrupt = %d, want 0 (removal is absence)", st.Corrupt)
 	}
-	if st.Results.Misses != 1 || st.Results.Entries != 0 {
-		t.Fatalf("stats after removal: %+v", st.Results)
+	if st.Misses != 1 || st.Entries != 0 {
+		t.Fatalf("stats after removal: %+v", st)
 	}
 }

@@ -81,7 +81,7 @@ cmp -s "$workdir/cold.json" "$workdir/warm.json" \
 
 # The warm run's /metrics (Prometheus text) must prove zero plan compiles
 # (plan-cache misses == 0) and that every grid point was a store read
-# (results-namespace hits == points).
+# (store hits == points).
 curl -fsS "$base/metrics" > "$workdir/metrics.prom"
 grep -q '^pimnetd_plan_cache_misses_total 0$' "$workdir/metrics.prom" \
     || fail "warm daemon compiled plans: $(grep '^pimnetd_plan_cache' "$workdir/metrics.prom")"
@@ -89,6 +89,12 @@ grep -q "^pimnetd_store_hits_total{namespace=\"results\"} $points\$" "$workdir/m
     || fail "store results hits != $points: $(grep '^pimnetd_store_hits' "$workdir/metrics.prom")"
 grep -q '^pimnetd_store_corrupt_total{namespace="results"} 0$' "$workdir/metrics.prom" \
     || fail "store rejected blobs on a clean restart: $(grep '^pimnetd_store_corrupt' "$workdir/metrics.prom")"
+
+# The store holds results only: no plans series in /metrics, no plans/ tree
+# on disk.
+grep -q 'namespace="plans"' "$workdir/metrics.prom" \
+    && fail "metrics report a plans namespace: $(grep 'namespace="plans"' "$workdir/metrics.prom")"
+[ -e "$workdir/store/plans" ] && fail "store directory has a plans/ tree"
 
 stop_daemon
 grep -q "drained, exiting" "$workdir/pimnetd.log" || fail "daemon did not report a clean drain"
