@@ -9,7 +9,7 @@ GO ?= go
 COVER_PKGS = ./internal/core ./internal/sweep
 COVER_FLOOR = 80
 
-.PHONY: build test vet check cover loc fuzz bench benchcmp profile profile-noc golden trace-smoke serve-smoke cluster-smoke store-smoke crossover-smoke
+.PHONY: build test vet check cover loc fuzz bench benchcmp profile profile-noc regen-check golden trace-smoke serve-smoke cluster-smoke store-smoke crossover-smoke
 
 # Benchmarks gated by the regression check (make benchcmp). Engine covers the
 # event queue, Execute covers the plan-replay hot path, Store covers the
@@ -106,13 +106,20 @@ profile: build
 profile-noc: build
 	$(GO) run ./cmd/pimnetbench -fig noc -cpuprofile noc-cpu.pprof -memprofile noc-mem.pprof
 
+# One full paper regeneration (pimnetbench -fig all): prints its wall time
+# and fails unless stdout's sha256 equals bench/testdata/regen.sha256,
+# which it reads and never writes.
+regen-check:
+	sh scripts/regen_check.sh
+
 # Regenerate the golden corpora (compiled-plan traces, the NoC packet
-# simulator's result corpus, the CXL-PIM results, pimnetd's response
+# simulator's result corpus, the Fig. 13 and A4 tables, the CXL-PIM results, pimnetd's response
 # bodies, and the digests of every generated workload input) after an
 # intentional change; review the diff before committing.
 golden:
 	$(GO) test ./internal/core -run TestGoldenTraces -update
 	$(GO) test ./internal/noc -run TestNocGolden -update
+	$(GO) test ./internal/experiments -run TestNocFiguresGolden -update
 	$(GO) test ./internal/cxlpim -run TestGoldenResults -update
 	$(GO) test ./internal/serve -run TestGoldenResponses -update
 	$(GO) test ./internal/workloads -run TestInputDigests -update

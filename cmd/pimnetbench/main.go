@@ -18,7 +18,11 @@
 // Experiment points fan out over a bounded goroutine pool (internal/sweep)
 // and share one compiled-plan cache, so repeated configurations reuse cached
 // plans instead of recompiling. Results are bit-identical to a serial
-// run regardless of -workers.
+// run regardless of -workers. The packet-NoC studies run each distinct
+// network once: Fig. 13 is four sweep points, and A4's twelve rows come
+// from eight simulations, because its packet sizes at or above the 128 B
+// All-to-All message size all simulate the same network. -stats counts
+// sweep points, so it reports 4 for -fig 13 and 8 for -fig a4.
 package main
 
 import (
@@ -160,7 +164,7 @@ func run(o options) error {
 		ran = true
 	}
 	if want("13") {
-		_, t, err := experiments.Fig13FlowControl()
+		_, t, err := experiments.Fig13FlowControl(sw...)
 		if err != nil {
 			return err
 		}

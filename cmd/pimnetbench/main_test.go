@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -74,5 +75,21 @@ func TestRunDeterministicAcrossPools(t *testing.T) {
 	if serial.String() != parallel.String() {
 		t.Fatalf("output differs between workers=1 and workers=4:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			serial.String(), parallel.String())
+	}
+}
+
+// TestRunNocStudiesSweepPoints checks that the packet-NoC studies run on
+// the sweep pool, one point per distinct simulation: Fig. 13's four
+// (collective, mode) runs, and A4's eight distinct networks behind its
+// twelve rows.
+func TestRunNocStudiesSweepPoints(t *testing.T) {
+	for fig, points := range map[string]int{"13": 4, "a4": 8} {
+		var buf bytes.Buffer
+		if err := run(options{fig: fig, csv: true, workers: 2, stats: true, out: &buf}); err != nil {
+			t.Fatalf("fig %s: %v", fig, err)
+		}
+		if want := fmt.Sprintf("\npoints,%d\n", points); !strings.Contains(buf.String(), want) {
+			t.Fatalf("fig %s: -stats does not report %d points:\n%s", fig, points, buf.String())
+		}
 	}
 }

@@ -175,38 +175,48 @@ type NocParamRow struct {
 
 // AblationNocParameters (A4): how the Fig. 13 All-to-All advantage of
 // static scheduling depends on the credit-based router's buffer depth and
-// the packetization granularity. Deeper buffers absorb contention and
-// shrink the gap; they are also exactly the hardware PIMnet exists to
-// avoid paying for.
+// the packetization granularity. Deeper buffers absorb contention; they
+// are also exactly the hardware PIMnet exists to avoid paying for.
+//
+// Grid cells that simulate the same network share one simulation: each
+// cell's configuration is reduced to its canonical form (noc.AllToAllConfig)
+// and only distinct (configuration, mode) pairs run on the sweep pool. At
+// WeakScalingBytes over 256 DPUs every message is 128 B, so the three
+// packet sizes of a buffer depth are one network: 8 simulations, 12 rows.
 func AblationNocParameters(opts ...sweep.Option) ([]NocParamRow, *report.Table, error) {
-	type gridPoint struct {
-		buf int
-		pkt int64
-	}
-	var grid []gridPoint
+	var (
+		rows   []NocParamRow
+		cells  [][2]int // each row's credit and static point
+		points []flowPoint
+		index  = map[flowPoint]int{}
+	)
 	for _, buf := range []int{1, 2, 4, 8} {
 		for _, pkt := range []int64{512, 1024, 4096} {
-			grid = append(grid, gridPoint{buf: buf, pkt: pkt})
+			cfg := noc.DefaultConfig(4, 8, 8)
+			cfg.BufferPackets = buf
+			cfg.PacketBytes = pkt
+			cfg = noc.AllToAllConfig(cfg, WeakScalingBytes)
+			var cell [2]int
+			for j, m := range []noc.Mode{noc.CreditBased, noc.StaticScheduled} {
+				p := flowPoint{allToAll: true, cfg: cfg, mode: m}
+				i, ok := index[p]
+				if !ok {
+					i = len(points)
+					index[p] = i
+					points = append(points, p)
+				}
+				cell[j] = i
+			}
+			rows = append(rows, NocParamRow{BufferPackets: buf, PacketBytes: pkt})
+			cells = append(cells, cell)
 		}
 	}
-	rows, _, err := sweep.Run(grid, func(_ *sweep.Context, gp gridPoint) (NocParamRow, error) {
-		cfg := noc.DefaultConfig(4, 8, 8)
-		cfg.BufferPackets = gp.buf
-		cfg.PacketBytes = gp.pkt
-		done := noc.SkewedFinishTimes(cfg.Nodes(), 100*sim.Microsecond, 20*sim.Microsecond, 42)
-		cres, err := noc.SimulateAllToAll(cfg, noc.CreditBased, done, WeakScalingBytes)
-		if err != nil {
-			return NocParamRow{}, err
-		}
-		sres, err := noc.SimulateAllToAll(cfg, noc.StaticScheduled, done, WeakScalingBytes)
-		if err != nil {
-			return NocParamRow{}, err
-		}
-		red := 1 - float64(sres.Finish)/float64(cres.Finish)
-		return NocParamRow{BufferPackets: gp.buf, PacketBytes: gp.pkt, A2AReduction: red}, nil
-	}, opts...)
+	finish, err := runFlowPoints(points, opts...)
 	if err != nil {
 		return nil, nil, err
+	}
+	for i, cell := range cells {
+		rows[i].A2AReduction = 1 - float64(finish[cell[1]])/float64(finish[cell[0]])
 	}
 	tbl := report.New("Ablation A4 — flow-control gap vs buffering (A2A, 256 DPUs, 32 KiB)",
 		"buffer (pkts)", "packet bytes", "static advantage")

@@ -100,6 +100,14 @@ func TestAblationNocParameters(t *testing.T) {
 	if gap[8] > gap[1]+0.02 {
 		t.Fatalf("deep buffers should shrink the credit-based penalty: %v", gap)
 	}
+	// Every 32 KiB/256-DPU All-to-All message is 128 B, one packet at any
+	// of the three packet sizes, so a buffer depth's rows are one network.
+	for _, r := range rows {
+		if r.A2AReduction != gap[r.BufferPackets] {
+			t.Fatalf("buffer %d: %d B packets give %.4f, 1024 B give %.4f",
+				r.BufferPackets, r.PacketBytes, r.A2AReduction, gap[r.BufferPackets])
+		}
+	}
 }
 
 func TestAblationInterChannel(t *testing.T) {

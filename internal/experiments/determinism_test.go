@@ -37,6 +37,14 @@ func TestExperimentsDeterministicAcrossPools(t *testing.T) {
 			_, tbl, err := AblationWRAMStaging(opts...)
 			return tbl, err
 		}},
+		{"a4", func(opts ...sweep.Option) (*report.Table, error) {
+			_, tbl, err := AblationNocParameters(opts...)
+			return tbl, err
+		}},
+		{"fig13", func(opts ...sweep.Option) (*report.Table, error) {
+			_, tbl, err := Fig13FlowControl(opts...)
+			return tbl, err
+		}},
 	}
 	for _, st := range studies {
 		st := st

@@ -397,28 +397,48 @@ func (f FlowControlResult) A2AReduction() float64 {
 	return 1 - float64(f.A2AStatic)/float64(f.A2ACredit)
 }
 
-// Fig13FlowControl runs both collectives under both flow-control policies
-// on the packet-level network with a skewed compute-finish profile.
-func Fig13FlowControl() (FlowControlResult, *report.Table, error) {
-	cfg := noc.DefaultConfig(4, 8, 8)
-	done := noc.SkewedFinishTimes(cfg.Nodes(), 100*sim.Microsecond, 20*sim.Microsecond, 42)
-	var res FlowControlResult
-	var err error
-	run := func(f func(noc.Config, noc.Mode, []sim.Time, int64) (noc.Result, error), m noc.Mode) sim.Time {
-		if err != nil {
-			return 0
+// flowPoint is one packet-NoC simulation of the flow-control studies (Fig.
+// 13 and A4): a collective of WeakScalingBytes per DPU under one mode, on
+// the Fig. 13 skewed compute-finish profile. It is comparable, so a study
+// can key its distinct simulations on it.
+type flowPoint struct {
+	allToAll bool
+	cfg      noc.Config
+	mode     noc.Mode
+}
+
+// runFlowPoints simulates the points on the sweep pool and returns their
+// finish times in point order.
+func runFlowPoints(points []flowPoint, opts ...sweep.Option) ([]sim.Time, error) {
+	finish, _, err := sweep.Run(points, func(_ *sweep.Context, p flowPoint) (sim.Time, error) {
+		done := noc.SkewedFinishTimes(p.cfg.Nodes(), 100*sim.Microsecond, 20*sim.Microsecond, 42)
+		simulate := noc.SimulateAllReduce
+		if p.allToAll {
+			simulate = noc.SimulateAllToAll
 		}
-		var r noc.Result
-		r, err = f(cfg, m, done, WeakScalingBytes)
-		return r.Finish
+		r, err := simulate(p.cfg, p.mode, done, WeakScalingBytes)
+		return r.Finish, err
+	}, opts...)
+	return finish, err
+}
+
+// Fig13FlowControl runs both collectives under both flow-control policies
+// on the packet-level network with a skewed compute-finish profile, as four
+// points on the sweep pool.
+func Fig13FlowControl(opts ...sweep.Option) (FlowControlResult, *report.Table, error) {
+	cfg := noc.DefaultConfig(4, 8, 8)
+	var points []flowPoint
+	for _, allToAll := range []bool{false, true} {
+		for _, m := range []noc.Mode{noc.CreditBased, noc.StaticScheduled} {
+			points = append(points, flowPoint{allToAll: allToAll, cfg: cfg, mode: m})
+		}
 	}
-	res.ARCredit = run(noc.SimulateAllReduce, noc.CreditBased)
-	res.ARStatic = run(noc.SimulateAllReduce, noc.StaticScheduled)
-	res.A2ACredit = run(noc.SimulateAllToAll, noc.CreditBased)
-	res.A2AStatic = run(noc.SimulateAllToAll, noc.StaticScheduled)
+	finish, err := runFlowPoints(points, opts...)
 	if err != nil {
-		return res, nil, err
+		return FlowControlResult{}, nil, err
 	}
+	res := FlowControlResult{ARCredit: finish[0], ARStatic: finish[1],
+		A2ACredit: finish[2], A2AStatic: finish[3]}
 	tbl := report.New("Fig. 13 — credit-based flow control vs PIM-controlled scheduling (256 DPUs)",
 		"collective", "credit-based", "PIM-controlled", "static vs credit")
 	tbl.AddRow("AllReduce", res.ARCredit.String(), res.ARStatic.String(),

@@ -212,6 +212,52 @@ func TestScriptsShape(t *testing.T) {
 	}
 }
 
+// TestAllToAllConfigIsInert pins the equivalence AllToAllConfig names: with
+// the packet size below the message size (messages split, the last packet
+// short), equal to it, and above it, SimulateAllToAll returns the same whole
+// Result for cfg and for its canonical form, under both flow-control modes.
+func TestAllToAllConfigIsInert(t *testing.T) {
+	const bytes = 32 << 10
+	for _, shape := range [][3]int{{1, 2, 8}, {1, 8, 8}, {4, 8, 8}} {
+		base := DefaultConfig(shape[0], shape[1], shape[2])
+		n := base.Nodes()
+		blk := allToAllBlock(n, bytes)
+		done := SkewedFinishTimes(n, 100*sim.Microsecond, 20*sim.Microsecond, 42)
+		for _, pkt := range []int64{blk * 2 / 3, blk, 4 * blk} {
+			cfg := base
+			cfg.PacketBytes = pkt
+			canon := AllToAllConfig(cfg, bytes)
+			if want := min(pkt, blk); canon.PacketBytes != want {
+				t.Fatalf("%d nodes, %d B packets: canonical packet %d B, want %d",
+					n, pkt, canon.PacketBytes, want)
+			}
+			rest := canon
+			rest.PacketBytes = pkt
+			if rest != cfg {
+				t.Fatalf("%d nodes: canonical form changed more than the packet size: %+v", n, canon)
+			}
+			for _, mode := range []Mode{CreditBased, StaticScheduled} {
+				got, err := SimulateAllToAll(canon, mode, done, bytes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := SimulateAllToAll(cfg, mode, done, bytes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("%d nodes, %d B packets, %v: canonical %+v, original %+v",
+						n, pkt, mode, got, want)
+				}
+				if pkt < blk && got.PacketsDelivered != 2*int64(n)*int64(n-1) {
+					t.Fatalf("%d nodes, %d B packets: %d packets, want every message split in two",
+						n, pkt, got.PacketsDelivered)
+				}
+			}
+		}
+	}
+}
+
 // The Fig. 13 headline results as regression tests.
 func TestFlowControlComparison(t *testing.T) {
 	cfg := DefaultConfig(4, 8, 8)

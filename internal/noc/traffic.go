@@ -57,10 +57,7 @@ func allToAllScripts(n int, bytesPerNode int64) []nodeScript {
 	if n <= 1 {
 		return scripts
 	}
-	blk := bytesPerNode / int64(n)
-	if blk < 1 {
-		blk = 1
-	}
+	blk := allToAllBlock(n, bytesPerNode)
 	for s := 1; s < n; s++ {
 		for i := 0; i < n; i++ {
 			scripts[i].msgs = append(scripts[i].msgs, message{
@@ -69,6 +66,26 @@ func allToAllScripts(n int, bytesPerNode int64) []nodeScript {
 		}
 	}
 	return scripts
+}
+
+// allToAllBlock is the size of every message of the n-node shift exchange:
+// one destination's share of bytesPerNode, at least one byte.
+func allToAllBlock(n int, bytesPerNode int64) int64 {
+	return max(bytesPerNode/int64(n), 1)
+}
+
+// AllToAllConfig returns the canonical form of cfg for SimulateAllToAll at
+// bytesPerNode: PacketBytes clamped to the exchange's message size. A
+// packet size at or above the message size sends every message as one
+// packet of exactly that size, so all such configurations simulate the
+// same network, and this one stands for them all: SimulateAllToAll returns
+// the same Result for cfg and for AllToAllConfig(cfg, bytesPerNode). Being
+// comparable, the returned Config keys a set of distinct simulations.
+func AllToAllConfig(cfg Config, bytesPerNode int64) Config {
+	if n := cfg.Nodes(); n >= 1 {
+		cfg.PacketBytes = min(cfg.PacketBytes, allToAllBlock(n, bytesPerNode))
+	}
+	return cfg
 }
 
 // SimulateAllReduce runs the ring AllReduce on the packet network under the
@@ -205,13 +222,13 @@ func runScripts(cfg Config, mode Mode, computeDone []sim.Time, scripts []nodeScr
 	nw := newNetwork(eng, f, cfg)
 	nw.deliverHook = deliverObserver
 	nw.coll = &collDriver{
-		scripts: scripts,
-		release: release,
-		sent:    make([]int32, n),
-		recvd:   make([]int32, n),
-		next:    make([]int32, n),
-		steps:   int32(len(scripts[0].msgs)),
-		recvGate: recvGate,
+		scripts:     scripts,
+		release:     release,
+		sent:        make([]int32, n),
+		recvd:       make([]int32, n),
+		next:        make([]int32, n),
+		steps:       int32(len(scripts[0].msgs)),
+		recvGate:    recvGate,
 		packetBytes: cfg.PacketBytes,
 	}
 	for i := 0; i < n; i++ {
