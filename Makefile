@@ -4,9 +4,9 @@
 GO ?= go
 
 # Packages that must stay above the coverage floor (in percent): the plan
-# compiler/cache and the parallel sweep engine are the determinism-critical
-# core of the harness.
-COVER_PKGS = ./internal/core ./internal/sweep
+# compiler/cache, the parallel sweep engine, the event queue and the packet
+# NoC are the determinism-critical core of the harness.
+COVER_PKGS = ./internal/core ./internal/sweep ./internal/sim ./internal/noc
 COVER_FLOOR = 80
 
 .PHONY: build test vet check cover loc fuzz bench benchcmp profile profile-noc regen-check golden trace-smoke serve-smoke cluster-smoke store-smoke crossover-smoke

@@ -65,12 +65,21 @@ func Fig2Roofline() (RooflineResult, *report.Table, error) {
 	if err != nil {
 		return RooflineResult{}, nil, err
 	}
-	b, _ := host.NewBaseline(sys)
-	m, _ := host.NewMaxDRAM(sys)
-	s, _ := host.NewIdeal(sys)
-	p, perr := core.NewPIMnet(sys)
-	if perr != nil {
-		return RooflineResult{}, nil, perr
+	b, err := host.NewBaseline(sys)
+	if err != nil {
+		return RooflineResult{}, nil, err
+	}
+	m, err := host.NewMaxDRAM(sys)
+	if err != nil {
+		return RooflineResult{}, nil, err
+	}
+	s, err := host.NewIdeal(sys)
+	if err != nil {
+		return RooflineResult{}, nil, err
+	}
+	p, err := core.NewPIMnet(sys)
+	if err != nil {
+		return RooflineResult{}, nil, err
 	}
 	req := request(collective.AllReduce, collective.Sum, 256)
 	// Peak: all 256 DPUs at one op per cycle.
@@ -339,12 +348,18 @@ func Fig11CommBreakdown(scaled bool, opts ...sweep.Option) ([]CommBreakdownRow, 
 		if err != nil {
 			return commCell{}, err
 		}
-		mp, _ := machine.New(sys, p)
+		mp, err := machine.New(sys, p)
+		if err != nil {
+			return commCell{}, err
+		}
 		pr, err := mp.Run(wl)
 		if err != nil {
 			return commCell{}, err
 		}
-		mr, _ := machine.New(sys, ref)
+		mr, err := machine.New(sys, ref)
+		if err != nil {
+			return commCell{}, err
+		}
 		rr, err := mr.Run(wl)
 		if err != nil {
 			return commCell{}, err
@@ -578,14 +593,23 @@ func Fig15AltPIM(scaled bool, opts ...sweep.Option) ([]AltPIMRow, *report.Table,
 		if err != nil {
 			return AltPIMRow{}, err
 		}
-		b, _ := host.NewBaseline(sys)
+		b, err := host.NewBaseline(sys)
+		if err != nil {
+			return AltPIMRow{}, err
+		}
 		p, err := core.NewPIMnet(sys)
 		if err != nil {
 			return AltPIMRow{}, err
 		}
 		p.WithPlanCache(ctx.Cache)
-		mb, _ := machine.New(sys, b)
-		mp, _ := machine.New(sys, p)
+		mb, err := machine.New(sys, b)
+		if err != nil {
+			return AltPIMRow{}, err
+		}
+		mp, err := machine.New(sys, p)
+		if err != nil {
+			return AltPIMRow{}, err
+		}
 		rb, err := mb.Run(wl)
 		if err != nil {
 			return AltPIMRow{}, err
@@ -632,14 +656,23 @@ func Fig16ChannelScaling(opts ...sweep.Option) ([]ChannelPoint, *report.Table, e
 		if err != nil {
 			return cell{}, err
 		}
-		b, _ := host.NewBaseline(sys)
+		b, err := host.NewBaseline(sys)
+		if err != nil {
+			return cell{}, err
+		}
 		p, err := core.NewPIMnet(sys)
 		if err != nil {
 			return cell{}, err
 		}
 		p.WithPlanCache(ctx.Cache)
-		mb, _ := machine.New(sys, b)
-		mp, _ := machine.New(sys, p)
+		mb, err := machine.New(sys, b)
+		if err != nil {
+			return cell{}, err
+		}
+		mp, err := machine.New(sys, p)
+		if err != nil {
+			return cell{}, err
+		}
 		rb, err := mb.RunMultiChannel(wl)
 		if err != nil {
 			return cell{}, err

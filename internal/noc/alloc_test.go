@@ -7,22 +7,21 @@ import (
 )
 
 // TestSteadyStatePacketPathZeroAllocs is the allocation contract of the
-// flat core: once the arenas (packet slots, event pool, queue rings, engine
-// heap) have grown to a workload's high-water mark, injecting and fully
-// draining a batch of packets — the complete inject/admit/serve/finish/
-// forward/depart chain — allocates nothing.
+// flat core: once the arenas (packet slots, hop rings, engine queue) have
+// grown to a workload's high-water mark, injecting and fully draining a
+// batch of packets — the complete inject/admit/serve/finish/forward/depart
+// chain — allocates nothing.
 func TestSteadyStatePacketPathZeroAllocs(t *testing.T) {
 	cfg := DefaultConfig(2, 4, 8)
 	n := cfg.Nodes()
-	eng := sim.NewEngine()
 	f := buildFabric(cfg)
-	nw := newNetwork(eng, f, cfg)
+	nw := newNetwork(f, cfg)
 	d := &trafDriver{latencies: make([]sim.Time, 0, 1024)}
 	nw.traf = d
 
 	cycle := func() {
 		d.latencies = d.latencies[:0]
-		t0 := eng.Now()
+		t0 := nw.eng.Now()
 		for i := 0; i < 256; i++ {
 			src := i % n
 			dst := (src + 1 + i*7%(n-1)) % n
@@ -35,7 +34,7 @@ func TestSteadyStatePacketPathZeroAllocs(t *testing.T) {
 			pk.bytes, pk.born, pk.pathOff, pk.pathLen = cfg.PacketBytes, t0, off, plen
 			nw.inject(p, t0)
 		}
-		eng.Run()
+		nw.run()
 	}
 
 	cycle() // warm-up: grow every arena to its high-water mark once
@@ -52,7 +51,7 @@ func TestSteadyStatePacketPathZeroAllocs(t *testing.T) {
 // each queue's whole backing array for the run, so a long saturated run's
 // heap grew with total traffic. In the flat core every arena is sized by
 // concurrent occupancy: after a saturated all-to-all that delivers tens of
-// thousands of packets, the packet arena, the event pool, and the queue
+// thousands of packets, the packet arena, the engine's queue, and the hop
 // rings must all be orders of magnitude smaller than the delivered count.
 func TestSaturatedRunBoundedPeakHeap(t *testing.T) {
 	cfg := DefaultConfig(2, 4, 8)
@@ -76,9 +75,11 @@ func TestSaturatedRunBoundedPeakHeap(t *testing.T) {
 	if got, peak := int32(len(nw.pkts)), nw.pktPeak; got != peak {
 		t.Errorf("packet arena holds %d slots, want exactly the peak %d", got, peak)
 	}
-	if int64(nw.evMade) > res.PacketsDelivered/100 {
-		t.Errorf("event pool made %d entries for %d deliveries; pooling is not recycling",
-			nw.evMade, res.PacketsDelivered)
+	// The engine's heap, ring and FIFO are sized by the peak pending set,
+	// about one event per hop and node, not by the run's event total.
+	if got := int64(nw.eng.QueueCap()); got > res.PacketsDelivered/100 {
+		t.Errorf("engine queue holds %d slots for %d deliveries; it is not recycling",
+			got, res.PacketsDelivered)
 	}
 	// Queue rings stay within a doubling of the configured buffer depth.
 	for h := range nw.hops {

@@ -16,13 +16,12 @@ import "pimnet/internal/sim"
 //     form intrusive FIFO chains of int32 ids threaded through the hop and
 //     packet arenas — no closure slices;
 //   - packets and message groups are free-list arenas;
-//   - engine callbacks come from a pool of nocEvent structs, each carrying
-//     one pre-bound fn created when the pool entry is first made, so
-//     scheduling an event never allocates a fresh closure.
+//   - events are plain values on the engine's queue: a kind and two int32
+//     operands, dispatched by one switch in run.
 //
 // The event flow is call-for-call identical to the original closure design:
-// the same sim.Engine.At calls happen at the same instants in the same
-// order, which is what keeps results bit-identical to the pre-rewrite
+// the same events are scheduled at the same instants in the same order,
+// which is what keeps results bit-identical to the pre-rewrite
 // implementation (locked by testdata/golden).
 
 const nilIdx = int32(-1)
@@ -95,9 +94,9 @@ type msgGroup struct {
 	next        int32 // free-list link
 }
 
-// Event kinds dispatched by nocEvent.run.
+// Event kinds dispatched by network.run.
 const (
-	evFinish uint8 = iota // a = hop: service completed
+	evFinish uint8 = iota // a = hop, b = packet: service completed
 	evAdmit               // a = hop, b = packet: arrival after wire latency
 	evArrive              // a = packet: delivery out of the network
 	evWake                // a = encoded waiter: buffer credit released
@@ -106,44 +105,9 @@ const (
 	evTick                // a = node: open-loop traffic generator
 )
 
-// nocEvent is a pooled engine callback. fn is bound to run exactly once,
-// when the pool entry is created; rescheduling a recycled entry reuses it,
-// so the per-event closure allocation of the old design disappears.
-type nocEvent struct {
-	nw   *network
-	fn   func()
-	kind uint8
-	a, b int32
-}
-
-// run dispatches the event. The entry returns itself to the pool first
-// (fields copied out), so handlers may immediately reuse it for the events
-// they schedule.
-func (e *nocEvent) run() {
-	nw, kind, a, b := e.nw, e.kind, e.a, e.b
-	nw.evPool = append(nw.evPool, e)
-	t := nw.eng.Now()
-	switch kind {
-	case evFinish:
-		nw.finishService(a, b)
-	case evAdmit:
-		nw.admit(a, b, t)
-	case evArrive:
-		nw.arrive(a, t)
-	case evWake:
-		nw.wake(a, t)
-	case evTry:
-		nw.coll.tryInject(nw, a)
-	case evSend:
-		nw.coll.send(nw, a, b, t)
-	case evTick:
-		nw.traf.tick(nw, a, t)
-	}
-}
-
-// network drives the hops on a shared engine.
+// network drives the hops on its own engine.
 type network struct {
-	eng *sim.Engine
+	eng sim.Engine
 	f   *fabric
 	res Result
 
@@ -161,9 +125,6 @@ type network struct {
 	msgs    []msgGroup
 	msgFree int32
 
-	evPool []*nocEvent
-	evMade int
-
 	coll *collDriver
 	traf *trafDriver
 
@@ -173,16 +134,16 @@ type network struct {
 
 	// deliverHook, when non-nil, observes every packet delivery (uid, birth
 	// time, arrival time). Test/fuzz instrumentation only: one predictable
-	// branch on the arrival path, mirroring sim.Engine's tracer contract.
+	// branch on the arrival path.
 	deliverHook func(uid int64, born, t sim.Time)
 }
 
-func newNetwork(eng *sim.Engine, f *fabric, cfg Config) *network {
+func newNetwork(f *fabric, cfg Config) *network {
 	nw := &network{
-		eng: eng, f: f,
-		lat: cfg.HopLatency,
-		cap: int32(cfg.BufferPackets),
-		hops: make([]hopState, f.numHops),
+		f:       f,
+		lat:     cfg.HopLatency,
+		cap:     int32(cfg.BufferPackets),
+		hops:    make([]hopState, f.numHops),
 		pktFree: nilIdx,
 		msgFree: nilIdx,
 	}
@@ -202,19 +163,29 @@ func newNetwork(eng *sim.Engine, f *fabric, cfg Config) *network {
 	return nw
 }
 
-// schedule enqueues a pooled event at absolute instant t.
-func (nw *network) schedule(t sim.Time, kind uint8, a, b int32) {
-	var e *nocEvent
-	if n := len(nw.evPool); n > 0 {
-		e = nw.evPool[n-1]
-		nw.evPool = nw.evPool[:n-1]
-	} else {
-		e = &nocEvent{nw: nw}
-		e.fn = e.run
-		nw.evMade++
+// run dispatches events until the queue drains and returns the instant of
+// the last one.
+func (nw *network) run() sim.Time {
+	for ev, ok := nw.eng.Next(); ok; ev, ok = nw.eng.Next() {
+		a, b, t := ev.A, ev.B, ev.At
+		switch ev.Kind {
+		case evFinish:
+			nw.finishService(a, b, t)
+		case evAdmit:
+			nw.admit(a, b, t)
+		case evArrive:
+			nw.arrive(a, t)
+		case evWake:
+			nw.wake(a, t)
+		case evTry:
+			nw.coll.tryInject(nw, a)
+		case evSend:
+			nw.coll.send(nw, a, b, t)
+		case evTick:
+			nw.traf.tick(nw, a, t)
+		}
 	}
-	e.kind, e.a, e.b = kind, a, b
-	nw.eng.At(t, e.fn)
+	return nw.eng.Now()
 }
 
 // allocPacket takes a packet slot from the free list (or grows the arena)
@@ -327,15 +298,14 @@ func (nw *network) serve(h int32, t sim.Time) {
 	}
 	// The head cannot change while the server holds it, so evFinish carries
 	// p and finishService skips the head reload.
-	nw.schedule(t+svc, evFinish, h, p)
+	nw.eng.At(t+svc, evFinish, h, p)
 }
 
 // finishService moves the head packet toward the next hop, blocking when
 // the downstream buffer is full (backpressure).
-func (nw *network) finishService(h, p int32) {
+func (nw *network) finishService(h, p int32, t sim.Time) {
 	hs := &nw.hops[h]
 	hs.serving = false
-	t := nw.eng.Now()
 	pk := &nw.pkts[p]
 	if pk.idx+1 >= pk.pathLen {
 		nw.depart(h, p, t)
@@ -356,7 +326,7 @@ func (nw *network) forward(h, p int32, t sim.Time) {
 	pk := &nw.pkts[p]
 	pk.idx++
 	next := nw.f.paths[pk.pathOff+pk.idx]
-	nw.schedule(t+nw.lat, evAdmit, next, p)
+	nw.eng.At(t+nw.lat, evAdmit, next, p)
 }
 
 // depart delivers the packet out of the network.
@@ -385,7 +355,7 @@ func (nw *network) depart(h, p int32, t sim.Time) {
 		nw.traf.delivered(born, at)
 		return
 	}
-	nw.schedule(at, evArrive, p, 0)
+	nw.eng.At(at, evArrive, p, 0)
 }
 
 // popHead removes the head packet, releases one buffer credit to a waiter,
@@ -394,7 +364,7 @@ func (nw *network) popHead(h int32, t sim.Time) {
 	hs := &nw.hops[h]
 	hs.pop()
 	if hs.waitHead != nilIdx {
-		nw.schedule(t, evWake, nw.popWaiter(h), 0)
+		nw.eng.At(t, evWake, nw.popWaiter(h), 0)
 	}
 	nw.serve(h, t)
 }

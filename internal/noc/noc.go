@@ -8,8 +8,12 @@
 //     (head-of-line blocking), exactly what a conventional buffered,
 //     arbitrated router would experience; and
 //   - PIM-controlled static scheduling — all DPUs synchronize (waiting for
-//     the slowest), then execute the contention-free schedule step by
-//     step with no arbitration and no buffering.
+//     the slowest) and launch on one global START. As modelled here, that
+//     START is the only difference: after it, every node runs the same
+//     dependency gating over the same buffered, arbitrated hops as credit
+//     mode, so static runs can queue and their finish time depends on
+//     buffer depth. A compiled, contention-free static schedule is open
+//     work (ROADMAP item 1).
 //
 // The paper's result: the two are within ~1% for AllReduce (neighbor-only
 // ring traffic barely contends), while for All-to-All the statically
@@ -28,9 +32,10 @@
 // The simulator core is a flat, index-based design built for that scale:
 // hops live in one arena addressed by int32 ids, per-hop queues are ring
 // buffers, waiter lists are intrusive index chains, packet paths are
-// offsets into a shared precomputed path table, and the event flow runs
-// through a pool of reusable callback structs — the steady-state packet
-// path allocates nothing (see DESIGN.md §15).
+// offsets into a shared precomputed path table, and events are plain values
+// (a kind and two int32 operands) on one sim.Engine queue, dispatched by a
+// single switch — the steady-state packet path allocates nothing (see
+// DESIGN.md §15).
 package noc
 
 import (
@@ -76,7 +81,7 @@ type Config struct {
 	ChipRate            float64 // bytes/s per DQ port
 	BusRate             float64 // bytes/s on the shared bus
 	HopLatency          sim.Time
-	BufferPackets       int   // input-buffer depth per hop, in packets (credit mode)
+	BufferPackets       int   // input-buffer depth per hop, in packets (both modes)
 	PacketBytes         int64 // segmentation size
 	SyncLatency         sim.Time
 }

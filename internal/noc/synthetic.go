@@ -86,7 +86,7 @@ func (d *trafDriver) tick(nw *network, src int32, now sim.Time) {
 	if d.pattern == BurstyTenants && !d.burstOn(int(src), now) {
 		// Off-window tenants stay silent; the generator keeps ticking so the
 		// tenant resumes at full rate when its burst window opens.
-		nw.schedule(now+d.interval, evTick, src, 0)
+		nw.eng.At(now+d.interval, evTick, src, 0)
 		return
 	}
 	dst := d.dest(int(src))
@@ -97,7 +97,7 @@ func (d *trafDriver) tick(nw *network, src int32, now sim.Time) {
 	pk := &nw.pkts[p]
 	pk.bytes, pk.born, pk.pathOff, pk.pathLen = d.bytes, born, off, plen
 	nw.inject(p, born)
-	nw.schedule(now+d.interval, evTick, src, 0)
+	nw.eng.At(now+d.interval, evTick, src, 0)
 }
 
 // delivered records one packet's injection-to-delivery latency.
@@ -122,9 +122,8 @@ func SimulateTraffic(cfg Config, spec TrafficSpec) (TrafficResult, error) {
 	if n < 2 {
 		return TrafficResult{}, fmt.Errorf("noc: uniform traffic needs >= 2 nodes")
 	}
-	eng := sim.NewEngine()
 	f := buildFabric(cfg)
-	nw := newNetwork(eng, f, cfg)
+	nw := newNetwork(f, cfg)
 	nw.deliverHook = deliverObserver
 	interval := sim.TransferTime(cfg.PacketBytes, spec.PerNodeBps)
 	if interval <= 0 {
@@ -135,9 +134,9 @@ func SimulateTraffic(cfg Config, spec TrafficSpec) (TrafficResult, error) {
 	for src := 0; src < n; src++ {
 		// Deterministic per-node jittered start spreads the phases.
 		start := sim.Time(d.rng.Int63n(int64(interval) + 1))
-		nw.schedule(start, evTick, int32(src), 0)
+		nw.eng.At(start, evTick, int32(src), 0)
 	}
-	end := eng.Run()
+	end := nw.run()
 	if nw.lastArrive > end {
 		// Inline-completed arrivals land one wire latency after the engine's
 		// final event; the run ends when the last packet lands.

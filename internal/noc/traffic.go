@@ -108,12 +108,11 @@ func SimulateAllToAll(cfg Config, mode Mode, computeDone []sim.Time, bytesPerNod
 // recvGate — its step k-1 incoming data has arrived (ring collectives
 // forward received chunks).
 //
-// Static mode: the compile-time offsets make every node's step k start
-// exactly when its inputs are available, so the network pipelines
-// identically to the dependency-gated flow — what differs is the launch: a
-// single global START after the slowest DPU reports READY (plus the sync
-// tree propagation), versus credit mode where every node injects as soon as
-// its own compute retires.
+// Static mode: every node is released at one global START, after the
+// slowest DPU reports READY plus the sync tree propagation. From then on it
+// runs the same dependency gating and the same buffered hops as credit
+// mode; only the launch differs. There are no compile-time injection
+// offsets yet, so static packets can wait in input queues (ROADMAP item 1).
 type collDriver struct {
 	scripts     []nodeScript
 	release     []sim.Time
@@ -137,7 +136,7 @@ func (c *collDriver) tryInject(nw *network, i int32) {
 	if now := nw.eng.Now(); now > at {
 		at = now
 	}
-	nw.schedule(at, evSend, i, k)
+	nw.eng.At(at, evSend, i, k)
 }
 
 // send segments node i's step-k message into packets and injects them. The
@@ -217,9 +216,8 @@ func runScripts(cfg Config, mode Mode, computeDone []sim.Time, scripts []nodeScr
 		return nil, Result{}, fmt.Errorf("noc: unknown mode %d", int(mode))
 	}
 
-	eng := sim.NewEngine()
 	f := buildFabric(cfg)
-	nw := newNetwork(eng, f, cfg)
+	nw := newNetwork(f, cfg)
 	nw.deliverHook = deliverObserver
 	nw.coll = &collDriver{
 		scripts:     scripts,
@@ -232,10 +230,10 @@ func runScripts(cfg Config, mode Mode, computeDone []sim.Time, scripts []nodeScr
 		packetBytes: cfg.PacketBytes,
 	}
 	for i := 0; i < n; i++ {
-		nw.schedule(release[i], evTry, int32(i), 0)
+		nw.eng.At(release[i], evTry, int32(i), 0)
 	}
 
-	eng.Run()
+	nw.run()
 	res := nw.res
 	res.Finish = nw.coll.finish
 	res.MaxQueue = nw.maxQueue()

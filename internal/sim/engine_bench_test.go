@@ -9,10 +9,6 @@ import "testing"
 // part of the regression-gated suite (make benchcmp): BENCH_baseline.json
 // pins their latency and allocs/op.
 
-// benchFn is a shared no-op callback so the benchmarks measure the queue,
-// not closure allocation at the call sites.
-var benchFn = func() {}
-
 // benchTimes returns a deterministic pseudorandom schedule of n instants
 // (xorshift; no math/rand so the stream is fixed forever).
 func benchTimes(n int) []Time {
@@ -27,54 +23,56 @@ func benchTimes(n int) []Time {
 	return ts
 }
 
+// benchDrain pops every pending event without dispatching it.
+func benchDrain(e *Engine) {
+	for _, ok := e.Next(); ok; _, ok = e.Next() {
+	}
+}
+
 func BenchmarkEngineScheduleHeavy(b *testing.B) {
 	const n = 4096
 	ts := benchTimes(n)
-	e := NewEngine()
+	var e Engine
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, t := range ts {
-			e.At(t, benchFn)
+			e.At(t, 0, 0, 0)
 		}
-		e.Run()
+		benchDrain(&e)
 		e.now = 0 // reuse the warm engine; capacity stays allocated
 	}
 }
 
 func BenchmarkEngineSameInstantBurst(b *testing.B) {
 	const n = 4096
-	e := NewEngine()
+	var e Engine
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < n; j++ {
-			e.At(100, benchFn)
+			e.At(100, 0, 0, 0)
 		}
-		e.Run()
+		benchDrain(&e)
 		e.now = 0
 	}
 }
 
 // BenchmarkEngineNestedReschedule measures the steady-state interleaving of
 // pops and pushes: every event schedules its successor, so the queue stays
-// shallow while churning through many events — the free-list's best case.
+// one entry deep while churning through many events.
 func BenchmarkEngineNestedReschedule(b *testing.B) {
 	const n = 4096
-	e := NewEngine()
-	var remaining int
-	var tick func()
-	tick = func() {
-		if remaining--; remaining > 0 {
-			e.After(10, tick)
-		}
-	}
+	var e Engine
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		remaining = n
-		e.At(0, tick)
-		e.Run()
+		e.At(0, 0, n, 0)
+		for ev, ok := e.Next(); ok; ev, ok = e.Next() {
+			if ev.A > 1 {
+				e.At(e.Now()+10, 0, ev.A-1, 0)
+			}
+		}
 		e.now = 0
 	}
 }

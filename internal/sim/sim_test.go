@@ -60,13 +60,25 @@ func TestTransferTime(t *testing.T) {
 	}
 }
 
+// drain dispatches e's events to handle until none remain and returns the
+// final simulated time.
+func drain(e *Engine, handle func(Event)) Time {
+	for ev, ok := e.Next(); ok; ev, ok = e.Next() {
+		if ev.At != e.Now() {
+			panic("Next did not advance the clock to the event")
+		}
+		handle(ev)
+	}
+	return e.Now()
+}
+
 func TestEngineOrdering(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	e.At(30, func() { order = append(order, 3) })
-	e.At(10, func() { order = append(order, 1) })
-	e.At(20, func() { order = append(order, 2) })
-	end := e.Run()
+	var e Engine
+	var order []int32
+	e.At(30, 0, 3, 0)
+	e.At(10, 0, 1, 0)
+	e.At(20, 0, 2, 0)
+	end := drain(&e, func(ev Event) { order = append(order, ev.A) })
 	if end != 30 {
 		t.Fatalf("final time = %v, want 30", end)
 	}
@@ -76,44 +88,48 @@ func TestEngineOrdering(t *testing.T) {
 }
 
 func TestEngineFIFOTieBreak(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	for i := 0; i < 50; i++ {
-		i := i
-		e.At(100, func() { order = append(order, i) })
+	var e Engine
+	for i := int32(0); i < 50; i++ {
+		e.At(100, uint8(i), i, -i)
 	}
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("simultaneous events reordered: position %d got %d", i, v)
+	var order []Event
+	drain(&e, func(ev Event) { order = append(order, ev) })
+	if len(order) != 50 {
+		t.Fatalf("ran %d events, want 50", len(order))
+	}
+	for i, ev := range order {
+		if ev.A != int32(i) || ev.B != -ev.A || ev.Kind != uint8(i) {
+			t.Fatalf("simultaneous events reordered: position %d got %+v", i, ev)
 		}
 	}
 }
 
 func TestEngineNestedScheduling(t *testing.T) {
-	e := NewEngine()
+	var e Engine
 	var hits []Time
-	e.At(5, func() {
+	e.At(5, 0, 0, 0)
+	drain(&e, func(ev Event) {
 		hits = append(hits, e.Now())
-		e.After(10, func() { hits = append(hits, e.Now()) })
+		if ev.Kind == 0 {
+			e.At(e.Now()+10, 1, 0, 0)
+		}
 	})
-	e.Run()
 	if len(hits) != 2 || hits[0] != 5 || hits[1] != 15 {
 		t.Fatalf("nested scheduling hits = %v, want [5 15]", hits)
 	}
 }
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
-	e := NewEngine()
-	e.At(100, func() {
+	var e Engine
+	e.At(100, 0, 0, 0)
+	drain(&e, func(Event) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(50, func() {})
+		e.At(50, 0, 0, 0)
 	})
-	e.Run()
 }
 
 func TestLinkSerialization(t *testing.T) {
@@ -194,7 +210,7 @@ func TestEngineOrderProperty(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		e := NewEngine()
+		var e Engine
 		var seen []Time
 		var maxT Time
 		for _, r := range raw {
@@ -202,9 +218,9 @@ func TestEngineOrderProperty(t *testing.T) {
 			if at > maxT {
 				maxT = at
 			}
-			e.At(at, func() { seen = append(seen, e.Now()) })
+			e.At(at, 0, 0, 0)
 		}
-		end := e.Run()
+		end := drain(&e, func(Event) { seen = append(seen, e.Now()) })
 		if end != maxT || len(seen) != len(raw) {
 			return false
 		}

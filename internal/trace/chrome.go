@@ -67,8 +67,6 @@ func track(ev Event) string {
 		return "control"
 	case KindHostStage:
 		return "host"
-	case KindEngineStep:
-		return "engine"
 	case KindFaultDetected, KindRetry, KindReroute, KindFallback:
 		return "recovery"
 	case KindChunkDispatch, KindChunkRetry, KindChunkHedge, KindChunkLocal:
@@ -117,7 +115,7 @@ func render(ev Event, tid int) chromeEvent {
 	if ev.To >= 0 {
 		add("to", ev.To)
 	}
-	if ev.Kind == KindLinkBusy || ev.Kind == KindRetry || ev.Kind == KindEngineStep {
+	if ev.Kind == KindLinkBusy || ev.Kind == KindRetry {
 		add("seq", ev.Seq)
 	}
 	out.Args = args

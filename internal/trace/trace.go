@@ -6,8 +6,8 @@
 // per-tier link-utilization statistics (Util).
 //
 // The package is a leaf: it imports nothing from the simulator, so every
-// layer (sim, core, host, baselines, machine) can emit into it without
-// import cycles. Times are raw int64 picoseconds — the same unit as
+// layer (core, host, baselines, machine) can emit into it without import
+// cycles. Times are raw int64 picoseconds — the same unit as
 // sim.Time — converted at the emission site by a plain integer cast.
 //
 // The nil-tracer contract: tracing is opt-in, and every emission site
@@ -45,9 +45,6 @@ const (
 	// collective (launch, gather-to-host, reduce, scatter, forward...);
 	// Name identifies the stage.
 	KindHostStage
-	// KindEngineStep is one discrete-event dispatch of a sim.Engine
-	// (opt-in; high volume). Seq is the event's schedule sequence.
-	KindEngineStep
 	// KindFaultDetected marks the watchdog or integrity check flagging a
 	// failure; Name describes the detection.
 	KindFaultDetected
@@ -94,8 +91,8 @@ const (
 
 var kindNames = [numKinds]string{
 	"phase-start", "phase-end", "link-busy", "sync-tree", "mem-stage",
-	"host-stage", "engine-step", "fault-detected", "retry", "reroute",
-	"fallback", "chunk-dispatch", "chunk-retry", "chunk-hedge", "chunk-local",
+	"host-stage", "fault-detected", "retry", "reroute", "fallback",
+	"chunk-dispatch", "chunk-retry", "chunk-hedge", "chunk-local",
 	"job-queued", "job-start", "job-finish",
 }
 

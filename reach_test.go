@@ -23,6 +23,7 @@ var reachAllowlist = map[string]string{
 	"serve.PointError.Unwrap":         "errors.Unwrap method, called by errors.Is and errors.As",
 	"config.System.TotalDPUs":         "method of pimnet.System, which the root package re-exports",
 	"trace.Recorder.Dropped":          "method of *trace.Recorder, which pimnet.NewTraceRecorder returns",
+	"sim.Engine.QueueCap":             "footprint probe: noc's TestSaturatedRunBoundedPeakHeap bounds the queue's capacity across the package boundary",
 	"core/addrgen.go":                 "paper Algorithm 1; ROADMAP item 1 decides whether it feeds the static NoC schedule or goes",
 }
 
