@@ -64,12 +64,14 @@ loc:
 		| xargs cat | wc -l
 
 # Short fuzz pass over the collective verify interpreter (the recovery
-# ladder's correctness oracle), the plan-cache key, the persistent store's
-# blob codec, the packet NoC's delivery invariants, and the backend-name
-# parser's round-trip; extend -fuzztime for deeper runs.
+# ladder's correctness oracle), the plan-cache key, a plan's recorded timing
+# against the replay kernel, the persistent store's blob codec, the packet
+# NoC's delivery invariants, and the backend-name parser's round-trip;
+# extend -fuzztime for deeper runs.
 fuzz:
 	$(GO) test -fuzz=FuzzVerify -fuzztime=30s ./internal/collective/
 	$(GO) test -fuzz=FuzzPlanCacheKey -fuzztime=30s ./internal/core/
+	$(GO) test -fuzz=FuzzRecordedTiming -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzStoreDecode -fuzztime=30s ./internal/store/
 	$(GO) test -fuzz=FuzzStoreRoundTrip -fuzztime=30s ./internal/store/
 	$(GO) test -fuzz=FuzzNocDelivery -fuzztime=30s ./internal/noc/

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"pimnet/internal/backend"
 	"pimnet/internal/metrics"
@@ -17,10 +18,33 @@ import (
 // pipelined reduction both finish. The network's link state is reset first,
 // so Execute is repeatable.
 //
-// Execute is the sweep hot path: after one warm-up run it allocates nothing,
-// replaying the plan entirely out of the network's execScratch.
+// A compiled schedule is statically timed, so its healthy execution is the
+// same every time. The first execution on a pristine, untraced network
+// stores that result on the plan; a later one under the same system and
+// step overhead returns the stored result without touching link state.
+// Every other execution (a faulted or traced network, another system or
+// step overhead) replays every transfer. The guard is sound because a
+// pristine network's link table is a pure function of n.Sys, and every
+// other term of the replay reads n.Sys or the step overhead.
+//
+// Execute is the sweep hot path: a record hit allocates nothing, and a
+// replay runs entirely out of the network's execScratch, allocating only
+// the record it writes.
 func (n *Network) Execute(p *Plan) (backend.Result, error) {
-	res, _, _, err := n.executePhases(p, execOptions{})
+	// The record's system fixes its topology, so a plan of another topology
+	// misses and gets executePhases' error.
+	recordable := n.tracer == nil && n.Pristine()
+	rec := p.timing.Load()
+	if recordable && rec != nil && rec.sys == n.Sys && rec.overheadPs == n.stepOverheadPs {
+		return rec.res, nil
+	}
+	res, durs, _, err := n.executePhases(p, execOptions{})
+	if err == nil && recordable && rec == nil {
+		// durs aliases the scratch; the record keeps its own copy. Racing
+		// workers compute the same record, so the first store wins.
+		p.timing.CompareAndSwap(nil, &timingRecord{res: res, durs: slices.Clone(durs),
+			sys: n.Sys, overheadPs: n.stepOverheadPs})
+	}
 	return res, err
 }
 

@@ -466,6 +466,7 @@ func chipOrderAvoiding(chips int, dead map[chipPath]bool) ([]int, bool) {
 // checker accepts this). Two failures in one ring disconnect it.
 func (n *Network) rerouteRings(p *Plan) error {
 	p.verified = false // transfers are rewritten below; force a re-check
+	p.timing.Store(nil)
 	for pi := range p.Phases {
 		ph := &p.Phases[pi]
 		for si := range ph.Steps {

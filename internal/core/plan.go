@@ -2,9 +2,13 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
+	"pimnet/internal/backend"
 	"pimnet/internal/collective"
+	"pimnet/internal/config"
 	"pimnet/internal/metrics"
+	"pimnet/internal/sim"
 )
 
 // Tier identifies which PIMnet tier a phase runs on.
@@ -102,8 +106,9 @@ type Phase struct {
 // Plan is a fully compiled, statically scheduled collective. It depends
 // only on its topology, never on one Network instance, so the plan cache
 // shares one Plan between every network of that topology. Shared plans are
-// read-only: only a fresh PlanFor result may be mutated (rerouteRings does,
-// for a faulted network).
+// read-only, apart from one write-once timing record (see Network.Execute);
+// only a fresh PlanFor result may be mutated (rerouteRings does, for a
+// faulted network).
 type Plan struct {
 	Req    collective.Request
 	Topo   Topology
@@ -116,6 +121,22 @@ type Plan struct {
 	// per-step bookkeeping. It is set before a plan is shared. Any code that
 	// mutates Phases after construction must clear it (rerouteRings does).
 	verified bool
+	// timing records the plan's healthy execution the first time Execute
+	// runs it on a pristine, untraced network. It is written once, by
+	// compare-and-swap, because shared plans run concurrently on sweep
+	// workers. Any code that mutates Phases must clear it with verified.
+	timing atomic.Pointer[timingRecord]
+}
+
+// timingRecord is a plan's healthy execution and the conditions it was
+// measured under. A compiled schedule is statically timed, so on a pristine
+// network with the same system and step overhead every replay reproduces
+// it exactly.
+type timingRecord struct {
+	res        backend.Result
+	durs       []sim.Time // per-phase durations, owned by the record
+	sys        config.System
+	overheadPs int64
 }
 
 // CheckContention verifies the static-schedule property: within any single

@@ -22,7 +22,10 @@ import (
 // pointer into one Network, so the cache stores the verified *Plan itself
 // and a hit returns it with no copy. Each sweep worker executes the shared
 // plan on its own network, whose links carry the mutable reservation state.
-// Shared plans are read-only.
+// Shared plans are read-only except for one write-once timing record: the
+// first healthy Execute of a plan stores its result on the plan, by
+// compare-and-swap, and later healthy executions on any network under the
+// same system and step overhead read it (see Network.Execute).
 //
 // Invalidation rule: the shared cache only ever serves and learns from
 // pristine networks. Any hard fault, installed chip reordering, or

@@ -100,16 +100,16 @@ func TestNilTracerZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := n.Execute(plan); err != nil { // warm-up sizes the scratch
+		if _, _, _, err := n.executePhases(plan, execOptions{}); err != nil { // warm-up sizes the scratch
 			t.Fatal(err)
 		}
 		avg := testing.AllocsPerRun(10, func() {
-			if _, err := n.Execute(plan); err != nil {
+			if _, _, _, err := n.executePhases(plan, execOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if avg != 0 {
-			t.Fatalf("%d DPUs: Execute with nil tracer allocates %.1f times, want 0", dpus, avg)
+			t.Fatalf("%d DPUs: replay with nil tracer allocates %.1f times, want 0", dpus, avg)
 		}
 	}
 }
