@@ -65,15 +65,17 @@ loc:
 
 # Short fuzz pass over the collective verify interpreter (the recovery
 # ladder's correctness oracle), the plan-cache key, a plan's recorded timing
-# against the replay kernel, the persistent store's blob codec, the packet
-# NoC's delivery invariants, and the backend-name parser's round-trip;
-# extend -fuzztime for deeper runs.
+# against the replay kernel, the persistent store's blob codec, the event
+# queue against a container/heap reference, the packet NoC's delivery
+# invariants, and the backend-name parser's round-trip; extend -fuzztime
+# for deeper runs.
 fuzz:
 	$(GO) test -fuzz=FuzzVerify -fuzztime=30s ./internal/collective/
 	$(GO) test -fuzz=FuzzPlanCacheKey -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzRecordedTiming -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzStoreDecode -fuzztime=30s ./internal/store/
 	$(GO) test -fuzz=FuzzStoreRoundTrip -fuzztime=30s ./internal/store/
+	$(GO) test -fuzz=FuzzEventQueue -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzNocDelivery -fuzztime=30s ./internal/noc/
 	$(GO) test -fuzz=FuzzParseBackendKind -fuzztime=30s .
 
@@ -97,7 +99,8 @@ benchcmp:
 	fi
 
 # CPU + heap profiles of the 2560-DPU allreduce sweep, the paper-scale
-# configuration that dominates pimnetbench wall time. Inspect with
+# plan-replay configuration (the packet NoC simulator, not plan replay,
+# dominates pimnetbench wall time: see profile-noc). Inspect with
 # `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`.
 profile: build
 	$(GO) run ./cmd/pimnetsim -sweep -sweep-dpus 2560 -sweep-bytes 32768 \

@@ -75,7 +75,7 @@ func TestSaturatedRunBoundedPeakHeap(t *testing.T) {
 	if got, peak := int32(len(nw.pkts)), nw.pktPeak; got != peak {
 		t.Errorf("packet arena holds %d slots, want exactly the peak %d", got, peak)
 	}
-	// The engine's heap, ring and FIFO are sized by the peak pending set,
+	// The engine's lanes, heap and FIFO are sized by the peak pending set,
 	// about one event per hop and node, not by the run's event total.
 	if got := int64(nw.eng.QueueCap()); got > res.PacketsDelivered/100 {
 		t.Errorf("engine queue holds %d slots for %d deliveries; it is not recycling",

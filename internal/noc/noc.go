@@ -13,7 +13,8 @@
 //     dependency gating over the same buffered, arbitrated hops as credit
 //     mode, so static runs can queue and their finish time depends on
 //     buffer depth. A compiled, contention-free static schedule is open
-//     work (ROADMAP item 1).
+//     work (ROADMAP, "Static mode runs a compiled, contention-free
+//     schedule").
 //
 // The paper's result: the two are within ~1% for AllReduce (neighbor-only
 // ring traffic barely contends), while for All-to-All the statically

@@ -10,7 +10,9 @@ import (
 // The collective benchmarks drive the full serve/forward/depart chain with
 // backpressure at the paper's single-channel scale; the traffic benchmark
 // exercises the fabric at full-machine scale (2560 DPUs) with a packet
-// volume set by rate x duration rather than population^2.
+// volume set by rate x duration rather than population^2; the transpose
+// benchmark is one cell of the 2560-DPU adversarial sweep, whose thousands
+// of pending events make it the engine's deepest queue.
 
 func benchCollective(b *testing.B, run func(Config, Mode, []sim.Time, int64) (Result, error), mode Mode) {
 	b.Helper()
@@ -39,6 +41,20 @@ func BenchmarkNocTraffic2560(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := SimulateUniformRandom(cfg, 10e6, sim.Millisecond, 7); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNocTranspose2560 runs the credit-mode transpose cell of
+// pimnetbench -fig noc: 2560 DPUs, 32 KiB per node, two steps, seed 42.
+func BenchmarkNocTranspose2560(b *testing.B) {
+	p := PatternPoint{Config: DefaultConfig(4, 8, 80), Mode: CreditBased, Pattern: Transpose,
+		BytesPerNode: 32 << 10, Steps: 2, Seed: 42}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.run(); err != nil {
 			b.Fatal(err)
 		}
 	}

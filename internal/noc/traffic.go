@@ -112,7 +112,8 @@ func SimulateAllToAll(cfg Config, mode Mode, computeDone []sim.Time, bytesPerNod
 // slowest DPU reports READY plus the sync tree propagation. From then on it
 // runs the same dependency gating and the same buffered hops as credit
 // mode; only the launch differs. There are no compile-time injection
-// offsets yet, so static packets can wait in input queues (ROADMAP item 1).
+// offsets yet, so static packets can wait in input queues (ROADMAP, "Static
+// mode runs a compiled, contention-free schedule").
 type collDriver struct {
 	scripts     []nodeScript
 	release     []sim.Time

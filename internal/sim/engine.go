@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Event is one scheduled occurrence: an instant, a small caller-defined
 // kind and two operands. The engine never interprets Kind, A or B; its
@@ -38,10 +41,35 @@ func before(x, y entry) bool {
 	return x.key < y.key
 }
 
-// farDelay marks a push as long-horizon. The value sits between the wire
-// and service delays of packet-level models (nanoseconds to a microsecond)
-// and the periods of traffic generators (tens of microseconds and up).
-const farDelay = 8 * Microsecond
+// laneCount is the number of delay lanes. A packet-level model schedules
+// almost every event one of a handful of fixed delays after now: the wire
+// latency, the full-packet service times of its few server kinds, a
+// generator's period. Engine.busy has one bit per lane, so at most 8.
+const laneCount = 8
+
+// lane is an append-only FIFO of events pushed one constant delay after
+// the clock. The clock never runs backwards and seq only grows, so such a
+// stream arrives already in (at, seq) order.
+type lane struct {
+	q    []entry
+	head int
+}
+
+// pop drops the lane's front entry and reports whether the lane drained.
+func (l *lane) pop() bool {
+	l.head++
+	if l.head == len(l.q) {
+		l.q, l.head = l.q[:0], 0 // drained: rewind, keep capacity
+		return true
+	}
+	if l.head >= 64 && l.head > len(l.q)/2 {
+		// Compact the drained prefix so a lane that never drains stays
+		// bounded by its live span, not the run's event total.
+		n := copy(l.q, l.q[l.head:])
+		l.q, l.head = l.q[:n], 0
+	}
+	return false
+}
 
 // Engine is a sequential discrete-event queue. It is not safe for
 // concurrent use; all actors in a simulation share one engine and one
@@ -49,26 +77,30 @@ const farDelay = 8 * Microsecond
 //
 // Events leave in the strict (at, seq) order through three structures:
 //
-//   - heap, a monomorphic 4-ary min-heap (children of i at 4i+1..4i+4).
-//     It halves the depth of a binary heap, and the four children sit on
-//     one or two cache lines.
+//   - lanes, laneCount FIFOs, each holding the pushes made one constant
+//     delay after the clock. A push whose delay has no lane claims a
+//     drained one; a lane that still holds entries never changes its
+//     delay, so each stays sorted and pushes and pops in O(1). The engine
+//     tracks the lane with the least head (lead), so Next compares one
+//     lane head with the heap root and rescans the busy lanes only after
+//     a lane pop.
+//   - heap, a monomorphic 4-ary min-heap (children of i at 4i+1..4i+4)
+//     for the delays that find no lane. It halves the depth of a binary
+//     heap, and the four children sit on one or two cache lines.
 //   - nowq, a FIFO of events scheduled for the current instant: credit
 //     releases, wake-ups, zero-delay chains. Such an event has a larger
-//     seq than every heap or ring entry for the same instant (those were
-//     pushed while the clock was still earlier), so "heap and ring entries
+//     seq than every lane or heap entry for the same instant (those were
+//     pushed while the clock was still earlier), so "lane and heap entries
 //     due now, then the FIFO, then advance" is exactly the (at, seq) order.
-//   - ring, a sorted run of long-horizon events. A periodic generator
-//     fires in phase order and reschedules itself one period out, so each
-//     such push is the latest yet: it appends in O(1) and pops from the
-//     front. A long-horizon push that would break the order goes to heap,
-//     which then stays tens of entries deep under a packet simulation's
-//     short wire-delay churn instead of sifting through every pending tick.
 type Engine struct {
 	now    Time
 	seq    uint64
+	delays [laneCount]Time // lane i's delay; zero while unclaimed
+	busy   uint8           // bit i is set while lane i holds entries
+	lead   int             // the busy lane with the least head, if busy != 0
+	first  entry           // lane lead's head, if busy != 0
+	lanes  [laneCount]lane
 	heap   []entry
-	ring   []entry // sorted; popped from rgHead
-	rgHead int
 	nowq   []entry // popped from nqHead
 	nqHead int
 }
@@ -88,33 +120,48 @@ func (e *Engine) At(t Time, kind uint8, a, b int32) {
 	}
 	e.seq++
 	x := entry{at: t, key: e.seq<<kindBits | uint64(kind), a: a, b: b}
-	switch {
-	case t == e.now:
+	d := t - e.now
+	if d == 0 {
 		e.nowq = append(e.nowq, x)
-	// x carries the largest seq yet, so it sorts after the ring's back
-	// whenever its instant is not earlier.
-	case t-e.now >= farDelay && (e.rgHead == len(e.ring) || t >= e.ring[len(e.ring)-1].at):
-		e.ring = append(e.ring, x)
-	default:
-		heapPush(&e.heap, x)
+		return
+	}
+	i := 0
+	for i < laneCount && e.delays[i] != d {
+		i++
+	}
+	if i == laneCount {
+		// No lane holds d: claim a drained one, or fall back to the heap.
+		if e.busy == 1<<laneCount-1 {
+			heapPush(&e.heap, x)
+			return
+		}
+		i = bits.TrailingZeros8(^e.busy)
+		e.delays[i] = d
+	}
+	l := &e.lanes[i]
+	l.q = append(l.q, x)
+	if e.busy&(1<<i) == 0 {
+		// x heads lane i now; it leads if it precedes the current lead.
+		if e.busy == 0 || before(x, e.first) {
+			e.lead, e.first = i, x
+		}
+		e.busy |= 1 << i
 	}
 }
 
 // Next removes the earliest pending event, advances the clock to it and
 // returns it. It reports false when no event is pending.
 func (e *Engine) Next() (Event, bool) {
-	// The (at, seq) minimum of the heap and ring heads comes first: an
-	// entry due now precedes the FIFO, whichever structure holds it.
-	fromRing := e.rgHead < len(e.ring) && (len(e.heap) == 0 || before(e.ring[e.rgHead], e.heap[0]))
+	// The (at, seq) minimum of the heap root and the lane heads comes
+	// first: an entry due now precedes the FIFO, whichever structure
+	// holds it.
 	var x entry
-	ok := true
-	switch {
-	case fromRing:
-		x = e.ring[e.rgHead]
-	case len(e.heap) > 0:
+	fromLane, ok := false, len(e.heap) > 0
+	if ok {
 		x = e.heap[0]
-	default:
-		ok = false
+	}
+	if e.busy != 0 && (!ok || before(e.first, x)) {
+		x, fromLane, ok = e.first, true, true
 	}
 	if e.nqHead < len(e.nowq) && (!ok || x.at != e.now) {
 		x = e.nowq[e.nqHead]
@@ -126,8 +173,8 @@ func (e *Engine) Next() (Event, bool) {
 	if !ok {
 		return Event{}, false
 	}
-	if fromRing {
-		e.popRing()
+	if fromLane {
+		e.popLead()
 	} else {
 		heapPop(&e.heap)
 	}
@@ -135,22 +182,36 @@ func (e *Engine) Next() (Event, bool) {
 	return x.event(), true
 }
 
+// popLead drops the leading lane's head and finds the new lead among the
+// busy lanes' heads.
+func (e *Engine) popLead() {
+	if e.lanes[e.lead].pop() {
+		e.busy &^= 1 << e.lead
+	}
+	if e.busy == 0 {
+		return
+	}
+	m := e.busy
+	lead := bits.TrailingZeros8(m)
+	head := e.lanes[lead].q[e.lanes[lead].head]
+	for m &= m - 1; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros8(m)
+		if l := &e.lanes[i]; before(l.q[l.head], head) {
+			lead, head = i, l.q[l.head]
+		}
+	}
+	e.lead, e.first = lead, head
+}
+
 // QueueCap returns the combined capacity of the queue's backing arrays, in
 // events. It measures the engine's footprint: a correctly recycling queue
 // stays sized by its peak pending set, not by the run's event total.
-func (e *Engine) QueueCap() int { return cap(e.heap) + cap(e.ring) + cap(e.nowq) }
-
-// popRing drops the ring's front entry.
-func (e *Engine) popRing() {
-	e.rgHead++
-	if e.rgHead == len(e.ring) {
-		e.ring, e.rgHead = e.ring[:0], 0 // drained: rewind, keep capacity
-	} else if e.rgHead >= 64 && e.rgHead > len(e.ring)/2 {
-		// Compact the drained prefix so a continuously refilled ring stays
-		// bounded by its live span, not the run's event total.
-		n := copy(e.ring, e.ring[e.rgHead:])
-		e.ring, e.rgHead = e.ring[:n], 0
+func (e *Engine) QueueCap() int {
+	n := cap(e.heap) + cap(e.nowq)
+	for i := range e.lanes {
+		n += cap(e.lanes[i].q)
 	}
+	return n
 }
 
 // heapPush sifts x up the 4-ary tree. The entry moves as a hole (no

@@ -2,12 +2,14 @@ package sim
 
 import "testing"
 
-// The engine benchmarks exercise the two shapes that dominate the
-// simulator's event traffic: a broad spread of distinct instants (heap
-// reordering) and same-instant bursts (the FIFO tie-break path a lock-step
-// schedule produces when a whole step's transfers land together). They are
-// part of the regression-gated suite (make benchcmp): BENCH_baseline.json
-// pins their latency and allocs/op.
+// The engine benchmarks exercise the shapes that dominate the simulator's
+// event traffic: a broad spread of distinct instants (heap reordering),
+// same-instant bursts (the FIFO tie-break path a lock-step schedule
+// produces when a whole step's transfers land together) and a deep pending
+// set fed at a few constant delays (the lanes a packet simulation fills
+// with wire and service delays). They are part of the regression-gated
+// suite (make benchcmp): BENCH_baseline.json pins their latency and
+// allocs/op.
 
 // benchTimes returns a deterministic pseudorandom schedule of n instants
 // (xorshift; no math/rand so the stream is fixed forever).
@@ -74,5 +76,35 @@ func BenchmarkEngineNestedReschedule(b *testing.B) {
 			}
 		}
 		e.now = 0
+	}
+}
+
+// BenchmarkEngineFewDelays measures a packet simulation's shape at full
+// machine scale: ~5,000 pending events, every pop scheduling its successor
+// at one of five constant delays.
+func BenchmarkEngineFewDelays(b *testing.B) {
+	const pending, n = 5000, 4096
+	delays := [...]Time{250, 1_000, 4_096, 8_192, 20_000}
+	var e Engine
+	k := 0
+	churn := func() {
+		e.Next()
+		e.At(e.Now()+delays[k], 0, 0, 0)
+		if k++; k == len(delays) {
+			k = 0
+		}
+	}
+	for i := 0; i < pending; i++ {
+		e.At(delays[i%len(delays)], 0, 0, 0)
+	}
+	for i := 0; i < 4*pending; i++ { // spread the instants, grow the lanes
+		churn()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < n; j++ {
+			churn()
+		}
 	}
 }

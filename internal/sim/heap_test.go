@@ -12,7 +12,7 @@ import (
 // binary min-heap driven through container/heap in the same (at, seq)
 // order. The differential tests feed both identical event streams and
 // demand identical pop order — the contract that lets the queue's internal
-// split into heap, ring and FIFO stay invisible to every golden trace.
+// split into lanes, heap and FIFO stay invisible to every golden trace.
 type refEntry struct {
 	at  Time
 	seq uint64
@@ -78,14 +78,23 @@ func (d *diffRun) drainAll() bool {
 	return d.pop()
 }
 
+// fillLanes claims every lane with one entry at a distinct delay, base,
+// 2*base, ..., so the next push at any other delay spills to the heap.
+func (d *diffRun) fillLanes(base Time) {
+	for i := 1; i <= laneCount; i++ {
+		d.push(Time(i) * base)
+	}
+}
+
 // TestEventQueueDifferential drives the engine and the container/heap
 // reference with identical (at, seq) streams, interleaving pushes and pops,
 // and asserts the pop sequences match element for element.
 func TestEventQueueDifferential(t *testing.T) {
-	// Random streams mix the three push routes: same-instant (FIFO), short
-	// delays (heap) and long horizons (ring when in order, heap when not).
-	// Clustered instants force plenty of same-instant ties, the case where
-	// only seq keeps the order deterministic.
+	// Random streams mix the push routes: same-instant (FIFO), a few
+	// recurring delays (lanes) and many distinct short and long ones (lanes
+	// while one is free, the heap otherwise). Clustered instants force
+	// plenty of same-instant ties, the case where only seq keeps the order
+	// deterministic.
 	t.Run("random", func(t *testing.T) {
 		f := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
@@ -95,11 +104,11 @@ func TestEventQueueDifferential(t *testing.T) {
 					var delay Time
 					switch rng.Intn(4) {
 					case 1:
-						delay = Time(rng.Intn(64))
+						delay = Time(1+rng.Intn(5)) * 16
 					case 2:
-						delay = farDelay + Time(rng.Intn(4))
+						delay = Time(rng.Intn(64))
 					case 3:
-						delay = farDelay + Time(rng.Intn(64))
+						delay = 8*Microsecond + Time(rng.Intn(64))
 					}
 					d.push(delay)
 				} else if !d.pop() {
@@ -113,31 +122,34 @@ func TestEventQueueDifferential(t *testing.T) {
 		}
 	})
 
-	// Two in-order long-horizon pushes land on one instant; the first pops
-	// and schedules a same-instant event. The second, pushed earlier, must
-	// pop before it: a queue that consults the FIFO before the ring's head
-	// fails here.
-	t.Run("ring-entry-due-now-precedes-fifo", func(t *testing.T) {
+	// Two pushes at one delay share a lane and an instant; the first pops
+	// and schedules two same-instant events. The second lane entry, pushed
+	// earlier, must pop before them: a queue that consults the FIFO before
+	// the lane heads fails here.
+	t.Run("lane-entry-due-now-precedes-fifo", func(t *testing.T) {
 		d := &diffRun{t: t}
-		d.push(farDelay)
-		d.push(farDelay)
+		d.push(8 * Microsecond)
+		d.push(8 * Microsecond)
 		if !d.pop() {
-			t.Fatal("first ring entry")
+			t.Fatal("first lane entry")
 		}
 		d.push(0)
 		d.push(0)
 		if !d.drainAll() {
-			t.Fatal("a ring entry due now did not precede the same-instant FIFO")
+			t.Fatal("a lane entry due now did not precede the same-instant FIFO")
 		}
 	})
 
-	// The same for the heap: an out-of-order long-horizon push and a short
-	// push share an instant with FIFO entries.
+	// The same for the heap: with every lane claimed, two pushes at a new
+	// delay go to the heap and share an instant with a FIFO entry.
 	t.Run("heap-entry-due-now-precedes-fifo", func(t *testing.T) {
 		d := &diffRun{t: t}
-		d.push(farDelay + 10) // ring
-		d.push(farDelay)      // out of order: heap
-		d.push(farDelay)      // heap
+		d.fillLanes(1000)
+		d.push(500)
+		d.push(500)
+		if len(d.e.heap) != 2 {
+			t.Fatalf("heap holds %d entries, want the 2 that found no lane", len(d.e.heap))
+		}
 		if !d.pop() {
 			t.Fatal("first heap entry")
 		}
@@ -147,15 +159,15 @@ func TestEventQueueDifferential(t *testing.T) {
 		}
 	})
 
-	// Periodic generators: each pop reschedules one period out (an in-order
-	// ring push) beside short and same-instant churn, long enough for the
-	// ring to compact its drained prefix many times.
+	// Periodic generators: each pop reschedules one period out (one lane)
+	// beside short and same-instant churn, long enough for that lane to
+	// compact its drained prefix many times.
 	t.Run("periodic-generators", func(t *testing.T) {
 		d := &diffRun{t: t}
 		rng := rand.New(rand.NewSource(3))
-		const period = 3 * farDelay
+		const period = 24 * Microsecond
 		for i := 0; i < 200; i++ {
-			d.push(farDelay + Time(rng.Intn(int(period))))
+			d.push(8*Microsecond + Time(rng.Intn(int(period))))
 		}
 		for i := 0; i < 5000; i++ {
 			if !d.pop() {
@@ -171,6 +183,137 @@ func TestEventQueueDifferential(t *testing.T) {
 		}
 		if !d.drainAll() {
 			t.Fatal("drain")
+		}
+	})
+
+	// More distinct delays than lanes: once all are claimed, the shortest
+	// delays spill to the heap and must still interleave with the lanes'
+	// later entries. A queue that appended them to a lane holding other
+	// delays would pop them late.
+	t.Run("spill-to-heap", func(t *testing.T) {
+		d := &diffRun{t: t}
+		for round := 0; round < 50; round++ {
+			for k := 3 * laneCount; k > 0; k-- {
+				d.push(Time(k) * 7)
+			}
+			for i := 0; i < 2*laneCount; i++ {
+				if !d.pop() {
+					t.Fatalf("round %d pop %d", round, i)
+				}
+			}
+		}
+		if len(d.e.heap) == 0 {
+			t.Fatal("no push spilled to the heap")
+		}
+		if !d.drainAll() {
+			t.Fatal("drain")
+		}
+	})
+
+	// A lane drains and is reclaimed for a new delay while the others still
+	// hold entries; the next new delay finds no lane and takes the heap.
+	t.Run("lane-reclaimed", func(t *testing.T) {
+		d := &diffRun{t: t}
+		d.fillLanes(100)
+		if !d.pop() { // drains the delay-100 lane
+			t.Fatal("first pop")
+		}
+		d.push(30)
+		if len(d.e.heap) != 0 {
+			t.Fatal("a push at a new delay took the heap while a lane was drained")
+		}
+		d.push(30)
+		d.push(7)
+		if len(d.e.heap) != 1 {
+			t.Fatalf("heap holds %d entries, want the 1 that found no lane", len(d.e.heap))
+		}
+		if !d.drainAll() {
+			t.Fatal("drain")
+		}
+	})
+
+	// Two lane heads on one instant: the lane claimed later holds the
+	// smaller seq, so only seq, not lane order, picks the first. A third
+	// lane pops in between, so the tied heads are compared afresh.
+	t.Run("seq-decides-across-lanes", func(t *testing.T) {
+		d := &diffRun{t: t}
+		d.push(10) // lane 0, at 10
+		d.push(20) // lane 1, at 20
+		if !d.pop() {
+			t.Fatal("first pop")
+		}
+		d.push(10) // lane 0, at 20, after lane 1's head
+		d.push(5)  // lane 2, at 15
+		if !d.drainAll() {
+			t.Fatal("lane heads on one instant left out of seq order")
+		}
+	})
+
+	// A lane entry and a heap entry on one instant, in both seq orders.
+	t.Run("lane-and-heap-on-one-instant", func(t *testing.T) {
+		// Heap first: the heap entry was pushed before a reclaimed lane's.
+		d := &diffRun{t: t}
+		d.push(10) // lane 0, at 10
+		for i := 1; i < laneCount; i++ {
+			d.push(Time(i) * 100)
+		}
+		d.push(25) // heap, at 25
+		if !d.pop() {
+			t.Fatal("first pop")
+		}
+		d.push(15) // reclaims lane 0, at 25
+		if !d.drainAll() {
+			t.Fatal("heap entry did not precede a later lane entry on its instant")
+		}
+
+		// Lane first: the lane entry was pushed before the heap's.
+		d = &diffRun{t: t}
+		d.push(25) // lane 0, at 25
+		for i := 1; i < laneCount; i++ {
+			d.push(Time(i) * 100)
+		}
+		d.push(10) // heap, at 10
+		if !d.pop() {
+			t.Fatal("first pop")
+		}
+		d.push(15) // heap, at 25
+		if len(d.e.heap) != 1 {
+			t.Fatalf("heap holds %d entries, want 1", len(d.e.heap))
+		}
+		if !d.drainAll() {
+			t.Fatal("lane entry did not precede a later heap entry on its instant")
+		}
+	})
+}
+
+// FuzzEventQueue drives the engine and the container/heap reference with a
+// byte-coded stream. A byte below 64 pops; a byte below 192 pushes at zero
+// or at one of ten delays, more than there are lanes, so lanes fill and
+// spill; a larger byte pushes at a raw delay taken from it and the next
+// byte, which mostly spills to the heap. Both queues must pop identically
+// and drain together.
+func FuzzEventQueue(f *testing.F) {
+	delays := [...]Time{0, 0, 1, 3, 7, 10, 13, 64, 100, 500, 4096, 8 * Microsecond}
+	f.Add([]byte{64, 65, 66, 0, 67, 0, 0})
+	f.Add([]byte{200, 1, 201, 7, 64, 0, 202, 9, 68, 0, 0, 0})
+	f.Add([]byte{65, 66, 67, 68, 69, 70, 71, 72, 73, 74, 75, 0, 80, 0, 64, 0, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		d := &diffRun{t: t}
+		for i := 0; i < len(ops); i++ {
+			switch b := ops[i]; {
+			case b < 64:
+				if !d.pop() {
+					t.Fatalf("op %d: pop mismatch", i)
+				}
+			case b < 192:
+				d.push(delays[int(b)%len(delays)])
+			case i+1 < len(ops):
+				i++
+				d.push(Time(b&63)<<8 | Time(ops[i]))
+			}
+		}
+		if !d.drainAll() {
+			t.Fatal("drain mismatch")
 		}
 	})
 }
@@ -257,6 +400,32 @@ func TestEngineSteadyStateZeroAllocs(t *testing.T) {
 	cycle() // warm-up: grow the backing arrays once
 	if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
 		t.Fatalf("steady-state schedule/drain cycle allocates %.1f times, want 0", avg)
+	}
+
+	// Lane steady state: a deep pending set where each pop schedules one
+	// successor at one of five delays, so the lanes never drain and must
+	// compact their drained prefixes in place. The initial set spills to
+	// the heap; the warm-up churns drain it.
+	var l Engine
+	delays := [...]Time{40, 300, 1100, 2500, 9000}
+	for i := 0; i < 1024; i++ {
+		l.At(Time(i), 0, 0, 0)
+	}
+	i := 0
+	churn := func() {
+		for j := 0; j < 1024; j++ {
+			l.Next()
+			l.At(l.Now()+delays[i%len(delays)], 0, 0, 0)
+			i++
+		}
+	}
+	churn()
+	churn()
+	if avg := testing.AllocsPerRun(50, churn); avg != 0 {
+		t.Fatalf("lane steady state allocates %.1f times per 1024 events, want 0", avg)
+	}
+	if len(l.heap) != 0 {
+		t.Fatalf("lane steady state spilled %d entries to the heap", len(l.heap))
 	}
 }
 
