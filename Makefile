@@ -9,7 +9,7 @@ GO ?= go
 COVER_PKGS = ./internal/core ./internal/sweep ./internal/sim ./internal/noc
 COVER_FLOOR = 80
 
-.PHONY: build test vet check cover loc fuzz bench benchcmp profile profile-noc regen-check golden trace-smoke serve-smoke cluster-smoke store-smoke crossover-smoke
+.PHONY: build bench-build test vet check cover loc fuzz bench benchcmp profile profile-noc regen-check golden trace-smoke serve-smoke cluster-smoke store-smoke crossover-smoke
 
 # Benchmarks gated by the regression check (make benchcmp). Engine covers the
 # event queue, Execute covers the plan-replay hot path, Store covers the
@@ -27,19 +27,25 @@ GATED_PKGS = ./internal/sim ./internal/core ./internal/store ./internal/noc ./in
 build:
 	$(GO) build ./...
 
+# Type-check the benchmark module (bench/), which imports internal packages:
+# an internal API change that breaks bench/run.sh fails here. go vet writes
+# nothing, where go build would leave a bench/bench binary in the tree.
+bench-build:
+	cd bench && $(GO) vet ./...
+
 test:
 	$(GO) test ./...
 
 vet:
 	$(GO) vet ./...
 
-# The CI gate: static analysis, the race-enabled suite (which includes the
+# The CI gate: static analysis (the benchmark module included), the race-enabled suite (which includes the
 # persistent store's crash/corruption/concurrency battery), and the coverage
 # floor must all pass. The benchmark-regression gate runs soft by default
 # (benchmarks are noisy on shared machines); set BENCH_STRICT=1 to make a
 # regression fail the build.
 check:
-	$(MAKE) vet && $(GO) test -race ./... && $(MAKE) cover && $(MAKE) trace-smoke && $(MAKE) serve-smoke && $(MAKE) cluster-smoke && $(MAKE) store-smoke && $(MAKE) crossover-smoke
+	$(MAKE) vet && $(MAKE) bench-build && $(GO) test -race ./... && $(MAKE) cover && $(MAKE) trace-smoke && $(MAKE) serve-smoke && $(MAKE) cluster-smoke && $(MAKE) store-smoke && $(MAKE) crossover-smoke
 	@if [ "$(BENCH_STRICT)" = "1" ]; then \
 		$(MAKE) benchcmp; \
 	else \

@@ -2,9 +2,10 @@
 // interconnect. It models the three network tiers (inter-bank ring,
 // inter-chip crossbar, inter-rank bus), compiles collective requests into
 // statically scheduled, contention-checked transfer plans (Table V), and
-// generates the per-bank addresses and timing offsets of the paper's
-// Algorithm 1. The executor charges every transfer against the shared
-// tier resources, producing the latency breakdowns the evaluation reports.
+// executes them in lock step. The executor charges every transfer against
+// the shared tier resources, producing the latency breakdowns the
+// evaluation reports; its phase starts realize the per-bank timing offsets
+// of the paper's Algorithm 1, which a test pins against the algorithm.
 package core
 
 import "fmt"

@@ -1,6 +1,38 @@
 package noc
 
-import "pimnet/internal/sim"
+import (
+	"pimnet/internal/config"
+	"pimnet/internal/sim"
+)
+
+// tiers are the fabric's rates and latencies.
+type tiers struct {
+	ring, chip, bus float64  // bytes/s: one ring segment, one DQ port, the shared bus
+	hop             sim.Time // wire latency charged on every hop
+	start           sim.Time // static mode's READY/START propagation
+}
+
+// tableIV is the paper's Table IV as internal/config states it for the
+// link-reservation model (core), read once here so the two network models
+// share every rate. Two fidelity differences from core are kept, so the
+// NoC golden corpus and the Fig. 13 / A4 tables stay byte-identical:
+//
+//   - every hop (ring segment, DQ port, bus) costs one wire latency, the
+//     inter-chip hop's; core charges each tier its own (bank hop, chip hop
+//     plus switch, bus);
+//   - static mode's START costs the whole-PIMnet READY/START propagation
+//     for every shape, where core.Network.SyncLatency scopes it to the
+//     tiers the shape spans.
+var tableIV = func() tiers {
+	sys := config.Default()
+	return tiers{
+		ring:  sys.BankRingBW(),
+		chip:  sys.Net.ChipChannelBW,
+		bus:   sys.Net.RankBusBW,
+		hop:   sys.Net.ChipHopLat,
+		start: sys.Net.SyncRankLat,
+	}
+}()
 
 // The PIMnet hop graph, flattened. Hops are not objects: a hop is an int32
 // id into dense arenas, laid out so every structural property — tier, rate,
@@ -87,11 +119,11 @@ func buildFabric(cfg Config) *fabric {
 func (f *fabric) rate(h int32) float64 {
 	switch {
 	case h < f.outBase:
-		return f.cfg.RingRate
+		return tableIV.ring
 	case h < f.busID:
-		return f.cfg.ChipRate
+		return tableIV.chip
 	default:
-		return f.cfg.BusRate
+		return tableIV.bus
 	}
 }
 

@@ -117,7 +117,8 @@ func goldenCases() []goldenCase {
 		cases = append(cases, goldenCase{
 			name: fmt.Sprintf("traffic_uniform_%d", dpus),
 			run: func() (goldenResult, error) {
-				res, err := SimulateUniformRandom(goldenShape(dpus), 10e6, sim.Millisecond, 7)
+				res, err := SimulateTraffic(goldenShape(dpus), TrafficSpec{Pattern: Uniform,
+					PerNodeBps: 10e6, Duration: sim.Millisecond, Seed: 7})
 				return fromTraffic(res), err
 			},
 		})

@@ -141,7 +141,7 @@ type network struct {
 func newNetwork(f *fabric, cfg Config) *network {
 	nw := &network{
 		f:       f,
-		lat:     cfg.HopLatency,
+		lat:     tableIV.hop,
 		cap:     int32(cfg.BufferPackets),
 		hops:    make([]hopState, f.numHops),
 		pktFree: nilIdx,

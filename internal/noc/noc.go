@@ -30,6 +30,11 @@
 // adversarial permutation workloads under both flow-control modes — the
 // standard NoC-evaluation methodology at full-machine scale.
 //
+// The fabric's tier rates and latencies are the paper's Table IV as
+// internal/config states it, the same values the link-reservation model
+// (core) charges; Config carries only the shape and the two knobs core
+// lacks, hop buffer depth and packet size.
+//
 // The simulator core is a flat, index-based design built for that scale:
 // hops live in one arena addressed by int32 ids, per-hop queues are ring
 // buffers, waiter lists are intrusive index chains, packet paths are
@@ -75,27 +80,23 @@ func ParseMode(s string) (Mode, error) {
 	return 0, fmt.Errorf("noc: unknown mode %q (want credit or static)", s)
 }
 
-// Config sizes the simulated network (one memory channel).
+// Config sizes the simulated network (one memory channel) and sets the two
+// knobs the packet model has that the link-reservation model (core) does
+// not. The fabric's rates and latencies are not part of it: they are
+// Table IV as internal/config states it (see tableIV).
 type Config struct {
 	Ranks, Chips, Banks int
-	RingRate            float64 // bytes/s per ring hop
-	ChipRate            float64 // bytes/s per DQ port
-	BusRate             float64 // bytes/s on the shared bus
-	HopLatency          sim.Time
 	BufferPackets       int   // input-buffer depth per hop, in packets (both modes)
 	PacketBytes         int64 // segmentation size
-	SyncLatency         sim.Time
 }
 
-// DefaultConfig mirrors the PIMnet tier parameters (Table IV).
+// DefaultConfig returns the given shape with 2-packet hop buffers and
+// 1 KiB packets.
 func DefaultConfig(ranks, chips, banks int) Config {
 	return Config{
 		Ranks: ranks, Chips: chips, Banks: banks,
-		RingRate: 1.4e9, ChipRate: 1.05e9, BusRate: 16.8e9,
-		HopLatency:    4 * sim.Nanosecond,
 		BufferPackets: 2,
 		PacketBytes:   1024,
-		SyncLatency:   15 * sim.Nanosecond,
 	}
 }
 
@@ -106,8 +107,6 @@ func (c Config) validate() error {
 	switch {
 	case c.Ranks < 1 || c.Chips < 1 || c.Banks < 1:
 		return fmt.Errorf("noc: topology %dx%dx%d", c.Ranks, c.Chips, c.Banks)
-	case c.RingRate <= 0 || c.ChipRate <= 0 || c.BusRate <= 0:
-		return fmt.Errorf("noc: non-positive rate")
 	case c.BufferPackets < 1:
 		return fmt.Errorf("noc: buffer depth %d", c.BufferPackets)
 	case c.PacketBytes < 1:

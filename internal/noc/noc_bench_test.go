@@ -37,10 +37,11 @@ func BenchmarkNocAllReduce256(b *testing.B) {
 
 func BenchmarkNocTraffic2560(b *testing.B) {
 	cfg := DefaultConfig(4, 8, 80)
+	spec := TrafficSpec{Pattern: Uniform, PerNodeBps: 10e6, Duration: sim.Millisecond, Seed: 7}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SimulateUniformRandom(cfg, 10e6, sim.Millisecond, 7); err != nil {
+		if _, err := SimulateTraffic(cfg, spec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -52,10 +52,9 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatalf("nodes = %d", good.Nodes())
 	}
 	bad := []Config{
-		{Ranks: 0, Chips: 1, Banks: 1, RingRate: 1, ChipRate: 1, BusRate: 1, BufferPackets: 1, PacketBytes: 1},
-		{Ranks: 1, Chips: 1, Banks: 1, RingRate: 0, ChipRate: 1, BusRate: 1, BufferPackets: 1, PacketBytes: 1},
-		{Ranks: 1, Chips: 1, Banks: 1, RingRate: 1, ChipRate: 1, BusRate: 1, BufferPackets: 0, PacketBytes: 1},
-		{Ranks: 1, Chips: 1, Banks: 1, RingRate: 1, ChipRate: 1, BusRate: 1, BufferPackets: 1, PacketBytes: 0},
+		{Ranks: 0, Chips: 1, Banks: 1, BufferPackets: 1, PacketBytes: 1},
+		{Ranks: 1, Chips: 1, Banks: 1, BufferPackets: 0, PacketBytes: 1},
+		{Ranks: 1, Chips: 1, Banks: 1, BufferPackets: 1, PacketBytes: 0},
 	}
 	for i, c := range bad {
 		if _, err := SimulateAllReduce(c, CreditBased, flat(c.Nodes(), 0), 1024); err == nil {

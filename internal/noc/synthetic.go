@@ -168,14 +168,6 @@ func SimulateTraffic(cfg Config, spec TrafficSpec) (TrafficResult, error) {
 	return res, nil
 }
 
-// SimulateUniformRandom drives the network with uniform-random traffic at
-// the given per-node offered rate (bytes/second) for the given simulated
-// duration and returns throughput/latency statistics.
-func SimulateUniformRandom(cfg Config, perNodeBps float64, duration sim.Time, seed int64) (TrafficResult, error) {
-	return SimulateTraffic(cfg, TrafficSpec{Pattern: Uniform, PerNodeBps: perNodeBps,
-		Duration: duration, Seed: seed})
-}
-
 // LoadSweepPoint is one sample of a latency-throughput curve.
 type LoadSweepPoint struct {
 	OfferedBps  float64
@@ -186,12 +178,13 @@ type LoadSweepPoint struct {
 	P99Latency  sim.Time
 }
 
-// LoadSweep runs SimulateUniformRandom across offered rates and returns the
+// LoadSweep runs uniform-random traffic across offered rates and returns the
 // latency-throughput curve. Rates are per node, bytes/second.
 func LoadSweep(cfg Config, rates []float64, duration sim.Time, seed int64) ([]LoadSweepPoint, error) {
 	var out []LoadSweepPoint
 	for _, r := range rates {
-		res, err := SimulateUniformRandom(cfg, r, duration, seed)
+		res, err := SimulateTraffic(cfg, TrafficSpec{Pattern: Uniform, PerNodeBps: r,
+			Duration: duration, Seed: seed})
 		if err != nil {
 			return nil, err
 		}

@@ -8,30 +8,34 @@ import (
 
 func TestUniformRandomValidation(t *testing.T) {
 	cfg := DefaultConfig(2, 2, 4)
-	if _, err := SimulateUniformRandom(cfg, 0, sim.Millisecond, 1); err == nil {
+	ok := TrafficSpec{Pattern: Uniform, PerNodeBps: 1e6, Duration: sim.Millisecond, Seed: 1}
+	zeroRate, zeroDur := ok, ok
+	zeroRate.PerNodeBps = 0
+	zeroDur.Duration = 0
+	if _, err := SimulateTraffic(cfg, zeroRate); err == nil {
 		t.Fatal("zero rate accepted")
 	}
-	if _, err := SimulateUniformRandom(cfg, 1e6, 0, 1); err == nil {
+	if _, err := SimulateTraffic(cfg, zeroDur); err == nil {
 		t.Fatal("zero duration accepted")
 	}
-	one := DefaultConfig(1, 1, 1)
-	if _, err := SimulateUniformRandom(one, 1e6, sim.Millisecond, 1); err == nil {
+	if _, err := SimulateTraffic(DefaultConfig(1, 1, 1), ok); err == nil {
 		t.Fatal("single-node traffic accepted")
 	}
 	bad := cfg
 	bad.PacketBytes = 0
-	if _, err := SimulateUniformRandom(bad, 1e6, sim.Millisecond, 1); err == nil {
+	if _, err := SimulateTraffic(bad, ok); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
 
 func TestUniformRandomDeterministic(t *testing.T) {
 	cfg := DefaultConfig(2, 4, 4)
-	a, err := SimulateUniformRandom(cfg, 10e6, sim.Millisecond, 9)
+	spec := TrafficSpec{Pattern: Uniform, PerNodeBps: 10e6, Duration: sim.Millisecond, Seed: 9}
+	a, err := SimulateTraffic(cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimulateUniformRandom(cfg, 10e6, sim.Millisecond, 9)
+	b, err := SimulateTraffic(cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +46,8 @@ func TestUniformRandomDeterministic(t *testing.T) {
 
 func TestUniformRandomDelivery(t *testing.T) {
 	cfg := DefaultConfig(2, 4, 4)
-	res, err := SimulateUniformRandom(cfg, 10e6, 2*sim.Millisecond, 3)
+	res, err := SimulateTraffic(cfg, TrafficSpec{Pattern: Uniform, PerNodeBps: 10e6,
+		Duration: 2 * sim.Millisecond, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +82,7 @@ func TestLoadSweepSaturates(t *testing.T) {
 	// Accepted goodput is capped by the shared bus: with uniform traffic
 	// ~3/4 of all bytes cross ranks, so per-node acceptance cannot exceed
 	// busBW/(0.75*n) plus slack.
-	cap := cfg.BusRate / (0.75 * float64(cfg.Nodes())) * 1.3
+	cap := tableIV.bus / (0.75 * float64(cfg.Nodes())) * 1.3
 	for _, p := range pts {
 		if p.AcceptedBps > cap {
 			t.Fatalf("accepted %v exceeds bisection cap %v", p.AcceptedBps, cap)

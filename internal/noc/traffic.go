@@ -208,7 +208,7 @@ func runScripts(cfg Config, mode Mode, computeDone []sim.Time, scripts []nodeScr
 				start = t
 			}
 		}
-		start += cfg.SyncLatency
+		start += tableIV.start
 		release = make([]sim.Time, n)
 		for i := range release {
 			release[i] = start

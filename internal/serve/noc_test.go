@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -181,12 +180,11 @@ func TestNocSweepCoalesces(t *testing.T) {
 	}
 }
 
-// TestNocPointKeyNamesRawValues: a NoC cell's identity hashes every field by
-// raw value. Timings one picosecond apart are different cells, although
-// sim.Time's String form rounds them to the same text, and a field added to
+// TestNocPointKeyNamesRawValues: a NoC cell's identity hashes every field of
+// the cell, so changing any one of them changes the key, and a field added to
 // the cell must be added to point.key too.
 func TestNocPointKeyNamesRawValues(t *testing.T) {
-	if n := reflect.TypeOf(noc.Config{}).NumField(); n != 10 {
+	if n := reflect.TypeOf(noc.Config{}).NumField(); n != 5 {
 		t.Fatalf("noc.Config has %d fields; name the new ones in point.key, then update this count", n)
 	}
 	if n := reflect.TypeOf(noc.PatternPoint{}).NumField(); n != 6 {
@@ -203,12 +201,16 @@ func TestNocPointKeyNamesRawValues(t *testing.T) {
 		t.Fatal("equal cells have different keys")
 	}
 	for name, edit := range map[string]func(*noc.PatternPoint){
-		"hop latency":  func(p *noc.PatternPoint) { p.Config.HopLatency++ },
-		"sync latency": func(p *noc.PatternPoint) { p.Config.SyncLatency++ },
-		"ring rate":    func(p *noc.PatternPoint) { p.Config.RingRate = math.Nextafter(p.Config.RingRate, 2e9) },
-		"buffer":       func(p *noc.PatternPoint) { p.Config.BufferPackets++ },
-		"mode":         func(p *noc.PatternPoint) { p.Mode = noc.StaticScheduled },
-		"seed":         func(p *noc.PatternPoint) { p.Seed++ },
+		"ranks":          func(p *noc.PatternPoint) { p.Config.Ranks++ },
+		"chips":          func(p *noc.PatternPoint) { p.Config.Chips++ },
+		"banks":          func(p *noc.PatternPoint) { p.Config.Banks++ },
+		"buffer":         func(p *noc.PatternPoint) { p.Config.BufferPackets++ },
+		"packet bytes":   func(p *noc.PatternPoint) { p.Config.PacketBytes++ },
+		"mode":           func(p *noc.PatternPoint) { p.Mode = noc.StaticScheduled },
+		"pattern":        func(p *noc.PatternPoint) { p.Pattern = noc.Transpose },
+		"bytes per node": func(p *noc.PatternPoint) { p.BytesPerNode++ },
+		"steps":          func(p *noc.PatternPoint) { p.Steps++ },
+		"seed":           func(p *noc.PatternPoint) { p.Seed++ },
 	} {
 		if cell(edit).key() == base {
 			t.Errorf("%s: a different cell has the same key", name)

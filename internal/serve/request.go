@@ -161,14 +161,13 @@ const keyTag = "point-record/v2"
 // result store's key. It names every field that can change the result — the
 // core.PlanKey digest (system shape x collective request x step overhead)
 // plus the fields that change the result without changing the plan, or
-// every field of the NoC cell by raw value (floats in exact binary form).
+// every field of the NoC cell by raw value.
 func (pt point) key() string {
 	h := sha256.New()
 	if c := pt.noc; c != nil {
 		n := c.Config
-		fmt.Fprintf(h, "%s\x00noc\x00%d\x00%d\x00%d\x00%b\x00%b\x00%b\x00%d\x00%d\x00%d\x00%d\x00%d\x00%d\x00%d\x00%d\x00%d",
-			keyTag, n.Ranks, n.Chips, n.Banks, n.RingRate, n.ChipRate, n.BusRate, int64(n.HopLatency),
-			n.BufferPackets, n.PacketBytes, int64(n.SyncLatency),
+		fmt.Fprintf(h, "%s\x00noc\x00%d\x00%d\x00%d\x00%d\x00%d\x00%d\x00%d\x00%d\x00%d\x00%d",
+			keyTag, n.Ranks, n.Chips, n.Banks, n.BufferPackets, n.PacketBytes,
 			int(c.Mode), int(c.Pattern), c.BytesPerNode, c.Steps, c.Seed)
 	} else {
 		fmt.Fprintf(h, "%s\x00%s\x00%s\x00%s\x00%t\x00%d\x00%s\x00%d\x00%s", keyTag, pt.planKey,

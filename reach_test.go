@@ -24,7 +24,6 @@ var reachAllowlist = map[string]string{
 	"config.System.TotalDPUs":         "method of pimnet.System, which the root package re-exports",
 	"trace.Recorder.Dropped":          "method of *trace.Recorder, which pimnet.NewTraceRecorder returns",
 	"sim.Engine.QueueCap":             "footprint probe: noc's TestSaturatedRunBoundedPeakHeap bounds the queue's capacity across the package boundary",
-	"core/addrgen.go":                 "paper Algorithm 1; ROADMAP item 1 decides whether it feeds the static NoC schedule or goes",
 }
 
 // TestEveryInternalExportIsReached fails when an exported top-level function
