@@ -67,21 +67,13 @@ func RMAT(cfg RMATConfig) (*Graph, error) {
 	// list in place: the same edges, in the same order, as sorting and
 	// compacting all directed keys, with half the scratch.
 	draws := make([]uint64, 0, cfg.Edges)
+	a, ab, abc := cfg.A, cfg.A+cfg.B, cfg.A+cfg.B+cfg.C
 	for i := int64(0); i < cfg.Edges; i++ {
 		var u, v int
 		for l := 0; l < levels; l++ {
-			r := rng.Float64()
-			switch {
-			case r < cfg.A:
-				// upper-left: nothing set
-			case r < cfg.A+cfg.B:
-				v |= 1 << l
-			case r < cfg.A+cfg.B+cfg.C:
-				u |= 1 << l
-			default:
-				u |= 1 << l
-				v |= 1 << l
-			}
+			du, dv := quadrant(rng.Float64(), a, ab, abc)
+			u |= du << l
+			v |= dv << l
 		}
 		u %= cfg.Vertices
 		v %= cfg.Vertices
@@ -119,6 +111,24 @@ func RMAT(cfg RMATConfig) (*Graph, error) {
 	g.Offsets[cfg.Vertices] = w
 	g.Edges = g.Edges[:w]
 	return g, nil
+}
+
+// quadrant returns the (row, column) bits of the recursive quadrant that
+// draw r picks at one level, given the cumulative quadrant probabilities a,
+// ab = A+B and abc = A+B+C: upper-left (0, 0) below a, upper-right (0, 1)
+// below ab, lower-left (1, 0) below abc, else lower-right (1, 1). The row
+// bit is r >= ab; the column bit is odd exactly in the upper-right and
+// lower-right bands, the parity of r >= a, r >= ab and r >= abc. The draws
+// are uniform, so a branch on r would mispredict often; the comparisons
+// compile to flag sets.
+func quadrant(r, a, ab, abc float64) (u, v int) {
+	ge := func(x float64) int {
+		if r >= x {
+			return 1
+		}
+		return 0
+	}
+	return ge(ab), ge(a) ^ ge(ab) ^ ge(abc)
 }
 
 // BFSResult records one breadth-first traversal.

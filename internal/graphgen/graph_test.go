@@ -1,6 +1,8 @@
 package graphgen
 
 import (
+	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 )
@@ -220,6 +222,50 @@ func TestPartitionEdges(t *testing.T) {
 	}
 	if m := MaxPartitionEdges(PartitionEdges(g, 4)); m <= 0 || m > g.M() {
 		t.Fatalf("max partition edges = %d", m)
+	}
+}
+
+// TestQuadrantMatchesSwitch checks the branch-free quadrant pick against the
+// four-way switch it replaces, at every band boundary, one ulp to each side
+// of it, the ends of [0, 1), and a run of random draws. The tiny-B and
+// tiny-C shapes make A+B == A or A+B+C == A+B in float64, so an empty band
+// must pick nothing.
+func TestQuadrantMatchesSwitch(t *testing.T) {
+	for _, cfg := range []RMATConfig{
+		LogGowalla(),
+		{A: 0.25, B: 0.25, C: 0.25},
+		{A: 0.5, B: 1e-17, C: 0.25},
+		{A: 0.5, B: 0.2, C: 1e-17},
+		{A: 1e-300, B: 0.5, C: 0.25},
+	} {
+		a, ab, abc := cfg.A, cfg.A+cfg.B, cfg.A+cfg.B+cfg.C
+		want := func(r float64) (u, v int) {
+			switch {
+			case r < cfg.A:
+			case r < cfg.A+cfg.B:
+				v = 1
+			case r < cfg.A+cfg.B+cfg.C:
+				u = 1
+			default:
+				u, v = 1, 1
+			}
+			return u, v
+		}
+		draws := []float64{0, math.Nextafter(1, 0)}
+		for _, x := range []float64{a, ab, abc} {
+			draws = append(draws, math.Nextafter(x, 0), x, math.Nextafter(x, 1))
+		}
+		rng := rand.New(rand.NewSource(1))
+		for range 10000 {
+			draws = append(draws, rng.Float64())
+		}
+		for _, r := range draws {
+			u, v := quadrant(r, a, ab, abc)
+			if wu, wv := want(r); u != wu || v != wv {
+				t.Fatalf("A/B/C %v/%v/%v, r = %v: quadrant bits (%d, %d), switch picks (%d, %d)",
+					cfg.A, cfg.B, cfg.C, r, u, v, wu, wv)
+			}
+		}
 	}
 }
 

@@ -28,10 +28,10 @@ func TestSteadyStatePacketPathZeroAllocs(t *testing.T) {
 			if dst == src {
 				dst = (dst + 1) % n
 			}
-			p := nw.allocPacket()
+			nw.uidNext++
 			off, plen := f.path(src, dst)
-			pk := &nw.pkts[p]
-			pk.bytes, pk.born, pk.pathOff, pk.pathLen = cfg.PacketBytes, t0, off, plen
+			p := nw.allocPacket(packet{bytes: cfg.PacketBytes, born: t0, uid: nw.uidNext,
+				pathOff: off, pathLen: plen, msg: nilIdx})
 			nw.inject(p, t0)
 		}
 		nw.run()
@@ -66,15 +66,7 @@ func TestSaturatedRunBoundedPeakHeap(t *testing.T) {
 	if res.PacketsDelivered < 50000 {
 		t.Fatalf("run delivered only %d packets; not a saturating workload", res.PacketsDelivered)
 	}
-
-	// Live packets are bounded by in-flight messages (<= 1 per node) times
-	// packets per message, not by the run length.
-	if max := int32(n * 32); nw.pktPeak > max {
-		t.Errorf("peak live packets %d exceeds occupancy bound %d", nw.pktPeak, max)
-	}
-	if got, peak := int32(len(nw.pkts)), nw.pktPeak; got != peak {
-		t.Errorf("packet arena holds %d slots, want exactly the peak %d", got, peak)
-	}
+	checkPacketArena(t, nw, cfg)
 	// The engine's lanes, heap and FIFO are sized by the peak pending set,
 	// about one event per hop and node, not by the run's event total.
 	if got := int64(nw.eng.QueueCap()); got > res.PacketsDelivered/100 {
@@ -86,5 +78,39 @@ func TestSaturatedRunBoundedPeakHeap(t *testing.T) {
 		if got := len(nw.hops[h].q); got > 8*cfg.BufferPackets {
 			t.Errorf("hop %d ring grew to %d slots (buffer depth %d)", h, got, cfg.BufferPackets)
 		}
+	}
+}
+
+// TestTransposePacketArenaBoundedByOccupancy runs the credit-mode transpose
+// cell of pimnetbench -fig noc: 2560 nodes, two steps of 32-packet
+// messages. When every segment became a packet at send, a step's 81,920
+// packets were all live at once; made as credits free, they stay within
+// hop occupancy.
+func TestTransposePacketArenaBoundedByOccupancy(t *testing.T) {
+	cfg := DefaultConfig(4, 8, 80)
+	n := cfg.Nodes()
+	nw, res, err := runScripts(cfg, CreditBased, make([]sim.Time, n),
+		patternScripts(Transpose, n, 2, 32<<10, 42), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(2 * n * 32); res.PacketsDelivered != want {
+		t.Fatalf("delivered %d packets, want %d", res.PacketsDelivered, want)
+	}
+	checkPacketArena(t, nw, cfg)
+}
+
+// checkPacketArena asserts that the run's live packets never exceeded hop
+// occupancy: BufferPackets+2 per hop (a full buffer plus packets crossing a
+// wire into it) and one segment per node waiting for its first hop's
+// credit. The bound does not grow with message size or run length, and the
+// arena holds exactly the peak.
+func checkPacketArena(t *testing.T, nw *network, cfg Config) {
+	t.Helper()
+	if max := nw.f.numHops*int32(cfg.BufferPackets+2) + int32(cfg.Nodes()); nw.pktPeak > max {
+		t.Errorf("peak live packets %d exceeds occupancy bound %d", nw.pktPeak, max)
+	}
+	if got, peak := int32(len(nw.pkts)), nw.pktPeak; got != peak {
+		t.Errorf("packet arena holds %d slots, want exactly the peak %d", got, peak)
 	}
 }

@@ -12,24 +12,36 @@ import "pimnet/internal/sim"
 //   - each hop's buffered packets sit in a power-of-two ring buffer carved
 //     from one shared backing array (no q = q[1:] reslicing, which pinned
 //     the whole backing array for the run);
-//   - waiters (blocked upstream hops, packets awaiting an injection credit)
-//     form intrusive FIFO chains of int32 ids threaded through the hop and
-//     packet arenas — no closure slices;
-//   - packets and message groups are free-list arenas;
+//   - waiters (blocked upstream hops, packets awaiting an injection credit,
+//     blocks) form intrusive FIFO chains of int32 ids threaded through the
+//     hop, packet and block arenas — no closure slices;
+//   - packets, message groups and blocks are free-list arenas;
+//   - a message's segments become packets only when its first hop has room:
+//     the unsent rest of a message waits as one block, which turns its next
+//     segment into a packet per credit freed, so live packets are bounded
+//     by hop occupancy rather than by the messages in flight;
 //   - events are plain values on the engine's queue: a kind and two int32
 //     operands, dispatched by one switch in run.
 //
 // The event flow is call-for-call identical to the original closure design:
 // the same events are scheduled at the same instants in the same order,
-// which is what keeps results bit-identical to the pre-rewrite
-// implementation (locked by testdata/golden).
+// and every packet keeps the uid, size and birth time it had when all of a
+// message's packets were made at send. That is what keeps results
+// bit-identical to the pre-rewrite implementation (locked by
+// testdata/golden and TestDeliveryStreamDigest).
 
 const nilIdx = int32(-1)
 
-// Waiter ids encode their arena in the low bit: hop h -> h<<1, packet p ->
-// p<<1|1. The chain links live in hopState.waitNext / packet.waitNext.
-func encHopWaiter(h int32) int32 { return h << 1 }
-func encPktWaiter(p int32) int32 { return p<<1 | 1 }
+// Waiter ids encode their arena in the low bits: hop h -> h<<1, packet p ->
+// p<<2|1, block b -> b<<2|3, so the hops, the commonest waiters, take one
+// bit test. The chain links live in hopState.waitNext, packet.waitNext and
+// block.waitNext.
+func encHopWaiter(h int32) int32   { return h << 1 }
+func encPktWaiter(p int32) int32   { return p<<2 | 1 }
+func encBlockWaiter(b int32) int32 { return b<<2 | 3 }
+
+// isBlockWaiter reports whether waiter w is a block.
+func isBlockWaiter(w int32) bool { return w&3 == 3 }
 
 // hopState is one hop's dynamic state.
 type hopState struct {
@@ -85,6 +97,25 @@ type packet struct {
 	waitNext int32 // waiter chain link; doubles as the free-list link
 }
 
+// block is the unsent rest of one message, segments seg..segs-1, waiting
+// as one waiter in its first hop's credit FIFO. Its segments are not
+// packets yet: each credit the hop frees hands out the next one, and the
+// block keeps its FIFO place until its last segment leaves. Segment j is
+// the packet of uid uid0+j holding bytes [j*PacketBytes, (j+1)*PacketBytes)
+// of the message, so a message keeps the uids and sizes it would have had
+// as packets made at send.
+type block struct {
+	born     sim.Time
+	uid0     int64
+	bytes    int64 // the whole message
+	pathOff  int32
+	pathLen  int32
+	msg      int32
+	seg      int32 // next segment to hand out
+	segs     int32
+	waitNext int32 // waiter chain link; doubles as the free-list link
+}
+
 // msgGroup tracks the undelivered packets of one logical message.
 type msgGroup struct {
 	outstanding int32
@@ -99,7 +130,7 @@ const (
 	evFinish uint8 = iota // a = hop, b = packet: service completed
 	evAdmit               // a = hop, b = packet: arrival after wire latency
 	evArrive              // a = packet: delivery out of the network
-	evWake                // a = encoded waiter: buffer credit released
+	evWake                // a = encoded waiter, b = block segment: buffer credit released
 	evTry                 // a = node: collective injection gate check
 	evSend                // a = node, b = step: segment + inject one message
 	evTick                // a = node: open-loop traffic generator
@@ -125,6 +156,9 @@ type network struct {
 	msgs    []msgGroup
 	msgFree int32
 
+	blocks    []block
+	blockFree int32
+
 	coll *collDriver
 	traf *trafDriver
 
@@ -140,12 +174,13 @@ type network struct {
 
 func newNetwork(f *fabric, cfg Config) *network {
 	nw := &network{
-		f:       f,
-		lat:     tableIV.hop,
-		cap:     int32(cfg.BufferPackets),
-		hops:    make([]hopState, f.numHops),
-		pktFree: nilIdx,
-		msgFree: nilIdx,
+		f:         f,
+		lat:       tableIV.hop,
+		cap:       int32(cfg.BufferPackets),
+		hops:      make([]hopState, f.numHops),
+		pktFree:   nilIdx,
+		msgFree:   nilIdx,
+		blockFree: nilIdx,
 	}
 	// One backing array holds every hop's initial ring window. A hop that
 	// overshoots its window (possible: a same-instant credit wake admits on
@@ -176,7 +211,7 @@ func (nw *network) run() sim.Time {
 		case evArrive:
 			nw.arrive(a, t)
 		case evWake:
-			nw.wake(a, t)
+			nw.wake(a, b, t)
 		case evTry:
 			nw.coll.tryInject(nw, a)
 		case evSend:
@@ -189,9 +224,9 @@ func (nw *network) run() sim.Time {
 }
 
 // allocPacket takes a packet slot from the free list (or grows the arena)
-// and stamps a fresh uid. Callers must not hold *packet across this call:
-// arena growth moves it.
-func (nw *network) allocPacket() int32 {
+// and stores pk in it, unlinked. Callers must not hold *packet across this
+// call: arena growth moves it.
+func (nw *network) allocPacket(pk packet) int32 {
 	var p int32
 	if nw.pktFree != nilIdx {
 		p = nw.pktFree
@@ -204,8 +239,8 @@ func (nw *network) allocPacket() int32 {
 	if nw.pktLive > nw.pktPeak {
 		nw.pktPeak = nw.pktLive
 	}
-	nw.uidNext++
-	nw.pkts[p] = packet{uid: nw.uidNext, msg: nilIdx, waitNext: nilIdx}
+	pk.waitNext = nilIdx
+	nw.pkts[p] = pk
 	return p
 }
 
@@ -234,22 +269,55 @@ func (nw *network) freeMsg(g int32) {
 	nw.msgFree = g
 }
 
+// allocBlock stores bk, the unsent rest of a message, in the block arena.
+func (nw *network) allocBlock(bk block) int32 {
+	var b int32
+	if nw.blockFree != nilIdx {
+		b = nw.blockFree
+		nw.blockFree = nw.blocks[b].waitNext
+		nw.blocks[b] = bk
+	} else {
+		nw.blocks = append(nw.blocks, bk)
+		b = int32(len(nw.blocks) - 1)
+	}
+	return b
+}
+
+func (nw *network) freeBlock(b int32) {
+	nw.blocks[b].waitNext = nw.blockFree
+	nw.blockFree = b
+}
+
+// segment returns segment j of bk's message as a packet cut at pb bytes:
+// the last segment holds what the full ones before it leave (zero bytes
+// for an empty message).
+func (bk *block) segment(j int32, pb int64) packet {
+	return packet{bytes: min(pb, bk.bytes-int64(j)*pb), born: bk.born, uid: bk.uid0 + int64(j),
+		pathOff: bk.pathOff, pathLen: bk.pathLen, msg: bk.msg}
+}
+
 func (nw *network) full(h int32) bool { return nw.hops[h].qlen >= nw.cap }
 
 // --- waiter chains ---
 
 func (nw *network) waiterNext(w int32) int32 {
-	if w&1 == 0 {
+	switch {
+	case w&1 == 0:
 		return nw.hops[w>>1].waitNext
+	case isBlockWaiter(w):
+		return nw.blocks[w>>2].waitNext
 	}
-	return nw.pkts[w>>1].waitNext
+	return nw.pkts[w>>2].waitNext
 }
 
 func (nw *network) setWaiterNext(w, next int32) {
-	if w&1 == 0 {
+	switch {
+	case w&1 == 0:
 		nw.hops[w>>1].waitNext = next
-	} else {
-		nw.pkts[w>>1].waitNext = next
+	case isBlockWaiter(w):
+		nw.blocks[w>>2].waitNext = next
+	default:
+		nw.pkts[w>>2].waitNext = next
 	}
 }
 
@@ -359,26 +427,62 @@ func (nw *network) depart(h, p int32, t sim.Time) {
 }
 
 // popHead removes the head packet, releases one buffer credit to a waiter,
-// and resumes service.
+// and resumes service. A block at the head of the waiters takes the credit
+// for its next segment and leaves the FIFO only with its last one.
 func (nw *network) popHead(h int32, t sim.Time) {
 	hs := &nw.hops[h]
 	hs.pop()
-	if hs.waitHead != nilIdx {
-		nw.eng.At(t, evWake, nw.popWaiter(h), 0)
+	if w := hs.waitHead; w != nilIdx {
+		seg := int32(0)
+		if isBlockWaiter(w) {
+			seg = nw.takeSegment(h, w>>2)
+		} else {
+			nw.popWaiter(h)
+		}
+		nw.eng.At(t, evWake, w, seg)
 	}
 	nw.serve(h, t)
 }
 
+// takeSegment hands block b, the head waiter of hop h, one credit: it
+// returns the block's next segment index and pops the block off the FIFO
+// when that is its last.
+func (nw *network) takeSegment(h, b int32) int32 {
+	bk := &nw.blocks[b]
+	seg := bk.seg
+	bk.seg++
+	if bk.seg == bk.segs {
+		nw.popWaiter(h)
+	}
+	return seg
+}
+
 // wake consumes a released buffer credit: a blocked upstream hop forwards
-// its head; a packet awaiting injection retries (re-checking occupancy).
-func (nw *network) wake(w int32, t sim.Time) {
+// its head; a packet awaiting injection retries (re-checking occupancy); a
+// block's segment becomes a packet and tries the same way.
+func (nw *network) wake(w, seg int32, t sim.Time) {
 	if w&1 == 0 {
 		h := w >> 1
 		nw.hops[h].blocked = false
 		nw.forward(h, nw.hops[h].head(), t)
 		return
 	}
-	nw.inject(w>>1, t)
+	p := w >> 2
+	if isBlockWaiter(w) {
+		p = nw.makeSegment(p, seg)
+	}
+	nw.inject(p, t)
+}
+
+// makeSegment turns segment seg of block b into a packet, freeing the block
+// with its last segment.
+func (nw *network) makeSegment(b, seg int32) int32 {
+	bk := &nw.blocks[b]
+	p := nw.allocPacket(bk.segment(seg, nw.f.cfg.PacketBytes))
+	if seg == bk.segs-1 {
+		nw.freeBlock(b)
+	}
+	return p
 }
 
 // inject queues the packet at its first hop, waiting for a credit if full.

@@ -187,10 +187,10 @@ func (d *trafDriver) dest(src int) int {
 // every step; patterns that idle nodes (bursty off-windows) model the idle
 // phase as a small background message so script shapes stay rectangular.
 func patternScripts(pattern TrafficPattern, n, steps int, bytesPerNode int64, seed int64) []nodeScript {
-	scripts := make([]nodeScript, n)
 	if n <= 1 || steps < 1 {
-		return scripts
+		return make([]nodeScript, n)
 	}
+	scripts := newScripts(n, steps)
 	a, b := transposeFactors(n)
 	torOff := (n+1)/2 - 1
 	hot := n / 2

@@ -92,10 +92,9 @@ func (d *trafDriver) tick(nw *network, src int32, now sim.Time) {
 	dst := d.dest(int(src))
 	born := now
 	d.injected++
-	p := nw.allocPacket()
+	nw.uidNext++
 	off, plen := nw.f.path(int(src), dst)
-	pk := &nw.pkts[p]
-	pk.bytes, pk.born, pk.pathOff, pk.pathLen = d.bytes, born, off, plen
+	p := nw.allocPacket(packet{bytes: d.bytes, born: born, uid: nw.uidNext, pathOff: off, pathLen: plen, msg: nilIdx})
 	nw.inject(p, born)
 	nw.eng.At(now+d.interval, evTick, src, 0)
 }

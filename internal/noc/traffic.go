@@ -19,14 +19,25 @@ type nodeScript struct {
 	msgs []message
 }
 
+// newScripts returns n empty node scripts with room for steps messages
+// each, carved from one backing array, so appending a step never grows one.
+func newScripts(n, steps int) []nodeScript {
+	scripts := make([]nodeScript, n)
+	all := make([]message, n*steps)
+	for i := range scripts {
+		scripts[i].msgs = all[i*steps : i*steps : (i+1)*steps]
+	}
+	return scripts
+}
+
 // allReduceScripts builds the logical-ring AllReduce over all N nodes:
 // N-1 reduce-scatter steps followed by N-1 all-gather steps, each node
 // sending one chunk to its clockwise successor per step.
 func allReduceScripts(n int, bytesPerNode int64) []nodeScript {
-	scripts := make([]nodeScript, n)
 	if n <= 1 {
-		return scripts
+		return make([]nodeScript, n)
 	}
+	scripts := newScripts(n, 2*collective.RingSteps(n))
 	chunk := func(i int) int64 {
 		lo, hi := collective.ChunkBounds(int(bytesPerNode), n, i)
 		return int64(hi - lo)
@@ -53,10 +64,10 @@ func allReduceScripts(n int, bytesPerNode int64) []nodeScript {
 // allToAllScripts builds the shift-schedule personalized exchange: at step
 // s node i sends its block for node (i+s) mod n directly to it.
 func allToAllScripts(n int, bytesPerNode int64) []nodeScript {
-	scripts := make([]nodeScript, n)
 	if n <= 1 {
-		return scripts
+		return make([]nodeScript, n)
 	}
+	scripts := newScripts(n, n-1)
 	blk := allToAllBlock(n, bytesPerNode)
 	for s := 1; s < n; s++ {
 		for i := 0; i < n; i++ {
@@ -115,15 +126,14 @@ func SimulateAllToAll(cfg Config, mode Mode, computeDone []sim.Time, bytesPerNod
 // offsets yet, so static packets can wait in input queues (ROADMAP, "Static
 // mode runs a compiled, contention-free schedule").
 type collDriver struct {
-	scripts     []nodeScript
-	release     []sim.Time
-	sent        []int32 // messages fully drained per node
-	recvd       []int32 // messages received per node
-	next        []int32 // next step index to inject
-	steps       int32
-	recvGate    bool
-	packetBytes int64
-	finish      sim.Time
+	scripts  []nodeScript
+	release  []sim.Time
+	sent     []int32 // messages fully drained per node
+	recvd    []int32 // messages received per node
+	next     []int32 // next step index to inject
+	steps    int32
+	recvGate bool
+	finish   sim.Time
 }
 
 // tryInject schedules node i's next message once its gates open.
@@ -140,28 +150,33 @@ func (c *collDriver) tryInject(nw *network, i int32) {
 	nw.eng.At(at, evSend, i, k)
 }
 
-// send segments node i's step-k message into packets and injects them. The
-// message group tracks the undelivered count; msgDone fires when the last
-// packet lands.
+// send segments node i's step-k message and injects the segments its first
+// hop has room for as packets; the rest waits there as one block, which
+// makes each remaining segment a packet only when a credit frees. The
+// message's uids are reserved here, so they do not depend on when its
+// segments become packets. The message group tracks the undelivered count;
+// msgDone fires when the last packet lands.
 func (c *collDriver) send(nw *network, i, k int32, t sim.Time) {
 	m := c.scripts[i].msgs[k]
-	off, plen := nw.f.path(m.src, m.dst)
-	numPkts := int32(1) // a zero-byte message still sends one empty packet
+	pb := nw.f.cfg.PacketBytes
+	segs := int32(1) // a zero-byte message still sends one empty packet
 	if m.bytes > 0 {
-		numPkts = int32((m.bytes + c.packetBytes - 1) / c.packetBytes)
+		segs = int32((m.bytes + pb - 1) / pb)
 	}
-	g := nw.allocMsg(i, k, int32(m.dst), numPkts)
-	remaining := m.bytes
-	for n := int32(0); n < numPkts; n++ {
-		sz := c.packetBytes
-		if sz > remaining {
-			sz = remaining
-		}
-		remaining -= sz
-		p := nw.allocPacket()
-		pk := &nw.pkts[p]
-		pk.bytes, pk.born, pk.pathOff, pk.pathLen, pk.msg = sz, t, off, plen, g
-		nw.inject(p, t)
+	off, plen := nw.f.path(m.src, m.dst)
+	bk := block{born: t, uid0: nw.uidNext + 1, bytes: m.bytes, pathOff: off, pathLen: plen,
+		msg: nw.allocMsg(i, k, int32(m.dst), segs), segs: segs}
+	nw.uidNext += int64(segs)
+	first := nw.f.paths[off]
+	for ; bk.seg < segs && !nw.full(first); bk.seg++ {
+		nw.admit(first, nw.allocPacket(bk.segment(bk.seg, pb)), t)
+	}
+	switch segs - bk.seg {
+	case 0:
+	case 1: // a lone segment waits as the packet it is
+		nw.pushWaiter(first, encPktWaiter(nw.allocPacket(bk.segment(bk.seg, pb))))
+	default:
+		nw.pushWaiter(first, encBlockWaiter(nw.allocBlock(bk)))
 	}
 }
 
@@ -219,16 +234,18 @@ func runScripts(cfg Config, mode Mode, computeDone []sim.Time, scripts []nodeScr
 
 	f := buildFabric(cfg)
 	nw := newNetwork(f, cfg)
+	// A node sends its next message only after its last one drained, so
+	// at most n messages are live at once.
+	nw.msgs = make([]msgGroup, 0, n)
 	nw.deliverHook = deliverObserver
 	nw.coll = &collDriver{
-		scripts:     scripts,
-		release:     release,
-		sent:        make([]int32, n),
-		recvd:       make([]int32, n),
-		next:        make([]int32, n),
-		steps:       int32(len(scripts[0].msgs)),
-		recvGate:    recvGate,
-		packetBytes: cfg.PacketBytes,
+		scripts:  scripts,
+		release:  release,
+		sent:     make([]int32, n),
+		recvd:    make([]int32, n),
+		next:     make([]int32, n),
+		steps:    int32(len(scripts[0].msgs)),
+		recvGate: recvGate,
 	}
 	for i := 0; i < n; i++ {
 		nw.eng.At(release[i], evTry, int32(i), 0)

@@ -49,13 +49,15 @@ func Generate(cfg Config) (*COO, error) {
 	// and each round draws exactly the remaining deficit into the rest. The
 	// set can only reach NNZ on a round's last draw, so the rounds consume
 	// the RNG stream exactly as a draw-by-draw loop that stops at NNZ would.
-	// The scratch holds half as many nonzeros, so a round of NNZ draws is
-	// sorted and merged in two halves.
+	// The scratch holds a quarter as many nonzeros, so a round of NNZ draws
+	// is sorted and merged in four pieces and a build peaks at one and a
+	// quarter matrices; a daemon serving SpMV requests at once holds that
+	// much per request.
 	n := int(cfg.NNZ)
 	m := &COO{Rows: cfg.Rows, Cols: cfg.Cols,
 		RowIdx: make([]int32, n), ColIdx: make([]int32, n), Val: make([]int32, n)}
-	half := (n + 1) / 2
-	tmp := &COO{RowIdx: make([]int32, half), ColIdx: make([]int32, half), Val: make([]int32, half)}
+	quarter := (n + 3) / 4
+	tmp := &COO{RowIdx: make([]int32, quarter), ColIdx: make([]int32, quarter), Val: make([]int32, quarter)}
 	for have := 0; have < n; {
 		for i := have; i < n; i++ {
 			var r int
@@ -107,20 +109,19 @@ func (m *COO) copyFrom(src *COO) {
 func (m *COO) fold(have int, tmp *COO) int {
 	for lo := have; lo < len(m.Val); lo += len(tmp.Val) {
 		piece := m.span(lo, min(lo+len(tmp.Val), len(m.Val)))
-		sortByKey(piece, tmp.span(0, len(piece.Val)))
-		// Keep the last draw of each key; stability puts it last among equals.
+		sorted := sortByKey(piece, tmp.span(0, len(piece.Val)))
+		// Keep the last draw of each key (stability puts it last among
+		// equals) in tmp: the merge writes over the piece's place, so it
+		// reads the batch from the scratch.
 		d := 0
-		for j := range piece.Val {
-			if j+1 < len(piece.Val) && piece.key(j+1) == piece.key(j) {
+		for j := range sorted.Val {
+			if j+1 < len(sorted.Val) && sorted.key(j+1) == sorted.key(j) {
 				continue
 			}
-			piece.move(d, piece, j)
+			tmp.move(d, sorted, j)
 			d++
 		}
-		// The merge writes over the piece's place, so it reads a copy.
-		batch := tmp.span(0, d)
-		batch.copyFrom(piece)
-		have = m.merge(have, batch)
+		have = m.merge(have, tmp.span(0, d))
 	}
 	return have
 }
@@ -157,38 +158,50 @@ func (m *COO) merge(have int, batch *COO) int {
 	return end
 }
 
-// sortByKey stable-sorts the non-empty m by key, so equal keys keep their
-// draw order: a least-significant-digit radix sort over the key's bytes
-// that skips every byte all keys share, using buf (of equal length) as
-// scratch.
-func sortByKey(m, buf *COO) {
+// sortByKey stable-sorts the nonzeros of the non-empty m by key, so equal
+// keys keep their draw order, and returns whichever of m and buf (of equal
+// length) holds the sorted sequence: a least-significant-digit radix sort
+// over the key's bytes that skips every byte all keys share, its passes
+// alternating between the two.
+func sortByKey(m, buf *COO) *COO {
+	// A key's low four bytes are its column's and its high four its row's,
+	// so each pass reads its digit from one of the two.
 	var counts [8][256]int
 	for i := range m.Val {
-		k := m.key(i)
-		for b := range counts {
-			counts[b][byte(k>>(8*b))]++
-		}
+		c, r := uint32(m.ColIdx[i]), uint32(m.RowIdx[i])
+		counts[0][byte(c)]++
+		counts[1][byte(c>>8)]++
+		counts[2][byte(c>>16)]++
+		counts[3][byte(c>>24)]++
+		counts[4][byte(r)]++
+		counts[5][byte(r>>8)]++
+		counts[6][byte(r>>16)]++
+		counts[7][byte(r>>24)]++
 	}
 	src, dst := m, buf
 	for b := range counts {
 		c := &counts[b]
-		if c[byte(src.key(0)>>(8*b))] == len(src.Val) {
+		digits, shift := src.ColIdx, 8*(b%4)
+		if b >= 4 {
+			digits = src.RowIdx
+		}
+		if c[byte(uint32(digits[0])>>shift)] == len(digits) {
 			continue
 		}
 		pos := 0
 		for d, n := range c {
 			c[d], pos = pos, pos+n
 		}
-		for i := range src.Val {
-			d := byte(src.key(i) >> (8 * b))
-			dst.move(c[d], src, i)
+		rows, cols, vals := src.RowIdx[:len(digits)], src.ColIdx[:len(digits)], src.Val[:len(digits)]
+		for i, x := range digits {
+			d := byte(uint32(x) >> shift)
+			j := c[d]
 			c[d]++
+			dst.RowIdx[j], dst.ColIdx[j], dst.Val[j] = rows[i], cols[i], vals[i]
 		}
 		src, dst = dst, src
 	}
-	if src != m {
-		m.copyFrom(src)
-	}
+	return src
 }
 
 // SpMV computes y = A*x (reference implementation, the ground truth for

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -186,10 +187,78 @@ func TestGenerateLastDrawWins(t *testing.T) {
 	}
 }
 
+// referenceGenerate is Generate drawn one nonzero at a time: draw until
+// NNZ distinct coordinates exist, each keeping its last drawn value, then
+// list them by row and column.
+func referenceGenerate(cfg Config) *COO {
+	type coord struct{ r, c int32 }
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	last := map[coord]int32{}
+	for int64(len(last)) < cfg.NNZ {
+		var r int
+		if cfg.Skew > 0 {
+			u := rng.Float64()
+			for i := 0.0; i < cfg.Skew; i++ {
+				u *= rng.Float64()
+			}
+			r = min(int(u*float64(cfg.Rows)), cfg.Rows-1)
+		} else {
+			r = rng.Intn(cfg.Rows)
+		}
+		k := coord{int32(r), int32(rng.Intn(cfg.Cols))}
+		last[k] = int32(rng.Intn(100) + 1)
+	}
+	keys := make([]coord, 0, len(last))
+	for k := range last {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b coord) int {
+		if a.r != b.r {
+			return int(a.r - b.r)
+		}
+		return int(a.c - b.c)
+	})
+	m := &COO{Rows: cfg.Rows, Cols: cfg.Cols}
+	for _, k := range keys {
+		m.RowIdx, m.ColIdx, m.Val = append(m.RowIdx, k.r), append(m.ColIdx, k.c), append(m.Val, last[k])
+	}
+	return m
+}
+
+// TestGenerateMatchesDrawByDraw compares Generate, nonzero for nonzero,
+// with the draw-by-draw reference on small counts: NNZ 1-9 on a 3x3 matrix
+// (up to every cell, so later rounds redraw the deficit many times), and
+// sizes on each side of a piece boundary (NNZ 4k-1, 4k and 4k+1, and
+// deficits that span several pieces) on shapes with and without skew.
+func TestGenerateMatchesDrawByDraw(t *testing.T) {
+	var cfgs []Config
+	for nnz := int64(1); nnz <= 9; nnz++ {
+		cfgs = append(cfgs, Config{Rows: 3, Cols: 3, NNZ: nnz, Skew: 1, Seed: nnz})
+	}
+	for _, nnz := range []int64{11, 12, 13, 15, 16, 17, 63, 64, 65, 100, 255, 256, 257} {
+		cfgs = append(cfgs,
+			Config{Rows: 17, Cols: 16, NNZ: nnz, Skew: 0, Seed: 7},
+			Config{Rows: 16, Cols: 17, NNZ: nnz, Skew: 2, Seed: 8},
+			Config{Rows: 1 << 12, Cols: 3, NNZ: nnz, Skew: 1, Seed: 9})
+	}
+	for _, cfg := range cfgs {
+		got, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceGenerate(cfg)
+		if !slices.Equal(got.RowIdx, want.RowIdx) || !slices.Equal(got.ColIdx, want.ColIdx) ||
+			!slices.Equal(got.Val, want.Val) {
+			t.Fatalf("%+v: Generate differs from the draw-by-draw reference\ngot  %v %v %v\nwant %v %v %v",
+				cfg, got.RowIdx, got.ColIdx, got.Val, want.RowIdx, want.ColIdx, want.Val)
+		}
+	}
+}
+
 // TestGenerateFootprint pins the generator's footprint: the result and a
-// scratch half its size, however many rounds the collisions take. A daemon
-// building SpMV inputs for concurrent requests holds this much per request
-// at its peak.
+// scratch a quarter its size, however many rounds the collisions take. A
+// daemon building SpMV inputs for concurrent requests holds this much per
+// request at its peak.
 func TestGenerateFootprint(t *testing.T) {
 	for _, cfg := range []Config{
 		{Rows: 1 << 12, Cols: 1 << 12, NNZ: 1 << 18, Skew: 1, Seed: 1},
@@ -202,8 +271,8 @@ func TestGenerateFootprint(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		matrix := uint64(cfg.NNZ) * 12 // row, column and value per nonzero
-		if got := after.TotalAlloc - before.TotalAlloc; got > matrix+matrix/2+64<<10 {
-			t.Errorf("%dx%d nnz %d: allocated %d bytes, want at most one and a half %d-byte matrices",
+		if got := after.TotalAlloc - before.TotalAlloc; got > matrix+matrix/4+64<<10 {
+			t.Errorf("%dx%d nnz %d: allocated %d bytes, want at most one and a quarter %d-byte matrices",
 				cfg.Rows, cfg.Cols, cfg.NNZ, got, matrix)
 		}
 	}
