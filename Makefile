@@ -40,12 +40,13 @@ vet:
 	$(GO) vet ./...
 
 # The CI gate: static analysis (the benchmark module included), the race-enabled suite (which includes the
-# persistent store's crash/corruption/concurrency battery), and the coverage
-# floor must all pass. The benchmark-regression gate runs soft by default
+# persistent store's crash/corruption/concurrency battery), the coverage
+# floor, the smoke tests and the byte identity of a full paper regeneration
+# (regen-check) must all pass. The benchmark-regression gate runs soft by default
 # (benchmarks are noisy on shared machines); set BENCH_STRICT=1 to make a
 # regression fail the build.
 check:
-	$(MAKE) vet && $(MAKE) bench-build && $(GO) test -race ./... && $(MAKE) cover && $(MAKE) trace-smoke && $(MAKE) serve-smoke && $(MAKE) cluster-smoke && $(MAKE) store-smoke && $(MAKE) crossover-smoke
+	$(MAKE) vet && $(MAKE) bench-build && $(GO) test -race ./... && $(MAKE) cover && $(MAKE) trace-smoke && $(MAKE) serve-smoke && $(MAKE) cluster-smoke && $(MAKE) store-smoke && $(MAKE) crossover-smoke && $(MAKE) regen-check
 	@if [ "$(BENCH_STRICT)" = "1" ]; then \
 		$(MAKE) benchcmp; \
 	else \

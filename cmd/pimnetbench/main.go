@@ -30,6 +30,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"pimnet"
 	"pimnet/internal/core"
@@ -97,6 +99,9 @@ func run(o options) error {
 	if o.out == nil {
 		o.out = os.Stdout
 	}
+	if o.fig != "all" && !slices.Contains(figureNames(), o.fig) {
+		return fmt.Errorf("unknown experiment %q (want %s, or all)", o.fig, strings.Join(figureNames(), ", "))
+	}
 
 	// All experiments of one invocation share a worker-pool bound, one
 	// compiled-plan cache, and one stats aggregate.
@@ -116,192 +121,120 @@ func run(o options) error {
 			}
 		}
 	}
-	want := func(name string) bool { return o.fig == "all" || o.fig == name }
-	ran := false
-
-	if want("2") {
-		_, t, err := experiments.Fig2Roofline()
+	for _, f := range figures {
+		if o.fig != "all" && !slices.Contains(f.names, o.fig) {
+			continue
+		}
+		tables, err := f.run(o, sw)
 		if err != nil {
 			return err
 		}
-		emit(t)
-		ran = true
-	}
-	if want("3") {
-		_, _, ts, err := experiments.Fig3Scalability(sw...)
-		if err != nil {
-			return err
-		}
-		emit(ts...)
-		ran = true
-	}
-	if want("4") {
-		emit(experiments.Tab4TierTable())
-		ran = true
-	}
-	if want("10") {
-		_, t, err := experiments.Fig10Applications(o.scaled, sw...)
-		if err != nil {
-			return err
-		}
-		emit(t)
-		ran = true
-	}
-	if want("11") {
-		_, t, err := experiments.Fig11CommBreakdown(o.scaled, sw...)
-		if err != nil {
-			return err
-		}
-		emit(t)
-		ran = true
-	}
-	if want("12") {
-		_, _, ts, err := experiments.Fig12CollectiveScaling(sw...)
-		if err != nil {
-			return err
-		}
-		emit(ts...)
-		ran = true
-	}
-	if want("13") {
-		_, t, err := experiments.Fig13FlowControl(sw...)
-		if err != nil {
-			return err
-		}
-		emit(t)
-		ran = true
-	}
-	if want("14") {
-		_, ta, err := experiments.Fig14BankBandwidth(sw...)
-		if err != nil {
-			return err
-		}
-		_, tb, err := experiments.Fig14GlobalBandwidth(sw...)
-		if err != nil {
-			return err
-		}
-		emit(ta, tb)
-		ran = true
-	}
-	if want("15") {
-		_, t, err := experiments.Fig15AltPIM(o.scaled, sw...)
-		if err != nil {
-			return err
-		}
-		emit(t)
-		ran = true
-	}
-	if want("16") {
-		_, t, err := experiments.Fig16ChannelScaling(sw...)
-		if err != nil {
-			return err
-		}
-		emit(t)
-		ran = true
-	}
-	if want("17") {
-		_, t, err := experiments.Fig17MultiTenancy()
-		if err != nil {
-			return err
-		}
-		emit(t)
-		ran = true
-	}
-	if want("hw") {
-		_, t := experiments.HWOverhead()
-		emit(t)
-		ran = true
-	}
-	if want("noc") {
-		// The adversarial pattern sweep on the packet-level NoC. Profiling
-		// flags (-cpuprofile/-memprofile/-trace) already bracket run(), so
-		// `pimnetbench -fig noc -cpuprofile cpu.pprof` profiles exactly the
-		// flat packet core's hot loop.
-		_, t, err := experiments.FigNocAdversarial(sw...)
-		if err != nil {
-			return err
-		}
-		emit(t)
-		ran = true
-	}
-	if want("crossover") {
-		// The DIMM-attached vs CXL-attached study on all six backends.
-		// -scaled shrinks the grid to its corners for smoke runs.
-		dpus, bytes := []int(nil), []int64(nil)
-		if o.scaled {
-			dpus = []int{64, 256}
-			bytes = []int64{4 << 10, 1 << 20}
-		}
-		_, t, err := experiments.FigCrossover(dpus, bytes, sw...)
-		if err != nil {
-			return err
-		}
-		emit(t)
-		ran = true
-	}
-	if want("ablations") || want("a1") {
-		_, t, err := experiments.AblationFlatVsHierarchical(sw...)
-		if err != nil {
-			return err
-		}
-		emit(t)
-		ran = true
-	}
-	if want("ablations") || want("a2") {
-		_, t, err := experiments.AblationSyncSensitivity(sw...)
-		if err != nil {
-			return err
-		}
-		emit(t)
-		ran = true
-	}
-	if want("ablations") || want("a3") {
-		_, t, err := experiments.AblationWRAMStaging(sw...)
-		if err != nil {
-			return err
-		}
-		emit(t)
-		ran = true
-	}
-	if want("ablations") || want("a4") {
-		_, t, err := experiments.AblationNocParameters(sw...)
-		if err != nil {
-			return err
-		}
-		emit(t)
-		ran = true
-	}
-	if want("ablations") || want("a5") {
-		_, t, err := experiments.AblationInterChannel(sw...)
-		if err != nil {
-			return err
-		}
-		emit(t)
-		ran = true
-	}
-	if want("ablations") || want("a6") {
-		t, err := experiments.AblationBaselineTranspose()
-		if err != nil {
-			return err
-		}
-		emit(t)
-		ran = true
-	}
-	if want("trace") {
-		ts, err := runTraced(o)
-		if err != nil {
-			return err
-		}
-		emit(ts...)
-		ran = true
-	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q", o.fig)
+		emit(tables...)
 	}
 	if o.stats {
 		emit(report.SweepSummary(agg))
 	}
 	return nil
+}
+
+// figure is one experiment: the -fig names that select it and the run that
+// renders its tables.
+type figure struct {
+	names []string
+	run   runFunc
+}
+
+// runFunc renders one figure's tables; sw carries the invocation's shared
+// worker pool, plan cache and stats aggregate.
+type runFunc func(o options, sw []sweep.Option) ([]*report.Table, error)
+
+// figures lists every experiment in -fig all order. Fig. 14 is two
+// experiments under one name, and each of a1-a6 also answers to
+// "ablations".
+var figures = []figure{
+	{[]string{"2"}, func(options, []sweep.Option) ([]*report.Table, error) {
+		return one(experiments.Fig2Roofline())
+	}},
+	{[]string{"3"}, func(_ options, sw []sweep.Option) ([]*report.Table, error) {
+		_, _, ts, err := experiments.Fig3Scalability(sw...)
+		return ts, err
+	}},
+	{[]string{"4"}, func(options, []sweep.Option) ([]*report.Table, error) {
+		return []*report.Table{experiments.Tab4TierTable()}, nil
+	}},
+	{[]string{"10"}, func(o options, sw []sweep.Option) ([]*report.Table, error) {
+		return one(experiments.Fig10Applications(o.scaled, sw...))
+	}},
+	{[]string{"11"}, func(o options, sw []sweep.Option) ([]*report.Table, error) {
+		return one(experiments.Fig11CommBreakdown(o.scaled, sw...))
+	}},
+	{[]string{"12"}, func(_ options, sw []sweep.Option) ([]*report.Table, error) {
+		_, _, ts, err := experiments.Fig12CollectiveScaling(sw...)
+		return ts, err
+	}},
+	{[]string{"13"}, swept(experiments.Fig13FlowControl)},
+	{[]string{"14"}, swept(experiments.Fig14BankBandwidth)},
+	{[]string{"14"}, swept(experiments.Fig14GlobalBandwidth)},
+	{[]string{"15"}, func(o options, sw []sweep.Option) ([]*report.Table, error) {
+		return one(experiments.Fig15AltPIM(o.scaled, sw...))
+	}},
+	{[]string{"16"}, swept(experiments.Fig16ChannelScaling)},
+	{[]string{"17"}, func(options, []sweep.Option) ([]*report.Table, error) {
+		return one(experiments.Fig17MultiTenancy())
+	}},
+	{[]string{"hw"}, func(options, []sweep.Option) ([]*report.Table, error) {
+		_, t := experiments.HWOverhead()
+		return []*report.Table{t}, nil
+	}},
+	// The adversarial pattern sweep on the packet-level NoC. Profiling
+	// flags (-cpuprofile/-memprofile/-trace) already bracket run(), so
+	// `pimnetbench -fig noc -cpuprofile cpu.pprof` profiles exactly the
+	// flat packet core's hot loop.
+	{[]string{"noc"}, swept(experiments.FigNocAdversarial)},
+	// The DIMM-attached vs CXL-attached study on all six backends.
+	// -scaled shrinks the grid to its corners for smoke runs.
+	{[]string{"crossover"}, func(o options, sw []sweep.Option) ([]*report.Table, error) {
+		dpus, bytes := []int(nil), []int64(nil)
+		if o.scaled {
+			dpus = []int{64, 256}
+			bytes = []int64{4 << 10, 1 << 20}
+		}
+		return one(experiments.FigCrossover(dpus, bytes, sw...))
+	}},
+	{[]string{"a1", "ablations"}, swept(experiments.AblationFlatVsHierarchical)},
+	{[]string{"a2", "ablations"}, swept(experiments.AblationSyncSensitivity)},
+	{[]string{"a3", "ablations"}, swept(experiments.AblationWRAMStaging)},
+	{[]string{"a4", "ablations"}, swept(experiments.AblationNocParameters)},
+	{[]string{"a5", "ablations"}, swept(experiments.AblationInterChannel)},
+	{[]string{"a6", "ablations"}, func(options, []sweep.Option) ([]*report.Table, error) {
+		t, err := experiments.AblationBaselineTranspose()
+		return []*report.Table{t}, err
+	}},
+	{[]string{"trace"}, runTraced},
+}
+
+// one adapts an experiment's (result, table, error) return to a figure's.
+func one[R any](_ R, t *report.Table, err error) ([]*report.Table, error) {
+	return []*report.Table{t}, err
+}
+
+// swept is the run of an experiment that takes only the sweep options.
+func swept[R any](exp func(...sweep.Option) (R, *report.Table, error)) runFunc {
+	return func(_ options, sw []sweep.Option) ([]*report.Table, error) { return one(exp(sw...)) }
+}
+
+// figureNames lists every -fig name of the figures table once, in table
+// order.
+func figureNames() []string {
+	var names []string
+	for _, f := range figures {
+		for _, n := range f.names {
+			if !slices.Contains(names, n) {
+				names = append(names, n)
+			}
+		}
+	}
+	return names
 }
 
 // runTraced executes the four bulk collectives on a traced 256-DPU PIMnet
@@ -311,7 +244,7 @@ func run(o options) error {
 // Chrome trace_event JSON for Perfetto. The four runs share one backend, so
 // each restarts the executor clock at zero: in Perfetto their spans overlay
 // on the same tracks rather than appearing end to end.
-func runTraced(o options) ([]*report.Table, error) {
+func runTraced(o options, _ []sweep.Option) ([]*report.Table, error) {
 	lvl, err := pimnet.ParseTraceLevel(o.traceLevel)
 	if err != nil {
 		return nil, err

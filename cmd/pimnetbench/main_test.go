@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -27,9 +28,42 @@ func TestRunCSV(t *testing.T) {
 	}
 }
 
+// TestRunUnknown: an unknown -fig is refused, and the error lists every
+// name the figures table answers to.
 func TestRunUnknown(t *testing.T) {
-	if err := run(options{fig: "nope", scaled: true, out: io.Discard}); err == nil {
+	err := run(options{fig: "nope", scaled: true, out: io.Discard})
+	if err == nil {
 		t.Fatal("unknown experiment accepted")
+	}
+	_, list, ok := strings.Cut(err.Error(), "(want ")
+	if !ok {
+		t.Fatalf("error lists no names: %v", err)
+	}
+	listed := strings.Split(strings.TrimSuffix(list, ", or all)"), ", ")
+	for _, f := range figures {
+		for _, name := range f.names {
+			if !slices.Contains(listed, name) {
+				t.Errorf("error %q does not list %q", err, name)
+			}
+		}
+	}
+}
+
+// TestRunAblationsGroup: -fig ablations prints exactly what -fig a1 ...
+// -fig a6 print one after another.
+func TestRunAblationsGroup(t *testing.T) {
+	var group, each bytes.Buffer
+	if err := run(options{fig: "ablations", csv: true, out: &group}); err != nil {
+		t.Fatal(err)
+	}
+	for _, fig := range []string{"a1", "a2", "a3", "a4", "a5", "a6"} {
+		if err := run(options{fig: fig, csv: true, out: &each}); err != nil {
+			t.Fatalf("fig %s: %v", fig, err)
+		}
+	}
+	if group.String() != each.String() {
+		t.Fatalf("-fig ablations differs from a1-a6 in turn:\n--- ablations ---\n%s\n--- a1..a6 ---\n%s",
+			group.String(), each.String())
 	}
 }
 

@@ -47,8 +47,8 @@ func NewDIMMLink(sys config.System) (*DIMMLink, error) {
 func (d *DIMMLink) Name() string { return "DIMM-Link" }
 
 // SetTracer attaches a tracer; every subsequent collective emits its stage
-// timeline. Pass nil to detach.
-func (d *DIMMLink) SetTracer(t trace.Tracer) { d.tracer = t }
+// timeline at any level. Pass nil to detach.
+func (d *DIMMLink) SetTracer(t trace.Tracer, _ trace.Level) { d.tracer = t }
 
 // ranksSpanned mirrors the hierarchy fill order used everywhere else.
 func (d *DIMMLink) ranksSpanned(nodes int) int {

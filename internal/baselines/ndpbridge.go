@@ -41,8 +41,8 @@ func NewNDPBridge(sys config.System) (*NDPBridge, error) {
 func (nb *NDPBridge) Name() string { return "NDPBridge" }
 
 // SetTracer attaches a tracer; every subsequent collective emits its stage
-// timeline. Pass nil to detach.
-func (nb *NDPBridge) SetTracer(t trace.Tracer) { nb.tracer = t }
+// timeline at any level. Pass nil to detach.
+func (nb *NDPBridge) SetTracer(t trace.Tracer, _ trace.Level) { nb.tracer = t }
 
 func (nb *NDPBridge) ranksSpanned(nodes int) int {
 	perRank := nb.sys.BanksPerRank()

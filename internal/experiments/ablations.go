@@ -3,11 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"pimnet"
 	"pimnet/internal/collective"
 	"pimnet/internal/config"
 	"pimnet/internal/core"
-	"pimnet/internal/host"
-	"pimnet/internal/machine"
 	"pimnet/internal/metrics"
 	"pimnet/internal/noc"
 	"pimnet/internal/report"
@@ -102,11 +101,10 @@ func AblationSyncSensitivity(opts ...sweep.Option) ([]SyncRow, *report.Table, er
 			return SyncRow{}, err
 		}
 		sys.Net.SyncRankLat = lat
-		p, err := core.NewPIMnet(sys)
+		p, err := pimnet.NewBackend(pimnet.PIMnet, sys, pimnet.WithPlanCache(ctx.Cache))
 		if err != nil {
 			return SyncRow{}, err
 		}
-		p.WithPlanCache(ctx.Cache)
 		res, err := p.Collective(request(collective.AllReduce, collective.Sum, 256))
 		if err != nil {
 			return SyncRow{}, err
@@ -142,11 +140,10 @@ func AblationWRAMStaging(opts ...sweep.Option) ([]WRAMRow, *report.Table, error)
 	}
 	rows, _, err := sweep.Run([]int64{8, 16, 32, 64, 128, 256, 512},
 		func(ctx *sweep.Context, kb int64) (WRAMRow, error) {
-			p, err := core.NewPIMnet(sys)
+			p, err := pimnet.NewBackend(pimnet.PIMnet, sys, pimnet.WithPlanCache(ctx.Cache))
 			if err != nil {
 				return WRAMRow{}, err
 			}
-			p.WithPlanCache(ctx.Cache)
 			res, err := p.Collective(collective.Request{Pattern: collective.AllReduce,
 				Op: collective.Sum, BytesPerNode: kb << 10, ElemSize: 4, Nodes: 256})
 			if err != nil {
@@ -249,12 +246,7 @@ func AblationInterChannel(opts ...sweep.Option) ([]InterChannelRow, *report.Tabl
 	rows, _, err := sweep.Run([]int{2, 4, 8}, func(ctx *sweep.Context, ch int) (InterChannelRow, error) {
 		sys := config.Default()
 		sys.Channels = ch
-		p, err := core.NewPIMnet(sys)
-		if err != nil {
-			return InterChannelRow{}, err
-		}
-		p.WithPlanCache(ctx.Cache)
-		m, err := machine.New(sys, p)
+		m, err := machineFor(pimnet.PIMnet, sys, ctx.Cache)
 		if err != nil {
 			return InterChannelRow{}, err
 		}
@@ -308,37 +300,32 @@ func AblationBaselineTranspose() (*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	req := request(collective.AllReduce, collective.Sum, 256)
-	full, err := host.NewBaseline(sys)
-	if err != nil {
-		return nil, err
-	}
-	fres, err := full.Collective(req)
-	if err != nil {
-		return nil, err
-	}
-	tbl.AddRow("measured baseline", fres.Time.String(), "1.00x")
 	noT := sys
 	noT.Host.TransposeFactor = 1
-	nt, err := host.NewBaseline(noT)
-	if err != nil {
-		return nil, err
+	variants := []struct {
+		name string
+		kind pimnet.BackendKind
+		sys  config.System
+	}{
+		{"measured baseline", pimnet.Baseline, sys},
+		{"no layout transposition", pimnet.Baseline, noT},
+		{"all software overhead removed", pimnet.IdealSoftware, sys},
 	}
-	nres, err := nt.Collective(req)
-	if err != nil {
-		return nil, err
+	req := request(collective.AllReduce, collective.Sum, 256)
+	var full sim.Time // the measured baseline's time, the first row
+	for i, v := range variants {
+		be, err := pimnet.NewBackend(v.kind, v.sys)
+		if err != nil {
+			return nil, err
+		}
+		res, err := be.Collective(req)
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			full = res.Time
+		}
+		tbl.AddRow(v.name, res.Time.String(), report.Speedup(float64(full)/float64(res.Time)))
 	}
-	tbl.AddRow("no layout transposition", nres.Time.String(),
-		report.Speedup(float64(fres.Time)/float64(nres.Time)))
-	ideal, err := host.NewIdeal(sys)
-	if err != nil {
-		return nil, err
-	}
-	ires, err := ideal.Collective(req)
-	if err != nil {
-		return nil, err
-	}
-	tbl.AddRow("all software overhead removed", ires.Time.String(),
-		report.Speedup(float64(fres.Time)/float64(ires.Time)))
 	return tbl, nil
 }

@@ -45,6 +45,26 @@ func TestExperimentsDeterministicAcrossPools(t *testing.T) {
 			_, tbl, err := Fig13FlowControl(opts...)
 			return tbl, err
 		}},
+		{"fig14a", func(opts ...sweep.Option) (*report.Table, error) {
+			_, tbl, err := Fig14BankBandwidth(opts...)
+			return tbl, err
+		}},
+		{"fig14b", func(opts ...sweep.Option) (*report.Table, error) {
+			_, tbl, err := Fig14GlobalBandwidth(opts...)
+			return tbl, err
+		}},
+		{"fig15", func(opts ...sweep.Option) (*report.Table, error) {
+			_, tbl, err := Fig15AltPIM(true, opts...)
+			return tbl, err
+		}},
+		{"fig16", func(opts ...sweep.Option) (*report.Table, error) {
+			_, tbl, err := Fig16ChannelScaling(opts...)
+			return tbl, err
+		}},
+		{"a5", func(opts ...sweep.Option) (*report.Table, error) {
+			_, tbl, err := AblationInterChannel(opts...)
+			return tbl, err
+		}},
 	}
 	for _, st := range studies {
 		st := st

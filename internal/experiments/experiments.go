@@ -16,11 +16,11 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"pimnet"
 	"pimnet/internal/backend"
-	"pimnet/internal/baselines"
 	"pimnet/internal/collective"
 	"pimnet/internal/config"
 	"pimnet/internal/core"
@@ -65,27 +65,25 @@ func Fig2Roofline() (RooflineResult, *report.Table, error) {
 	if err != nil {
 		return RooflineResult{}, nil, err
 	}
-	b, err := host.NewBaseline(sys)
+	var order []backend.Backend
+	for _, kind := range []pimnet.BackendKind{pimnet.Baseline, pimnet.IdealSoftware, pimnet.PIMnet} {
+		be, err := pimnet.NewBackend(kind, sys)
+		if err != nil {
+			return RooflineResult{}, nil, err
+		}
+		order = append(order, be)
+	}
+	// The host path's MaxDRAM bound is a roofline line but no comparison
+	// design; it is drawn second, after the Baseline it bounds.
+	maxDRAM, err := host.NewMaxDRAM(sys)
 	if err != nil {
 		return RooflineResult{}, nil, err
 	}
-	m, err := host.NewMaxDRAM(sys)
-	if err != nil {
-		return RooflineResult{}, nil, err
-	}
-	s, err := host.NewIdeal(sys)
-	if err != nil {
-		return RooflineResult{}, nil, err
-	}
-	p, err := core.NewPIMnet(sys)
-	if err != nil {
-		return RooflineResult{}, nil, err
-	}
+	order = slices.Insert(order, 1, backend.Backend(maxDRAM))
 	req := request(collective.AllReduce, collective.Sum, 256)
 	// Peak: all 256 DPUs at one op per cycle.
 	peak := sys.DPU.FreqHz / sys.DPU.AddCycles * 256
 	res := RooflineResult{PeakOpsPerSec: peak, BW: map[string]float64{}}
-	order := []backend.Backend{b, m, s, p}
 	tbl := report.New("Fig. 2 — communication roofline slopes (AllReduce, 256 DPUs)",
 		"design", "effective collective BW", "ridge intensity (ops/B)")
 	intensities := roofline.LogSpace(0.25, 4096, 25)
@@ -256,6 +254,17 @@ func sharedSuite(scaled bool) ([]machine.Workload, error) {
 	return suites[0]()
 }
 
+// machineFor binds sys to a kind backend built through the public
+// constructor; the plan-compiling kinds share cache (nil compiles
+// privately).
+func machineFor(kind pimnet.BackendKind, sys config.System, cache *core.PlanCache) (*machine.Machine, error) {
+	be, err := pimnet.NewBackend(kind, sys, pimnet.WithPlanCache(cache))
+	if err != nil {
+		return nil, err
+	}
+	return machine.New(sys, be)
+}
+
 // Fig10Applications runs the eight workloads on all five backends.
 // scaled selects the fast, reduced inputs (tests); the harness uses
 // paper-sized inputs. Workloads run as parallel sweep points over the
@@ -273,11 +282,7 @@ func Fig10Applications(scaled bool, opts ...sweep.Option) ([]AppResult, *report.
 		cell := appCell{res: AppResult{Workload: wl.Name, Reports: map[string]machine.Report{}},
 			row: []string{wl.Name}}
 		for _, kind := range paperKinds {
-			be, err := pimnet.NewBackend(kind, sys, pimnet.WithPlanCache(ctx.Cache))
-			if err != nil {
-				return appCell{}, err
-			}
-			m, err := machine.New(sys, be)
+			m, err := machineFor(kind, sys, ctx.Cache)
 			if err != nil {
 				return appCell{}, err
 			}
@@ -286,9 +291,9 @@ func Fig10Applications(scaled bool, opts ...sweep.Option) ([]AppResult, *report.
 				cell.row = append(cell.row, "n/a")
 				continue
 			}
-			cell.res.Reports[be.Name()] = rep
+			cell.res.Reports[kind.String()] = rep
 			cell.row = append(cell.row, fmt.Sprintf("%s (cf %s)",
-				report.Speedup(cell.res.Speedup(be.Name())), report.Pct(rep.CommFraction())))
+				report.Speedup(cell.res.Speedup(kind.String())), report.Pct(rep.CommFraction())))
 		}
 		return cell, nil
 	}, opts...)
@@ -336,19 +341,11 @@ func Fig11CommBreakdown(scaled bool, opts ...sweep.Option) ([]CommBreakdownRow, 
 	}
 	comps := []metrics.Component{metrics.InterBank, metrics.InterChip, metrics.InterRank, metrics.Sync, metrics.Mem}
 	cells, _, err := sweep.Run(suite, func(ctx *sweep.Context, wl machine.Workload) (commCell, error) {
-		p, err := pimnet.NewBackend(pimnet.PIMnet, sys, pimnet.WithPlanCache(ctx.Cache))
-		if err != nil {
-			return commCell{}, err
-		}
 		refKind := pimnet.DIMMLink
 		if wl.Name == "NTT" || wl.Name == "Join" {
 			refKind = pimnet.NDPBridge
 		}
-		ref, err := pimnet.NewBackend(refKind, sys)
-		if err != nil {
-			return commCell{}, err
-		}
-		mp, err := machine.New(sys, p)
+		mp, err := machineFor(pimnet.PIMnet, sys, ctx.Cache)
 		if err != nil {
 			return commCell{}, err
 		}
@@ -356,7 +353,7 @@ func Fig11CommBreakdown(scaled bool, opts ...sweep.Option) ([]CommBreakdownRow, 
 		if err != nil {
 			return commCell{}, err
 		}
-		mr, err := machine.New(sys, ref)
+		mr, err := machineFor(refKind, sys, ctx.Cache)
 		if err != nil {
 			return commCell{}, err
 		}
@@ -364,13 +361,14 @@ func Fig11CommBreakdown(scaled bool, opts ...sweep.Option) ([]CommBreakdownRow, 
 		if err != nil {
 			return commCell{}, err
 		}
-		row := CommBreakdownRow{Workload: wl.Name, Reference: ref.Name(),
+		ref := refKind.String()
+		row := CommBreakdownRow{Workload: wl.Name, Reference: ref,
 			PIMnetComm: pr.Breakdown.CommTotal(), RefComm: rr.Breakdown.CommTotal(),
 			Fractions: map[string]float64{}}
 		if row.PIMnetComm > 0 {
 			row.CommSpeedup = float64(row.RefComm) / float64(row.PIMnetComm)
 		}
-		cell := commCell{row: []string{wl.Name, ref.Name(), report.Speedup(row.CommSpeedup)}}
+		cell := commCell{row: []string{wl.Name, ref, report.Speedup(row.CommSpeedup)}}
 		for _, c := range comps {
 			frac := 0.0
 			if row.PIMnetComm > 0 {
@@ -479,7 +477,7 @@ func Fig14BankBandwidth(opts ...sweep.Option) ([]BWPoint, *report.Table, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	d, err := baselines.NewDIMMLink(sys)
+	d, err := pimnet.NewBackend(pimnet.DIMMLink, sys)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -490,11 +488,11 @@ func Fig14BankBandwidth(opts ...sweep.Option) ([]BWPoint, *report.Table, error) 
 	}
 	pts, _, err := sweep.Run([]float64{0.1, 0.2, 0.4, 0.7, 1.0},
 		func(ctx *sweep.Context, gbps float64) (BWPoint, error) {
-			p, err := core.NewPIMnet(sys)
+			p, err := pimnet.NewPIMnet(sys, pimnet.WithPlanCache(ctx.Cache))
 			if err != nil {
 				return BWPoint{}, err
 			}
-			p.WithPlanCache(ctx.Cache).Network().ScaleBankBandwidth(gbps * config.GBps)
+			p.Network().ScaleBankBandwidth(gbps * config.GBps)
 			pres, err := p.Collective(req)
 			if err != nil {
 				return BWPoint{}, err
@@ -523,11 +521,11 @@ func Fig14GlobalBandwidth(opts ...sweep.Option) ([]BWPoint, *report.Table, error
 	req := request(collective.AllReduce, collective.Sum, 256)
 	pts, _, err := sweep.Run([]float64{0.25, 0.5, 1, 2, 4},
 		func(ctx *sweep.Context, scale float64) (BWPoint, error) {
-			p, err := core.NewPIMnet(sys)
+			p, err := pimnet.NewPIMnet(sys, pimnet.WithPlanCache(ctx.Cache))
 			if err != nil {
 				return BWPoint{}, err
 			}
-			p.WithPlanCache(ctx.Cache).Network().ScaleGlobalBandwidth(scale)
+			p.Network().ScaleGlobalBandwidth(scale)
 			pres, err := p.Collective(req)
 			if err != nil {
 				return BWPoint{}, err
@@ -535,7 +533,7 @@ func Fig14GlobalBandwidth(opts ...sweep.Option) ([]BWPoint, *report.Table, error
 			// DIMM-Link's dedicated links scale with the same global budget.
 			dsys := sys
 			dsys.Net.RankBusBW *= scale
-			d, err := baselines.NewDIMMLink(dsys)
+			d, err := pimnet.NewBackend(pimnet.DIMMLink, dsys)
 			if err != nil {
 				return BWPoint{}, err
 			}
@@ -593,20 +591,11 @@ func Fig15AltPIM(scaled bool, opts ...sweep.Option) ([]AltPIMRow, *report.Table,
 		if err != nil {
 			return AltPIMRow{}, err
 		}
-		b, err := host.NewBaseline(sys)
+		mb, err := machineFor(pimnet.Baseline, sys, ctx.Cache)
 		if err != nil {
 			return AltPIMRow{}, err
 		}
-		p, err := core.NewPIMnet(sys)
-		if err != nil {
-			return AltPIMRow{}, err
-		}
-		p.WithPlanCache(ctx.Cache)
-		mb, err := machine.New(sys, b)
-		if err != nil {
-			return AltPIMRow{}, err
-		}
-		mp, err := machine.New(sys, p)
+		mp, err := machineFor(pimnet.PIMnet, sys, ctx.Cache)
 		if err != nil {
 			return AltPIMRow{}, err
 		}
@@ -656,20 +645,11 @@ func Fig16ChannelScaling(opts ...sweep.Option) ([]ChannelPoint, *report.Table, e
 		if err != nil {
 			return cell{}, err
 		}
-		b, err := host.NewBaseline(sys)
+		mb, err := machineFor(pimnet.Baseline, sys, ctx.Cache)
 		if err != nil {
 			return cell{}, err
 		}
-		p, err := core.NewPIMnet(sys)
-		if err != nil {
-			return cell{}, err
-		}
-		p.WithPlanCache(ctx.Cache)
-		mb, err := machine.New(sys, b)
-		if err != nil {
-			return cell{}, err
-		}
-		mp, err := machine.New(sys, p)
+		mp, err := machineFor(pimnet.PIMnet, sys, ctx.Cache)
 		if err != nil {
 			return cell{}, err
 		}
@@ -718,20 +698,12 @@ func Fig17MultiTenancy() (TenancyResult, *report.Table, error) {
 	if err != nil {
 		return TenancyResult{}, nil, err
 	}
-	run := func(mk func(config.System) (backend.Backend, error)) (sim.Time, error) {
-		bA, err := mk(half)
+	run := func(kind pimnet.BackendKind) (sim.Time, error) {
+		mA, err := machineFor(kind, half, nil)
 		if err != nil {
 			return 0, err
 		}
-		bB, err := mk(half)
-		if err != nil {
-			return 0, err
-		}
-		mA, err := machine.New(half, bA)
-		if err != nil {
-			return 0, err
-		}
-		mB, err := machine.New(half, bB)
+		mB, err := machineFor(kind, half, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -741,11 +713,11 @@ func Fig17MultiTenancy() (TenancyResult, *report.Table, error) {
 		}
 		return rep.Makespan, nil
 	}
-	hostMk, err := run(func(s config.System) (backend.Backend, error) { return host.NewBaseline(s) })
+	hostMk, err := run(pimnet.Baseline)
 	if err != nil {
 		return TenancyResult{}, nil, err
 	}
-	pimMk, err := run(func(s config.System) (backend.Backend, error) { return core.NewPIMnet(s) })
+	pimMk, err := run(pimnet.PIMnet)
 	if err != nil {
 		return TenancyResult{}, nil, err
 	}

@@ -84,8 +84,8 @@ func (p *Path) Name() string {
 }
 
 // SetTracer attaches a tracer; every subsequent collective emits its stage
-// timeline as KindHostStage spans. Pass nil to detach.
-func (p *Path) SetTracer(t trace.Tracer) { p.tracer = t }
+// timeline as KindHostStage spans at any level. Pass nil to detach.
+func (p *Path) SetTracer(t trace.Tracer, _ trace.Level) { p.tracer = t }
 
 // bandwidths for the three transfer directions, after overhead policy.
 func (p *Path) upBW() float64 { // PIM -> CPU

@@ -186,87 +186,67 @@ func ParseBackendKind(s string) (BackendKind, error) {
 // NewBackend builds one comparison backend by kind. All construction options
 // are accepted uniformly; those that do not apply to the kind are ignored
 // (WithFaults only arms the PIMnet backend; WithPlanCache configures the
-// plan-compiling backends, PIMnet and CXL-PIM).
+// plan-compiling backends, PIMnet and CXL-PIM). It is the single
+// construction path behind NewPIMnet and Backends.
 func NewBackend(kind BackendKind, sys System, opts ...Option) (Backend, error) {
 	cfg := applyOptions(opts)
+	var be interface {
+		Backend
+		SetTracer(Tracer, TraceLevel)
+	}
+	var err error
 	switch kind {
 	case Baseline:
-		p, err := host.NewBaseline(sys)
-		if err != nil {
-			return nil, err
-		}
-		p.SetTracer(cfg.tracer)
-		return p, nil
+		be, err = host.NewBaseline(sys)
 	case IdealSoftware:
-		p, err := host.NewIdeal(sys)
-		if err != nil {
-			return nil, err
-		}
-		p.SetTracer(cfg.tracer)
-		return p, nil
+		be, err = host.NewIdeal(sys)
 	case NDPBridge:
-		nb, err := baselines.NewNDPBridge(sys)
-		if err != nil {
-			return nil, err
-		}
-		nb.SetTracer(cfg.tracer)
-		return nb, nil
+		be, err = baselines.NewNDPBridge(sys)
 	case DIMMLink:
-		d, err := baselines.NewDIMMLink(sys)
-		if err != nil {
-			return nil, err
-		}
-		d.SetTracer(cfg.tracer)
-		return d, nil
+		be, err = baselines.NewDIMMLink(sys)
 	case PIMnet:
-		return newPIMnetWith(sys, cfg)
+		be, err = core.NewPIMnet(sys)
 	case CXLPIM:
-		x, err := cxlpim.New(sys)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.cache != nil {
-			x.WithPlanCache(cfg.cache)
-		}
-		if cfg.tracer != nil {
-			x.SetTracer(cfg.tracer, cfg.level)
-		}
-		return x, nil
+		be, err = cxlpim.New(sys)
 	default:
 		return nil, fmt.Errorf("pimnet: unknown backend kind %v", kind)
 	}
-}
-
-// newPIMnetWith assembles the PIMnet backend from a merged option set; it is
-// the single construction path behind NewPIMnet, NewBackend(PIMnet, ...),
-// and the deprecated NewFaultyPIMnet.
-func newPIMnetWith(sys System, cfg buildConfig) (*core.PIMnet, error) {
-	p, err := core.NewPIMnet(sys)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.cache != nil {
-		p.WithPlanCache(cfg.cache)
-	}
 	if cfg.tracer != nil {
-		p.SetTracer(cfg.tracer, cfg.level)
+		be.SetTracer(cfg.tracer, cfg.level)
 	}
-	if cfg.faults != nil {
-		m, err := NewFaultModel(*cfg.faults, sys)
+	switch b := be.(type) {
+	case *core.PIMnet:
+		b.WithPlanCache(cfg.cache)
+		if err := armFaults(b, sys, cfg); err != nil {
+			return nil, err
+		}
+	case *cxlpim.CXLPIM:
+		b.WithPlanCache(cfg.cache)
+	}
+	return be, nil
+}
+
+// armFaults arms the PIMnet backend with the WithFaults model, degrading to
+// the WithFallback backend (the host-relay baseline by default). Without
+// WithFaults it leaves the backend fault-free.
+func armFaults(p *core.PIMnet, sys System, cfg buildConfig) error {
+	if cfg.faults == nil {
+		return nil
+	}
+	m, err := NewFaultModel(*cfg.faults, sys)
+	if err != nil {
+		return err
+	}
+	fb := cfg.fallback
+	if !cfg.fallbackSet {
+		b, err := host.NewBaseline(sys)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		fb := cfg.fallback
-		if !cfg.fallbackSet {
-			b, err := host.NewBaseline(sys)
-			if err != nil {
-				return nil, err
-			}
-			fb = b
-		}
-		if err := p.EnableFaults(m, fb); err != nil {
-			return nil, err
-		}
+		fb = b
 	}
-	return p, nil
+	return p.EnableFaults(m, fb)
 }

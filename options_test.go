@@ -226,26 +226,41 @@ func TestTraceLevelOptionPhase(t *testing.T) {
 }
 
 // TestWithPlanCache: the option shares one compiled-plan cache across
-// backends built through the new constructor.
+// backends built through NewBackend, for both plan-compiling kinds, so a
+// second build of a kind replays the plan the first build compiled.
 func TestWithPlanCache(t *testing.T) {
 	sys := testSystem(t, 256)
-	cache := pimnet.NewPlanCache()
 	req := pimnet.Request{Pattern: pimnet.AllReduce, Op: pimnet.Sum,
 		BytesPerNode: 4096, ElemSize: 4, Nodes: 256}
-	var want pimnet.Result
-	for i := 0; i < 2; i++ {
-		be, err := pimnet.NewBackend(pimnet.PIMnet, sys, pimnet.WithPlanCache(cache))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := be.Collective(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			want = res
-		} else if res != want {
-			t.Fatalf("cached-plan result %+v differs from first build %+v", res, want)
-		}
+	for _, kind := range []pimnet.BackendKind{pimnet.PIMnet, pimnet.CXLPIM} {
+		t.Run(kind.String(), func(t *testing.T) {
+			cache := pimnet.NewPlanCache()
+			var want pimnet.Result
+			for i := 0; i < 2; i++ {
+				be, err := pimnet.NewBackend(kind, sys, pimnet.WithPlanCache(cache))
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := cache.Stats()
+				res, err := be.Collective(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := cache.Stats().Sub(before)
+				if i == 0 {
+					if st.Misses == 0 {
+						t.Fatalf("first build compiled through no cache: %+v", st)
+					}
+					want = res
+					continue
+				}
+				if st.Hits == 0 || st.Misses != 0 {
+					t.Fatalf("second build: %+v, want hits and no misses", st)
+				}
+				if res != want {
+					t.Fatalf("cached-plan result %+v differs from first build %+v", res, want)
+				}
+			}
+		})
 	}
 }

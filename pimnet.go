@@ -132,7 +132,11 @@ func UPMEMServer() System { return config.UPMEMServer() }
 //	    pimnet.WithFaults(spec),
 //	    pimnet.WithFallback(baseline))
 func NewPIMnet(sys System, opts ...Option) (*core.PIMnet, error) {
-	return newPIMnetWith(sys, applyOptions(opts))
+	be, err := NewBackend(PIMnet, sys, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return be.(*core.PIMnet), nil
 }
 
 // NewMachine binds a system and a backend into a workload runner.
