@@ -9,7 +9,7 @@ GO ?= go
 COVER_PKGS = ./internal/core ./internal/sweep ./internal/sim ./internal/noc
 COVER_FLOOR = 80
 
-.PHONY: build bench-build test vet check cover loc fuzz bench benchcmp profile profile-noc regen-check golden trace-smoke serve-smoke cluster-smoke store-smoke crossover-smoke
+.PHONY: build bench-build test vet check cover loc fuzz bench benchcmp profile profile-noc profile-regen regen-check golden trace-smoke serve-smoke cluster-smoke store-smoke crossover-smoke
 
 # Benchmarks gated by the regression check (make benchcmp). Engine covers the
 # event queue, Execute covers the plan-replay hot path, Store covers the
@@ -17,10 +17,12 @@ COVER_FLOOR = 80
 # Noc covers the flat packet simulator at 256 and 2560 nodes, Cxl covers the
 # CXL-PIM backend's decompose + intra-phase replay path, RMATLogGowalla,
 # SparseGenerate and NamedFull cover the paper-sized workload input
-# generators and a one-workload lookup, PlanWarm covers a plan-cache hit,
-# which returns the shared plan without allocating, and NewNetwork covers
-# building a channel's link table, one slab per network.
-GATED_BENCH = Engine|Execute|Store|Noc|Cxl|RMATLogGowalla|SparseGenerate|NamedFull|PlanWarm|NewNetwork
+# generators and a one-workload lookup, SuiteFull covers one paper-sized
+# suite build (the graph chain and the SpMV tile counts on two goroutines),
+# PlanWarm covers a plan-cache hit, which returns the shared plan without
+# allocating, and NewNetwork covers building a channel's link table, one
+# slab per network.
+GATED_BENCH = Engine|Execute|Store|Noc|Cxl|RMATLogGowalla|SparseGenerate|NamedFull|SuiteFull|PlanWarm|NewNetwork
 GATED_PKGS = ./internal/sim ./internal/core ./internal/store ./internal/noc ./internal/cxlpim \
 	./internal/graphgen ./internal/sparse ./internal/workloads
 
@@ -117,6 +119,12 @@ profile: build
 # DPUs — the flat packet core's hot loop.
 profile-noc: build
 	$(GO) run ./cmd/pimnetbench -fig noc -cpuprofile noc-cpu.pprof -memprofile noc-mem.pprof
+
+# CPU + heap profiles of one full paper regeneration (pimnetbench -fig all):
+# the packet NoC figures and the Fig. 10/11 suite build split most of its
+# CPU.
+profile-regen: build
+	$(GO) run ./cmd/pimnetbench -fig all -cpuprofile regen-cpu.pprof -memprofile regen-mem.pprof
 
 # One full paper regeneration (pimnetbench -fig all): prints its wall time
 # and fails unless stdout's sha256 equals bench/testdata/regen.sha256,

@@ -22,7 +22,10 @@
 // network once: Fig. 13 is four sweep points, and A4's twelve rows come
 // from eight simulations, because its packet sizes at or above the 128 B
 // All-to-All message size all simulate the same network. -stats counts
-// sweep points, so it reports 4 for -fig 13 and 8 for -fig a4.
+// sweep points, so it reports 4 for -fig 13 and 8 for -fig a4. The
+// workload suite that Figs. 10 and 11 share builds its inputs on two
+// goroutines (the R-MAT graph chain beside the rest) whatever -workers
+// says; -workers bounds only the sweep pool.
 package main
 
 import (

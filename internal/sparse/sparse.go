@@ -8,6 +8,7 @@ package sparse
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -30,18 +31,43 @@ type Config struct {
 	Seed       int64
 }
 
+// validate rejects a shape, count or skew that Generate cannot draw.
+func (cfg *Config) validate() error {
+	if cfg.Rows < 1 || cfg.Cols < 1 {
+		return fmt.Errorf("sparse: shape %dx%d", cfg.Rows, cfg.Cols)
+	}
+	if cfg.NNZ < 1 || cfg.NNZ > int64(cfg.Rows)*int64(cfg.Cols) {
+		return fmt.Errorf("sparse: nnz %d out of range for %dx%d", cfg.NNZ, cfg.Rows, cfg.Cols)
+	}
+	if cfg.Skew < 0 {
+		return fmt.Errorf("sparse: negative skew %v", cfg.Skew)
+	}
+	return nil
+}
+
+// draw takes one nonzero, its row, column and value, from rng: the one
+// definition of the generator's RNG stream.
+func (cfg *Config) draw(rng *rand.Rand) (row, col, val int32) {
+	var r int
+	if cfg.Skew > 0 {
+		// Exponent-skewed row choice: row ~ N * u^(1+skew).
+		u := rng.Float64()
+		for i := 0.0; i < cfg.Skew; i++ {
+			u *= rng.Float64()
+		}
+		r = min(int(u*float64(cfg.Rows)), cfg.Rows-1)
+	} else {
+		r = rng.Intn(cfg.Rows)
+	}
+	return int32(r), int32(rng.Intn(cfg.Cols)), int32(rng.Intn(100) + 1)
+}
+
 // Generate produces a deterministic sparse matrix with the requested shape.
 // It draws (row, column, value) triples until NNZ distinct coordinates
 // exist; a coordinate drawn again keeps its last drawn value.
 func Generate(cfg Config) (*COO, error) {
-	if cfg.Rows < 1 || cfg.Cols < 1 {
-		return nil, fmt.Errorf("sparse: shape %dx%d", cfg.Rows, cfg.Cols)
-	}
-	if cfg.NNZ < 1 || cfg.NNZ > int64(cfg.Rows)*int64(cfg.Cols) {
-		return nil, fmt.Errorf("sparse: nnz %d out of range for %dx%d", cfg.NNZ, cfg.Rows, cfg.Cols)
-	}
-	if cfg.Skew < 0 {
-		return nil, fmt.Errorf("sparse: negative skew %v", cfg.Skew)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	// The nonzeros are built in the result's own slices: the distinct
@@ -51,8 +77,7 @@ func Generate(cfg Config) (*COO, error) {
 	// the RNG stream exactly as a draw-by-draw loop that stops at NNZ would.
 	// The scratch holds a quarter as many nonzeros, so a round of NNZ draws
 	// is sorted and merged in four pieces and a build peaks at one and a
-	// quarter matrices; a daemon serving SpMV requests at once holds that
-	// much per request.
+	// quarter matrices.
 	n := int(cfg.NNZ)
 	m := &COO{Rows: cfg.Rows, Cols: cfg.Cols,
 		RowIdx: make([]int32, n), ColIdx: make([]int32, n), Val: make([]int32, n)}
@@ -60,25 +85,130 @@ func Generate(cfg Config) (*COO, error) {
 	tmp := &COO{RowIdx: make([]int32, quarter), ColIdx: make([]int32, quarter), Val: make([]int32, quarter)}
 	for have := 0; have < n; {
 		for i := have; i < n; i++ {
-			var r int
-			if cfg.Skew > 0 {
-				// Exponent-skewed row choice: row ~ N * u^(1+skew).
-				u := rng.Float64()
-				for i := 0.0; i < cfg.Skew; i++ {
-					u *= rng.Float64()
-				}
-				r = int(u * float64(cfg.Rows))
-			} else {
-				r = rng.Intn(cfg.Rows)
-			}
-			if r >= cfg.Rows {
-				r = cfg.Rows - 1
-			}
-			m.RowIdx[i], m.ColIdx[i], m.Val[i] = int32(r), int32(rng.Intn(cfg.Cols)), int32(rng.Intn(100)+1)
+			m.RowIdx[i], m.ColIdx[i], m.Val[i] = cfg.draw(rng)
 		}
 		have = m.fold(have, tmp)
 	}
 	return m, nil
+}
+
+// CountDBCOO partitions the matrix Generate(cfg) builds as PartitionDBCOO
+// does, without building it: a tile count is all the SpMV workload reads.
+// It draws Generate's RNG stream, values included, and dedups packed
+// row<<colBits|col keys by Generate's scheme (rounds that draw the deficit,
+// pieces as long as a quarter-size scratch, a radix sort, a merge from the
+// back), so its rounds and its set are Generate's. Where a key fits in 32
+// bits, as up to a 64K x 64K matrix's do, a build holds 4 bytes per
+// nonzero and the scratch: 5 bytes per nonzero, against Generate's 15. A
+// wider matrix is generated and partitioned.
+func CountDBCOO(cfg Config, colBlocks, rowBands int) (*DBCOO, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	colBits := bits.Len(uint(cfg.Cols - 1))
+	if bits.Len(uint(cfg.Rows-1))+colBits > 32 {
+		m, err := Generate(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return PartitionDBCOO(m, colBlocks, rowBands)
+	}
+	d, err := newDBCOO(cfg.Rows, cfg.Cols, colBlocks, rowBands)
+	if err != nil {
+		return nil, err
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	n := int(cfg.NNZ)
+	keys, tmp := make([]uint32, n), make([]uint32, (n+3)/4)
+	for have := 0; have < n; {
+		for i := have; i < n; i++ {
+			r, c, _ := cfg.draw(rng)
+			keys[i] = uint32(r)<<colBits | uint32(c)
+		}
+		have = foldKeys(keys, have, tmp)
+	}
+	for _, k := range keys {
+		d.add(int32(k>>colBits), int32(k&(1<<colBits-1)))
+	}
+	return d, nil
+}
+
+// foldKeys is fold on bare keys: it merges keys [have, len(keys)) into the
+// sorted distinct prefix [0, have), in pieces as long as tmp, and returns
+// the prefix's new length.
+func foldKeys(keys []uint32, have int, tmp []uint32) int {
+	for lo := have; lo < len(keys); lo += len(tmp) {
+		piece := keys[lo:min(lo+len(tmp), len(keys))]
+		sorted := sortKeys(piece, tmp[:len(piece)])
+		// Compact the piece's distinct keys into tmp, which sorted may be:
+		// the merge writes over the piece's place.
+		d := 0
+		for _, k := range sorted {
+			if d == 0 || k != tmp[d-1] {
+				tmp[d] = k
+				d++
+			}
+		}
+		have = mergeKeys(keys, have, tmp[:d])
+	}
+	return have
+}
+
+// mergeKeys is merge on bare keys: it folds batch, sorted and distinct,
+// into the sorted distinct prefix [0, have) of keys, which has room behind
+// it for all of batch, and returns the prefix's new length.
+func mergeKeys(keys []uint32, have int, batch []uint32) int {
+	i, j, w := have-1, len(batch)-1, have+len(batch)-1
+	for ; j >= 0; w-- {
+		k := batch[j]
+		if i >= 0 {
+			if keys[i] > k {
+				keys[w] = keys[i]
+				i--
+				continue
+			} else if keys[i] == k {
+				i--
+			}
+		}
+		keys[w] = k
+		j--
+	}
+	end := have + len(batch)
+	if w > i {
+		copy(keys[i+1:], keys[w+1:end])
+		end -= w - i
+	}
+	return end
+}
+
+// sortKeys is sortByKey on bare keys: it sorts the non-empty keys and
+// returns whichever of keys and buf (of equal length) holds the result.
+func sortKeys(keys, buf []uint32) []uint32 {
+	var counts [4][256]int
+	for _, k := range keys {
+		counts[0][byte(k)]++
+		counts[1][byte(k>>8)]++
+		counts[2][byte(k>>16)]++
+		counts[3][byte(k>>24)]++
+	}
+	src, dst := keys, buf
+	for b := range counts {
+		c, shift := &counts[b], 8*b
+		if c[byte(src[0]>>shift)] == len(src) {
+			continue
+		}
+		pos := 0
+		for d, n := range c {
+			c[d], pos = pos, pos+n
+		}
+		for _, k := range src {
+			d := byte(k >> shift)
+			dst[c[d]] = k
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // key returns nonzero i's packed row<<32|col key.
@@ -230,31 +360,44 @@ type DBCOOPart struct {
 // column block computes a partial y over its columns; the partials are
 // combined with Reduce-Scatter across the blocks.
 type DBCOO struct {
-	Matrix    *COO
-	ColBlocks int
-	RowBands  int
-	Parts     []DBCOOPart
+	Rows, Cols int // the partitioned matrix's shape
+	ColBlocks  int
+	RowBands   int
+	Parts      []DBCOOPart // row band by row band, column blocks in order
+}
+
+// newDBCOO returns the decomposition of a rows x cols matrix with every
+// tile empty.
+func newDBCOO(rows, cols, colBlocks, rowBands int) (*DBCOO, error) {
+	if colBlocks < 1 || rowBands < 1 {
+		return nil, fmt.Errorf("sparse: partition %dx%d", colBlocks, rowBands)
+	}
+	d := &DBCOO{Rows: rows, Cols: cols, ColBlocks: colBlocks, RowBands: rowBands,
+		Parts: make([]DBCOOPart, 0, colBlocks*rowBands)}
+	for rb := 0; rb < rowBands; rb++ {
+		for cb := 0; cb < colBlocks; cb++ {
+			d.Parts = append(d.Parts, DBCOOPart{RowBand: rb, ColBlock: cb})
+		}
+	}
+	return d, nil
+}
+
+// add counts a nonzero at (row, col) into its tile.
+func (d *DBCOO) add(row, col int32) {
+	cb := int(col) * d.ColBlocks / d.Cols
+	rb := int(row) * d.RowBands / d.Rows
+	d.Parts[rb*d.ColBlocks+cb].NNZ++
 }
 
 // PartitionDBCOO builds the decomposition; colBlocks*rowBands should equal
 // the DPU count.
 func PartitionDBCOO(m *COO, colBlocks, rowBands int) (*DBCOO, error) {
-	if colBlocks < 1 || rowBands < 1 {
-		return nil, fmt.Errorf("sparse: partition %dx%d", colBlocks, rowBands)
+	d, err := newDBCOO(m.Rows, m.Cols, colBlocks, rowBands)
+	if err != nil {
+		return nil, err
 	}
-	d := &DBCOO{Matrix: m, ColBlocks: colBlocks, RowBands: rowBands}
-	counts := make([]int64, colBlocks*rowBands)
 	for i := range m.Val {
-		cb := int(m.ColIdx[i]) * colBlocks / m.Cols
-		rb := int(m.RowIdx[i]) * rowBands / m.Rows
-		counts[rb*colBlocks+cb]++
-	}
-	for rb := 0; rb < rowBands; rb++ {
-		for cb := 0; cb < colBlocks; cb++ {
-			d.Parts = append(d.Parts, DBCOOPart{
-				RowBand: rb, ColBlock: cb, NNZ: counts[rb*colBlocks+cb],
-			})
-		}
+		d.add(m.RowIdx[i], m.ColIdx[i])
 	}
 	return d, nil
 }
@@ -274,6 +417,6 @@ func (d *DBCOO) MaxPartNNZ() int64 {
 // Reduce-Scatter combines: each tile produces a partial y over its row
 // band (4-byte accumulators).
 func (d *DBCOO) PartialOutputBytes() int64 {
-	rowsPerBand := (d.Matrix.Rows + d.RowBands - 1) / d.RowBands
+	rowsPerBand := (d.Rows + d.RowBands - 1) / d.RowBands
 	return int64(rowsPerBand) * 4
 }

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -256,9 +257,7 @@ func TestGenerateMatchesDrawByDraw(t *testing.T) {
 }
 
 // TestGenerateFootprint pins the generator's footprint: the result and a
-// scratch a quarter its size, however many rounds the collisions take. A
-// daemon building SpMV inputs for concurrent requests holds this much per
-// request at its peak.
+// scratch a quarter its size, however many rounds the collisions take.
 func TestGenerateFootprint(t *testing.T) {
 	for _, cfg := range []Config{
 		{Rows: 1 << 12, Cols: 1 << 12, NNZ: 1 << 18, Skew: 1, Seed: 1},
@@ -278,6 +277,74 @@ func TestGenerateFootprint(t *testing.T) {
 	}
 }
 
+// TestCountDBCOOMatchesPartition checks the counter tile for tile against
+// PartitionDBCOO over Generate: the paper-sized matrix at two seeds, the
+// scaled one, a shape where most draws repeat a coordinate, skew 0, a
+// matrix with every cell set, the colBlocks = DPUs fallback of a DPU count
+// that 32 does not divide, a single column, and a shape whose keys need
+// more than 32 bits.
+func TestCountDBCOOMatchesPartition(t *testing.T) {
+	full := func(seed int64) Config {
+		return Config{Rows: 1 << 16, Cols: 1 << 16, NNZ: 2 << 20, Skew: 1, Seed: seed}
+	}
+	scaled := Config{Rows: 4096, Cols: 4096, NNZ: 40000, Skew: 1, Seed: 1}
+	for _, c := range []struct {
+		cfg                 Config
+		colBlocks, rowBands int
+	}{
+		{full(1), 32, 8},
+		{full(2), 32, 8},
+		{scaled, 32, 8},
+		{Config{Rows: 64, Cols: 64, NNZ: 4000, Skew: 1, Seed: 1}, 32, 8},
+		{Config{Rows: 1000, Cols: 700, NNZ: 20000, Skew: 0, Seed: 5}, 32, 2},
+		{Config{Rows: 37, Cols: 23, NNZ: 37 * 23, Skew: 1, Seed: 6}, 4, 3},
+		{scaled, 48, 1},
+		{Config{Rows: 999, Cols: 1, NNZ: 400, Skew: 2, Seed: 7}, 1, 16},
+		{Config{Rows: 1 << 17, Cols: 1 << 16, NNZ: 5000, Skew: 1, Seed: 8}, 32, 8},
+	} {
+		m, err := Generate(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := PartitionDBCOO(m, c.colBlocks, c.rowBands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := CountDBCOO(c.cfg, c.colBlocks, c.rowBands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v in %dx%d tiles: counter differs from PartitionDBCOO(Generate)",
+				c.cfg, c.colBlocks, c.rowBands)
+		}
+	}
+	if _, err := CountDBCOO(Config{Rows: 4, Cols: 4, NNZ: 17}, 2, 2); err == nil {
+		t.Error("nnz above the cell count accepted")
+	}
+	if _, err := CountDBCOO(scaled, 0, 8); err == nil {
+		t.Error("bad partition accepted")
+	}
+}
+
+// TestCountDBCOOFootprint pins the counter's paper-sized footprint: one
+// 4-byte key per nonzero and a quarter as many in scratch, half of one
+// 8-byte key per nonzero and its quarter, and a third of what Generate
+// allocates.
+func TestCountDBCOOFootprint(t *testing.T) {
+	cfg := Config{Rows: 1 << 16, Cols: 1 << 16, NNZ: 2 << 20, Skew: 1, Seed: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := CountDBCOO(cfg, 32, 8); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	keys := uint64(cfg.NNZ) * 4
+	if got := after.TotalAlloc - before.TotalAlloc; got > keys+keys/4+64<<10 {
+		t.Errorf("allocated %d bytes, want at most one and a quarter %d-byte key arrays", got, keys)
+	}
+}
+
 // BenchmarkSparseGenerate times the paper-sized SpMV input (2M nonzeros in
 // a 64K x 64K matrix), the suite's costliest generator.
 func BenchmarkSparseGenerate(b *testing.B) {
@@ -285,6 +352,18 @@ func BenchmarkSparseGenerate(b *testing.B) {
 	b.ReportAllocs()
 	for range b.N {
 		if _, err := Generate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCountDBCOO times the SpMV workload's input: the paper-sized
+// matrix's 32x8 tile counts, drawn and deduplicated without the matrix.
+func BenchmarkCountDBCOO(b *testing.B) {
+	cfg := Config{Rows: 1 << 16, Cols: 1 << 16, NNZ: 2 << 20, Skew: 1, Seed: 1}
+	b.ReportAllocs()
+	for range b.N {
+		if _, err := CountDBCOO(cfg, 32, 8); err != nil {
 			b.Fatal(err)
 		}
 	}

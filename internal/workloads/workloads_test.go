@@ -1,12 +1,15 @@
 package workloads
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"pimnet/internal/collective"
 	"pimnet/internal/dpu"
 	"pimnet/internal/embtab"
 	"pimnet/internal/graphgen"
+	"pimnet/internal/machine"
 	"pimnet/internal/sparse"
 )
 
@@ -207,6 +210,42 @@ func TestSuiteScaled(t *testing.T) {
 	}
 }
 
+// TestSuiteErrorInTableOrder checks that a scope every workload rejects
+// fails on BFS, the first entry in table order, whichever of Suite's two
+// goroutines finishes first.
+func TestSuiteErrorInTableOrder(t *testing.T) {
+	for range 20 {
+		_, err := Suite(SuiteConfig{Nodes: 0, Seed: 1, Scaled: true})
+		if err == nil || !strings.Contains(err.Error(), "building BFS:") {
+			t.Fatalf("err = %v, want BFS's", err)
+		}
+	}
+}
+
+// TestSuiteMatchesSerialWalk checks that the two-goroutine Suite returns
+// what one walk of the table on one goroutine builds, in table order.
+func TestSuiteMatchesSerialWalk(t *testing.T) {
+	for _, nodes := range []int{64, 256} {
+		cfg := SuiteConfig{Nodes: nodes, Seed: 1, Scaled: true}
+		got, err := Suite(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := newInputs(cfg)
+		var want []machine.Workload
+		for i := range table[:suiteSize] {
+			wl, err := table[i].run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, wl)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d nodes: Suite differs from a serial walk of the table", nodes)
+		}
+	}
+}
+
 func TestEMBProduction(t *testing.T) {
 	wls, err := EMBProduction(opt())
 	if err != nil {
@@ -240,7 +279,8 @@ func TestOptionsValidation(t *testing.T) {
 }
 
 // BenchmarkNamedFull times one paper-sized workload lookup: GEMV builds no
-// generated input, SpMV builds the 2M-nonzero matrix.
+// generated input, SpMV counts the tiles of the 2M-nonzero matrix without
+// building it.
 func BenchmarkNamedFull(b *testing.B) {
 	for _, name := range []string{"GEMV", "SpMV"} {
 		b.Run(name, func(b *testing.B) {
@@ -251,5 +291,16 @@ func BenchmarkNamedFull(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSuiteFull times one paper-sized Suite: the R-MAT graph chain
+// and the SpMV tile counts build at once, on two goroutines.
+func BenchmarkSuiteFull(b *testing.B) {
+	b.ReportAllocs()
+	for range b.N {
+		if _, err := Suite(SuiteConfig{Nodes: 256, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
