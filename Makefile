@@ -17,12 +17,13 @@ COVER_FLOOR = 80
 # Noc covers the flat packet simulator at 256 and 2560 nodes, Cxl covers the
 # CXL-PIM backend's decompose + intra-phase replay path, RMATLogGowalla,
 # SparseGenerate and NamedFull cover the paper-sized workload input
-# generators and a one-workload lookup, SuiteFull covers one paper-sized
-# suite build (the graph chain and the SpMV tile counts on two goroutines),
-# PlanWarm covers a plan-cache hit, which returns the shared plan without
-# allocating, and NewNetwork covers building a channel's link table, one
-# slab per network.
-GATED_BENCH = Engine|Execute|Store|Noc|Cxl|RMATLogGowalla|SparseGenerate|NamedFull|SuiteFull|PlanWarm|NewNetwork
+# generators and a one-workload lookup (BFS reads the warm paper-graph
+# memo), PaperGraphFacts covers the memo's cold traversal (R-MAT, BFS, CC),
+# SuiteFull covers one paper-sized suite build over a warm memo (the SpMV
+# tile counts and the phase graphs), PlanWarm covers a plan-cache hit,
+# which returns the shared plan without allocating, and NewNetwork covers
+# building a channel's link table, one slab per network.
+GATED_BENCH = Engine|Execute|Store|Noc|Cxl|RMATLogGowalla|SparseGenerate|NamedFull|PaperGraphFacts|SuiteFull|PlanWarm|NewNetwork
 GATED_PKGS = ./internal/sim ./internal/core ./internal/store ./internal/noc ./internal/cxlpim \
 	./internal/graphgen ./internal/sparse ./internal/workloads
 

@@ -3,9 +3,11 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"pimnet/internal/collective"
@@ -136,13 +138,51 @@ func KeyForSystem(sys config.System, req collective.Request, stepOverheadPs int6
 // Digest returns a hex SHA-256 over the key's canonical JSON encoding — a
 // stable string form of the compilation point for logs, coalescing maps, and
 // response bodies. PlanKey contains only scalar fields, so the encoding
-// cannot fail and two equal keys always digest identically.
+// cannot fail and two equal keys always digest identically. The bytes
+// hashed are json.Marshal(k)'s, but the system's part is encoded once per
+// distinct system (systemJSON), not once per key.
 func (k PlanKey) Digest() string {
-	b, err := json.Marshal(k)
+	req, err := json.Marshal(k.Req)
 	if err != nil {
 		panic(fmt.Sprintf("core: plan key not encodable: %v", err))
 	}
-	return fmt.Sprintf("%x", sha256.Sum256(b))
+	h := sha256.New()
+	h.Write([]byte(`{"Sys":`))
+	h.Write(systemJSON(k.Sys))
+	h.Write([]byte(`,"Req":`))
+	h.Write(req)
+	h.Write(strconv.AppendInt([]byte(`,"StepOverheadPs":`), k.StepOverheadPs, 10))
+	h.Write([]byte(`}`))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// sysJSON memoizes the JSON encoding of each system a key has digested. A
+// daemon sees few distinct systems, but their DPU counts come from
+// requests, so the map is cleared once it holds sysJSONMax entries.
+var sysJSON struct {
+	sync.Mutex
+	m map[config.System][]byte
+}
+
+const sysJSONMax = 64
+
+// systemJSON returns json.Marshal(sys), encoding each distinct system once.
+// The returned bytes are shared and must not be modified.
+func systemJSON(sys config.System) []byte {
+	sysJSON.Lock()
+	defer sysJSON.Unlock()
+	if b, ok := sysJSON.m[sys]; ok {
+		return b
+	}
+	b, err := json.Marshal(sys)
+	if err != nil {
+		panic(fmt.Sprintf("core: plan key not encodable: %v", err))
+	}
+	if sysJSON.m == nil || len(sysJSON.m) >= sysJSONMax {
+		sysJSON.m = make(map[config.System][]byte, sysJSONMax)
+	}
+	sysJSON.m[sys] = b
+	return b
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness counters.

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -387,7 +390,65 @@ func FuzzPlanCacheKey(f *testing.F) {
 		if ok != tupleEqual {
 			t.Fatalf("cache hit=%v for tuple equality %v", ok, tupleEqual)
 		}
+		for _, k := range []PlanKey{ka, kb} {
+			if got, want := k.Digest(), marshalDigest(t, k); got != want {
+				t.Fatalf("Digest = %s, SHA-256 of json.Marshal = %s\nk=%+v", got, want, k)
+			}
+		}
 	})
+}
+
+// marshalDigest is the digest PlanKey.Digest defines: a hex SHA-256 over
+// json.Marshal of the whole key.
+func marshalDigest(t testing.TB, k PlanKey) string {
+	t.Helper()
+	b, err := json.Marshal(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(b))
+}
+
+// TestPlanKeyDigestMatchesMarshal checks Digest, which encodes each distinct
+// system once, against the SHA-256 of json.Marshal over keys in the style of
+// FuzzPlanCacheKey, across more distinct systems than the encoding memo
+// holds: each DPU count the paper's hierarchy admits, then 100 systems that
+// differ in one rate. Every system is digested twice, so the second reads
+// the memo (or a memo cleared since), and the memo stays within its bound.
+func TestPlanKeyDigestMatchesMarshal(t *testing.T) {
+	var systems []config.System
+	for _, dpus := range []int{1, 2, 8, 64, 256, 512, 1024, 2560} {
+		sys, err := config.Default().WithDPUs(dpus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems = append(systems, sys)
+	}
+	for i := range 100 {
+		sys := config.Default()
+		sys.Net.RankBusBW += float64(i) * 1e6
+		systems = append(systems, sys)
+	}
+	reqs := []collective.Request{
+		testReq(collective.AllReduce, 64, 32<<10),
+		{Pattern: collective.Pattern(7), Op: collective.Min, BytesPerNode: -1, ElemSize: 8, Nodes: 1, Root: 3},
+		{},
+	}
+	for range 2 {
+		for _, sys := range systems {
+			for i, req := range reqs {
+				k := KeyForSystem(sys, req, int64(i)*-100)
+				if got, want := k.Digest(), marshalDigest(t, k); got != want {
+					t.Fatalf("Digest = %s, SHA-256 of json.Marshal = %s\nk=%+v", got, want, k)
+				}
+			}
+		}
+	}
+	sysJSON.Lock()
+	defer sysJSON.Unlock()
+	if n := len(sysJSON.m); n > sysJSONMax {
+		t.Fatalf("system encoding memo holds %d entries, bound %d", n, sysJSONMax)
+	}
 }
 
 // TestKeyForSystemMatchesKeyFor: the network-free key path the serving tier

@@ -22,9 +22,6 @@ type Graph struct {
 // M returns the (directed) edge count; each undirected edge appears twice.
 func (g *Graph) M() int64 { return int64(len(g.Edges)) }
 
-// Degree returns the degree of vertex v.
-func (g *Graph) Degree(v int) int64 { return g.Offsets[v+1] - g.Offsets[v] }
-
 // Neighbors returns the adjacency list of vertex v (shared storage).
 func (g *Graph) Neighbors(v int) []int32 { return g.Edges[g.Offsets[v]:g.Offsets[v+1]] }
 
@@ -222,41 +219,40 @@ func ConnectedComponents(g *Graph) *CCResult {
 	return res
 }
 
-// PartitionEdges splits vertices into p contiguous ranges with balanced
-// edge counts (the distribution used when offloading to DPUs) and returns,
-// for each partition, its vertex range and edge count.
+// Partition is one part of an edge-balanced contiguous vertex partition
+// (the distribution used when offloading to DPUs): its vertex range and
+// edge count.
 type Partition struct {
 	Lo, Hi int // vertex range [Lo, Hi)
 	Edges  int64
 }
 
-// PartitionEdges returns a p-way edge-balanced contiguous partition.
-func PartitionEdges(g *Graph, p int) []Partition {
+// PartitionEdges returns a p-way edge-balanced contiguous partition of the
+// vertices whose degree prefix sums are offsets: a Graph's Offsets, or a
+// narrower copy of them kept without the edges. offsets[0] is 0, and
+// offsets[len(offsets)-1] is the edge count.
+func PartitionEdges[O int32 | int64](offsets []O, p int) []Partition {
 	if p < 1 {
 		p = 1
 	}
+	n := len(offsets) - 1
+	m := int64(offsets[n])
 	parts := make([]Partition, 0, p)
 	lo := 0
-	var cum int64
-	var lastCum int64
 	for i := 1; i <= p; i++ {
 		// Boundary i closes when the cumulative edge count reaches i/p of
 		// the total, while leaving at least one vertex per remaining part.
-		target := g.M() * int64(i) / int64(p)
+		// The last part takes every vertex left.
+		target := m * int64(i) / int64(p)
 		hi := lo
-		maxHi := g.N - (p - i)
-		for hi < maxHi && (cum < target || hi == lo) {
-			cum += g.Degree(hi)
+		maxHi := n - (p - i)
+		for hi < maxHi && (int64(offsets[hi]) < target || hi == lo) {
 			hi++
 		}
 		if i == p {
-			for hi < g.N {
-				cum += g.Degree(hi)
-				hi++
-			}
+			hi = n
 		}
-		parts = append(parts, Partition{Lo: lo, Hi: hi, Edges: cum - lastCum})
-		lastCum = cum
+		parts = append(parts, Partition{Lo: lo, Hi: hi, Edges: int64(offsets[hi] - offsets[lo])})
 		lo = hi
 	}
 	return parts

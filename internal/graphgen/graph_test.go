@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -197,7 +198,7 @@ func TestConnectedComponentsCorrectness(t *testing.T) {
 func TestPartitionEdges(t *testing.T) {
 	g := smallGraph(t)
 	for _, p := range []int{1, 4, 64} {
-		parts := PartitionEdges(g, p)
+		parts := PartitionEdges(g.Offsets, p)
 		if len(parts) != p {
 			t.Fatalf("got %d partitions, want %d", len(parts), p)
 		}
@@ -217,11 +218,65 @@ func TestPartitionEdges(t *testing.T) {
 			t.Fatalf("partition edges %d != M %d", edgeSum, g.M())
 		}
 	}
-	if PartitionEdges(g, 0)[0].Hi != g.N {
+	if PartitionEdges(g.Offsets, 0)[0].Hi != g.N {
 		t.Fatal("p<1 should clamp to one partition")
 	}
-	if m := MaxPartitionEdges(PartitionEdges(g, 4)); m <= 0 || m > g.M() {
+	if m := MaxPartitionEdges(PartitionEdges(g.Offsets, 4)); m <= 0 || m > g.M() {
 		t.Fatalf("max partition edges = %d", m)
+	}
+}
+
+// Degree returns the degree of vertex v.
+func (g *Graph) Degree(v int) int64 { return g.Offsets[v+1] - g.Offsets[v] }
+
+// degreeWalkPartition is the partition PartitionEdges computes, taken by
+// walking the graph's degrees vertex by vertex: the test oracle for the
+// prefix-sum form.
+func degreeWalkPartition(g *Graph, p int) []Partition {
+	if p < 1 {
+		p = 1
+	}
+	parts := make([]Partition, 0, p)
+	lo := 0
+	var cum, lastCum int64
+	for i := 1; i <= p; i++ {
+		target := g.M() * int64(i) / int64(p)
+		hi := lo
+		maxHi := g.N - (p - i)
+		for hi < maxHi && (cum < target || hi == lo) {
+			cum += g.Degree(hi)
+			hi++
+		}
+		if i == p {
+			for hi < g.N {
+				cum += g.Degree(hi)
+				hi++
+			}
+		}
+		parts = append(parts, Partition{Lo: lo, Hi: hi, Edges: cum - lastCum})
+		lastCum = cum
+		lo = hi
+	}
+	return parts
+}
+
+// TestPartitionEdgesMatchesDegreeWalk checks PartitionEdges over a graph's
+// Offsets and over an int32 copy of them against the degree walk, at part
+// counts up to more parts than vertices.
+func TestPartitionEdgesMatchesDegreeWalk(t *testing.T) {
+	g := smallGraph(t)
+	narrow := make([]int32, len(g.Offsets))
+	for i, o := range g.Offsets {
+		narrow[i] = int32(o)
+	}
+	for _, p := range []int{0, 1, 3, 7, 64, 256, g.N - 1, g.N, g.N + 5} {
+		want := degreeWalkPartition(g, p)
+		if got := PartitionEdges(g.Offsets, p); !slices.Equal(got, want) {
+			t.Fatalf("p=%d: PartitionEdges(Offsets) differs from the degree walk", p)
+		}
+		if got := PartitionEdges(narrow, p); !slices.Equal(got, want) {
+			t.Fatalf("p=%d: PartitionEdges(int32 sums) differs from the degree walk", p)
+		}
 	}
 }
 

@@ -42,22 +42,18 @@ func alignUp(n, m int64) int64 {
 	return (n + m - 1) / m * m
 }
 
-// BFS builds the breadth-first-search workload over g: level-synchronous
+// bfs builds the breadth-first-search workload over g: level-synchronous
 // traversal with one AllReduce(Or) of the frontier bitmap per level
 // (Table VII: log-gowalla, AR).
-func BFS(opt Options, g *graphgen.Graph) (machine.Workload, error) {
+func bfs(opt Options, g *graphFacts) (machine.Workload, error) {
 	if err := opt.validate(); err != nil {
 		return machine.Workload{}, err
 	}
-	res, err := graphgen.BFS(g, 0)
-	if err != nil {
-		return machine.Workload{}, err
-	}
-	parts := graphgen.PartitionEdges(g, opt.Nodes)
-	maxShare := float64(graphgen.MaxPartitionEdges(parts)) / float64(g.M())
-	bitmapBytes := alignUp(int64((g.N+7)/8), 4)
+	parts := graphgen.PartitionEdges(g.degreeSums, opt.Nodes)
+	maxShare := float64(graphgen.MaxPartitionEdges(parts)) / float64(g.m)
+	bitmapBytes := alignUp(int64((g.n+7)/8), 4)
 	wl := machine.Workload{Name: "BFS"}
-	for level, scanned := range res.EdgesScanned {
+	for level, scanned := range g.scanned {
 		busiest := int64(float64(scanned)*maxShare) + 1
 		wl.Phases = append(wl.Phases, machine.Phase{
 			Name: fmt.Sprintf("level-%d", level+1),
@@ -65,7 +61,7 @@ func BFS(opt Options, g *graphgen.Graph) (machine.Workload, error) {
 				Other:  4 * busiest, // frontier test, level set
 				Loads:  2 * busiest,
 				Stores: busiest,
-				Adds:   int64(g.N/opt.Nodes) + 1, // local bitmap sweep
+				Adds:   int64(g.n/opt.Nodes) + 1, // local bitmap sweep
 			},
 			MRAMRandom: 2 * busiest, // neighbor bitmap probe + level write
 			Collective: &collective.Request{Pattern: collective.AllReduce,
@@ -75,17 +71,16 @@ func BFS(opt Options, g *graphgen.Graph) (machine.Workload, error) {
 	return wl, nil
 }
 
-// CC builds the connected-components workload over g: synchronous
+// cc builds the connected-components workload over g: synchronous
 // min-label propagation with one AllReduce(Min) of the label array per
 // iteration.
-func CC(opt Options, g *graphgen.Graph) (machine.Workload, error) {
+func cc(opt Options, g *graphFacts) (machine.Workload, error) {
 	if err := opt.validate(); err != nil {
 		return machine.Workload{}, err
 	}
-	cc := graphgen.ConnectedComponents(g)
-	parts := graphgen.PartitionEdges(g, opt.Nodes)
+	parts := graphgen.PartitionEdges(g.degreeSums, opt.Nodes)
 	busiest := graphgen.MaxPartitionEdges(parts)
-	labelBytes := int64(g.N) * 4
+	labelBytes := int64(g.n) * 4
 	wl := machine.Workload{Name: "CC"}
 	wl.Phases = append(wl.Phases, machine.Phase{
 		Name: "propagate",
@@ -97,7 +92,7 @@ func CC(opt Options, g *graphgen.Graph) (machine.Workload, error) {
 		MRAMRandom: 3 * busiest, // label read + compare + write-back per endpoint
 		Collective: &collective.Request{Pattern: collective.AllReduce,
 			Op: collective.Min, BytesPerNode: labelBytes, ElemSize: 4, Nodes: opt.Nodes},
-		Repeat: cc.Iterations,
+		Repeat: g.iterations,
 	})
 	return wl, nil
 }
@@ -345,8 +340,8 @@ type SuiteConfig struct {
 }
 
 // inputs is one SuiteConfig's resolved input parameters, read by the
-// workload constructors. The R-MAT graph is built on first use and kept, so
-// BFS and CC of one Suite call traverse the same graph.
+// workload constructors. The graph facts are resolved on first use and
+// kept, so BFS and CC of one Suite call read the same traversal.
 type inputs struct {
 	opt        Options
 	scaled     bool
@@ -355,7 +350,7 @@ type inputs struct {
 	colBlocks  int
 	embPart    embtab.Partitioning
 	joinTuples int64
-	g          *graphgen.Graph
+	graph      *graphFacts
 }
 
 func newInputs(cfg SuiteConfig) *inputs {
@@ -382,27 +377,32 @@ func newInputs(cfg SuiteConfig) *inputs {
 	return in
 }
 
-// onGraph validates the scope, then runs a graph workload on the shared
-// R-MAT graph, building it on first use.
-func (in *inputs) onGraph(build func(Options, *graphgen.Graph) (machine.Workload, error)) (machine.Workload, error) {
+// onGraph validates the scope, then runs a graph workload on the facts of
+// the shared R-MAT graph. The paper graph's facts come from the process
+// memo; any other graph is built and traversed on first use.
+func (in *inputs) onGraph(build func(Options, *graphFacts) (machine.Workload, error)) (machine.Workload, error) {
 	if err := in.opt.validate(); err != nil {
 		return machine.Workload{}, err
 	}
-	if in.g == nil {
-		g, err := graphgen.RMAT(in.rmat)
+	if in.graph == nil {
+		var err error
+		if in.rmat == graphgen.LogGowalla() {
+			in.graph, err = paperGraph()
+		} else {
+			in.graph, err = traverse(in.rmat)
+		}
 		if err != nil {
 			return machine.Workload{}, err
 		}
-		in.g = g
 	}
-	return build(in.opt, in.g)
+	return build(in.opt, in.graph)
 }
 
 // named is one entry of the workload table: a graph workload, which runs
-// on the shared R-MAT graph, or one that builds its own input.
+// on the shared R-MAT graph's facts, or one that builds its own input.
 type named struct {
 	name  string
-	graph func(Options, *graphgen.Graph) (machine.Workload, error)
+	graph func(Options, *graphFacts) (machine.Workload, error)
 	build func(*inputs) (machine.Workload, error)
 }
 
@@ -410,8 +410,8 @@ type named struct {
 // suite order, then the PIMfused fused-layer CNN class, which Named
 // resolves but Suite does not build.
 var table = [...]named{
-	{name: "BFS", graph: BFS},
-	{name: "CC", graph: CC},
+	{name: "BFS", graph: bfs},
+	{name: "CC", graph: cc},
 	{name: "GEMV", build: func(in *inputs) (machine.Workload, error) { return GEMV(in.opt, 2048, 128, 8) }},
 	{name: "MLP", build: func(in *inputs) (machine.Workload, error) { return MLP(in.opt, []int{256, 512, 1024}, 4) }},
 	{name: "SpMV", build: func(in *inputs) (machine.Workload, error) { return SpMV(in.opt, in.matrix, in.colBlocks) }},
@@ -440,11 +440,13 @@ func (w *named) run(in *inputs) (machine.Workload, error) {
 
 // Suite builds all eight evaluation workloads with the paper's inputs
 // (Table VII), or reduced ones when Scaled is set. The graph workloads,
-// which share the R-MAT graph, build on one goroutine while the others
-// (the SpMV tile counts among them) build on the caller's: the two heavy
-// inputs are built at once, and only the graph goroutine touches the
-// shared graph. The workloads come back in table order, and the error is
-// the first one in table order, however the two goroutines finish.
+// which share one graph's facts, build on one goroutine while the others
+// (the SpMV tile counts among them) build on the caller's: a graph still to
+// be traversed and the SpMV input are built at once, and only the graph
+// goroutine touches the shared facts. The paper graph's facts come from
+// the process memo, so only a process's first paper-sized Suite traverses
+// it. The workloads come back in table order, and the error is the first
+// one in table order, however the two goroutines finish.
 func Suite(cfg SuiteConfig) ([]machine.Workload, error) {
 	in := newInputs(cfg)
 	out := make([]machine.Workload, suiteSize)
@@ -506,7 +508,8 @@ func lookup(name string) *named {
 
 // Named builds one workload, resolved by Canonical after trimming spaces,
 // and only that workload's inputs: a GEMV request generates no graph or
-// matrix. A suite workload's phase graph is the one Suite builds.
+// matrix, and a paper-sized BFS or CC reads the paper graph's memo. A suite
+// workload's phase graph is the one Suite builds.
 func Named(name string, cfg SuiteConfig) (machine.Workload, error) {
 	want := strings.TrimSpace(name)
 	if want == "" {
