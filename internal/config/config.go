@@ -66,6 +66,14 @@ type Net struct {
 	SyncBankLat sim.Time // bank -> chip control interface round trip
 	SyncChipLat sim.Time // chip -> inter-chip switch round trip
 	SyncRankLat sim.Time // rank -> inter-rank switch round trip
+
+	// StepOverhead is a fixed guard charged at every lock-step boundary of
+	// a compiled schedule: the knob ablation A1 turns to model per-step
+	// skew, bus turnaround and control distribution. Zero by default (the
+	// paper's deterministic timing needs no guard). It is left out of the
+	// System's JSON because a plan key's digest writes it after the
+	// request, under the name StepOverheadPs (see core.PlanKey.Digest).
+	StepOverhead sim.Time `json:"-"`
 }
 
 // Host describes the host-CPU path used by the software implementations.
@@ -296,6 +304,8 @@ func (s System) Validate() error {
 		return fmt.Errorf("config: non-positive PIMnet tier bandwidth")
 	case s.Net.BankChannels < 2:
 		return fmt.Errorf("config: bank channels = %d, ring needs >= 2", s.Net.BankChannels)
+	case s.Net.StepOverhead < 0:
+		return fmt.Errorf("config: step overhead %v < 0", s.Net.StepOverhead)
 	case s.Host.PIMToCPUBW <= 0 || s.Host.CPUToPIMBW <= 0 || s.Host.BroadcastBW <= 0 || s.Host.ChannelBW <= 0:
 		return fmt.Errorf("config: non-positive host bandwidth")
 	case s.Host.TransposeFactor < 1:

@@ -109,6 +109,7 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(s *System) { s.Net.ChipChannelBW = -1 },
 		func(s *System) { s.Net.RankBusBW = 0 },
 		func(s *System) { s.Net.BankChannels = 1 },
+		func(s *System) { s.Net.StepOverhead = -1 },
 		func(s *System) { s.Host.PIMToCPUBW = 0 },
 		func(s *System) { s.Host.ChannelBW = 0 },
 		func(s *System) { s.Host.TransposeFactor = 0.5 },

@@ -93,13 +93,3 @@ func flatRingPhase(n *Network, name string, D int64, reduce bool) Phase {
 	}
 	return ph
 }
-
-// StepOverhead configures a fixed per-step scheduling guard added to every
-// lock-step boundary during Execute — the knob the flat-vs-hierarchical
-// ablation turns to model per-step skew, bus turnaround and control
-// distribution costs. Zero by default (the paper's deterministic timing
-// needs no guard).
-func (n *Network) SetStepOverhead(t int64) { n.stepOverheadPs = t }
-
-// StepOverhead returns the configured per-step guard in picoseconds.
-func (n *Network) StepOverhead() int64 { return n.stepOverheadPs }

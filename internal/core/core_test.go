@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"pimnet/internal/backend"
 	"pimnet/internal/collective"
 	"pimnet/internal/config"
 	"pimnet/internal/metrics"
@@ -34,7 +35,7 @@ func TestPlanContentionFree(t *testing.T) {
 		collective.AllToAll, collective.Broadcast, collective.Gather, collective.Reduce,
 	}
 	for _, pat := range patterns {
-		plan, err := PlanFor(p.Network(), req(pat, 32<<10, 256))
+		plan, err := PlanFor(p.net, req(pat, 32<<10, 256))
 		if err != nil {
 			t.Fatalf("%v: %v", pat, err)
 		}
@@ -49,7 +50,7 @@ func TestPlanContentionFree(t *testing.T) {
 
 func TestPlanScopeMismatch(t *testing.T) {
 	p := channel(t, 256)
-	if _, err := PlanFor(p.Network(), req(collective.AllReduce, 1024, 128)); err == nil {
+	if _, err := PlanFor(p.net, req(collective.AllReduce, 1024, 128)); err == nil {
 		t.Fatal("scope mismatch accepted")
 	}
 }
@@ -57,14 +58,14 @@ func TestPlanScopeMismatch(t *testing.T) {
 func TestPlanRejectsInvalidRequest(t *testing.T) {
 	p := channel(t, 8)
 	bad := req(collective.AllReduce, 1022, 8) // not a multiple of elem size
-	if _, err := PlanFor(p.Network(), bad); err == nil {
+	if _, err := PlanFor(p.net, bad); err == nil {
 		t.Fatal("invalid request accepted")
 	}
 }
 
 func TestAllReducePhaseStructure(t *testing.T) {
 	p := channel(t, 256)
-	plan, err := PlanFor(p.Network(), req(collective.AllReduce, 32<<10, 256))
+	plan, err := PlanFor(p.net, req(collective.AllReduce, 32<<10, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestAllReducePhaseStructure(t *testing.T) {
 func TestAllReduceDegenerateShapes(t *testing.T) {
 	// Single chip: no chip or rank phases. Single bank: nothing at all.
 	p8 := channel(t, 8)
-	plan, err := PlanFor(p8.Network(), req(collective.AllReduce, 4096, 8))
+	plan, err := PlanFor(p8.net, req(collective.AllReduce, 4096, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestAllReduceDegenerateShapes(t *testing.T) {
 		}
 	}
 	p1 := channel(t, 1)
-	plan, err = PlanFor(p1.Network(), req(collective.AllReduce, 4096, 1))
+	plan, err = PlanFor(p1.net, req(collective.AllReduce, 4096, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestAllReduceDegenerateShapes(t *testing.T) {
 func TestAllReduceTierVolumes(t *testing.T) {
 	p := channel(t, 256)
 	D := int64(32 << 10)
-	plan, err := PlanFor(p.Network(), req(collective.AllReduce, D, 256))
+	plan, err := PlanFor(p.net, req(collective.AllReduce, D, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestAllReduceTierVolumes(t *testing.T) {
 func TestAllToAllBusVolume(t *testing.T) {
 	p := channel(t, 256)
 	D := int64(32 << 10) // 128 bytes per destination block
-	plan, err := PlanFor(p.Network(), req(collective.AllToAll, D, 256))
+	plan, err := PlanFor(p.net, req(collective.AllToAll, D, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,16 +271,22 @@ func TestA2AScalesWithGlobalTraffic(t *testing.T) {
 func TestBandwidthSensitivity(t *testing.T) {
 	// Fig. 14a: reducing inter-bank bandwidth slows AllReduce but the
 	// inter-chip/rank phases are unaffected.
-	p := channel(t, 256)
-	base, err := p.Collective(req(collective.AllReduce, 32<<10, 256))
-	if err != nil {
-		t.Fatal(err)
+	run := func(mutate func(*config.System)) backend.Result {
+		t.Helper()
+		sys := testSys(t, 256)
+		mutate(&sys)
+		p, err := NewPIMnet(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Collective(req(collective.AllReduce, 32<<10, 256))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	p.Network().ScaleBankBandwidth(0.1 * config.GBps)
-	slow, err := p.Collective(req(collective.AllReduce, 32<<10, 256))
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := run(func(*config.System) {})
+	slow := run(func(s *config.System) { s.Net.BankChannelBW = 0.1 * config.GBps })
 	if slow.Time <= base.Time {
 		t.Fatal("reducing bank bandwidth did not slow AllReduce")
 	}
@@ -287,12 +294,10 @@ func TestBandwidthSensitivity(t *testing.T) {
 		t.Fatal("bank bandwidth sweep changed inter-chip time")
 	}
 	// Fig. 14b: scaling global bandwidth up speeds the chip/rank tiers.
-	p2 := channel(t, 256)
-	p2.Network().ScaleGlobalBandwidth(2)
-	fast, err := p2.Collective(req(collective.AllReduce, 32<<10, 256))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fast := run(func(s *config.System) {
+		s.Net.ChipChannelBW *= 2
+		s.Net.RankBusBW *= 2
+	})
 	if fast.Breakdown.Get(metrics.InterChip) >= base.Breakdown.Get(metrics.InterChip) {
 		t.Fatal("doubling global bandwidth did not speed inter-chip phase")
 	}
@@ -368,7 +373,7 @@ func TestNetworkValidation(t *testing.T) {
 
 func TestContentionCheckerCatchesViolations(t *testing.T) {
 	p := channel(t, 256)
-	n := p.Network()
+	n := p.net
 	bus := int32(len(n.links) - 1)
 	plan := &Plan{Topo: n.Topo, Phases: []Phase{{
 		Name: "bogus", Tier: TierRank,

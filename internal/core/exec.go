@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"pimnet/internal/backend"
 	"pimnet/internal/metrics"
@@ -20,12 +19,13 @@ import (
 //
 // A compiled schedule is statically timed, so its healthy execution is the
 // same every time. The first execution on a pristine, untraced network
-// stores that result on the plan; a later one under the same system and
-// step overhead returns the stored result without touching link state.
-// Every other execution (a faulted or traced network, another system or
-// step overhead) replays every transfer. The guard is sound because a
-// pristine network's link table is a pure function of n.Sys, and every
-// other term of the replay reads n.Sys or the step overhead.
+// stores that result on the plan; a later one under the same system returns
+// the stored result without touching link state. Every other execution (a
+// faulted or traced network, or another system) replays every transfer.
+// The guard is sound because a network is built from n.Sys and nothing
+// retimes it afterwards: a pristine network's link table is a function of
+// n.Sys, and every other term of the replay, the step overhead among them,
+// reads n.Sys.
 //
 // Execute is the sweep hot path: a record hit allocates nothing, and a
 // replay runs entirely out of the network's execScratch, allocating only
@@ -35,15 +35,13 @@ func (n *Network) Execute(p *Plan) (backend.Result, error) {
 	// misses and gets executePhases' error.
 	recordable := n.tracer == nil && n.Pristine()
 	rec := p.timing.Load()
-	if recordable && rec != nil && rec.sys == n.Sys && rec.overheadPs == n.stepOverheadPs {
+	if recordable && rec != nil && rec.sys == n.Sys {
 		return rec.res, nil
 	}
-	res, durs, _, err := n.executePhases(p, execOptions{})
+	res, _, _, err := n.executePhases(p, execOptions{})
 	if err == nil && recordable && rec == nil {
-		// durs aliases the scratch; the record keeps its own copy. Racing
-		// workers compute the same record, so the first store wins.
-		p.timing.CompareAndSwap(nil, &timingRecord{res: res, durs: slices.Clone(durs),
-			sys: n.Sys, overheadPs: n.stepOverheadPs})
+		// Racing workers compute the same record, so the first store wins.
+		p.timing.CompareAndSwap(nil, &timingRecord{res: res, sys: n.Sys})
 	}
 	return res, err
 }
@@ -147,7 +145,7 @@ func (n *Network) executePhases(p *Plan, opt execOptions) (backend.Result, []sim
 			if ph.Pipelined {
 				stepStart = phaseStart
 			} else {
-				stepStart = sim.AddSat(now, sim.Time(n.stepOverheadPs))
+				stepStart = sim.AddSat(now, n.Sys.Net.StepOverhead)
 			}
 			if opt.sched != nil {
 				opt.sched.ApplyUpTo(stepStart)

@@ -18,12 +18,12 @@ func (n *Network) ReplayKernel(p *Plan) (backend.Result, []sim.Time, error) {
 	return res, slices.Clone(durs), err
 }
 
-// RecordedTiming returns the plan's timing record: the result and the
-// per-phase durations. ok is false while no record has been written.
-func (p *Plan) RecordedTiming() (res backend.Result, durs []sim.Time, ok bool) {
+// RecordedTiming returns the result the plan's timing record holds. ok is
+// false while no record has been written.
+func (p *Plan) RecordedTiming() (res backend.Result, ok bool) {
 	rec := p.timing.Load()
 	if rec == nil {
-		return backend.Result{}, nil, false
+		return backend.Result{}, false
 	}
-	return rec.res, rec.durs, true
+	return rec.res, true
 }

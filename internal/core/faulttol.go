@@ -136,8 +136,6 @@ func (p *PIMnet) compiledBounds(req collective.Request) ([]sim.Time, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Keep ablation knobs in sync so the twin's timing matches the real plan.
-	twin.stepOverheadPs = p.net.stepOverheadPs
 	plan, err := PlanFor(twin, req)
 	if err != nil {
 		return nil, err

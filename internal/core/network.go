@@ -32,10 +32,6 @@ type Network struct {
 	// link values.
 	links []sim.Link
 
-	// stepOverheadPs is an optional fixed guard charged at every lock-step
-	// boundary (ablation knob; see SetStepOverhead).
-	stepOverheadPs int64
-
 	// Fault state. deadPath records stuck crossbar pairings (the internal
 	// mux from one chip's ingress to another's egress is wedged); chipOrder,
 	// when non-nil, is the logical->physical chip remap the recompiler
@@ -364,28 +360,4 @@ func (n *Network) Pristine() bool {
 		}
 	}
 	return true
-}
-
-// ScaleBankBandwidth rewrites every ring segment for a new per-channel
-// inter-bank bandwidth (Fig. 14a sensitivity sweep).
-func (n *Network) ScaleBankBandwidth(perChannelBW float64) {
-	n.Sys.Net.BankChannelBW = perChannelBW
-	eff := n.Sys.BankRingBW()
-	rings := n.links[:n.Topo.Nodes()] // one ring segment per bank
-	for i := range rings {
-		rings[i].SetBandwidth(eff)
-	}
-}
-
-// ScaleGlobalBandwidth rewrites the inter-chip channels and the rank bus by
-// a common factor (Fig. 14b sensitivity sweep).
-func (n *Network) ScaleGlobalBandwidth(factor float64) {
-	n.Sys.Net.ChipChannelBW *= factor
-	n.Sys.Net.RankBusBW *= factor
-	bus := len(n.links) - 1
-	chips := n.links[n.Topo.Nodes():bus]
-	for i := range chips {
-		chips[i].SetBandwidth(n.Sys.Net.ChipChannelBW)
-	}
-	n.links[bus].SetBandwidth(n.Sys.Net.RankBusBW)
 }

@@ -39,10 +39,6 @@ func NewPIMnet(sys config.System) (*PIMnet, error) {
 // Name implements backend.Backend.
 func (p *PIMnet) Name() string { return "PIMnet" }
 
-// Network exposes the underlying resource graph for sensitivity sweeps
-// (Fig. 14) and diagnostics.
-func (p *PIMnet) Network() *Network { return p.net }
-
 // WithPlanCache attaches a shared compiled-plan cache to the backend and
 // returns it (builder style). Pass nil to detach.
 func (p *PIMnet) WithPlanCache(c *PlanCache) *PIMnet {

@@ -8,7 +8,6 @@ import (
 	"pimnet/internal/collective"
 	"pimnet/internal/config"
 	"pimnet/internal/metrics"
-	"pimnet/internal/sim"
 )
 
 // Tier identifies which PIMnet tier a phase runs on.
@@ -128,15 +127,12 @@ type Plan struct {
 	timing atomic.Pointer[timingRecord]
 }
 
-// timingRecord is a plan's healthy execution and the conditions it was
-// measured under. A compiled schedule is statically timed, so on a pristine
-// network with the same system and step overhead every replay reproduces
-// it exactly.
+// timingRecord is a plan's healthy execution and the system it was
+// measured on. A compiled schedule is statically timed, so on a pristine
+// network built from the same system every replay reproduces it exactly.
 type timingRecord struct {
-	res        backend.Result
-	durs       []sim.Time // per-phase durations, owned by the record
-	sys        config.System
-	overheadPs int64
+	res backend.Result
+	sys config.System
 }
 
 // CheckContention verifies the static-schedule property: within any single

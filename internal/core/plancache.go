@@ -15,10 +15,10 @@ import (
 )
 
 // This file implements the compiled-plan cache. PIMnet's schedules are
-// static: the same (system, request, step-overhead) tuple always compiles to
-// the same plan, so sweeps that revisit a point — every weak-scaling study,
-// every repeated workload iteration, every worker of a parallel sweep — can
-// share one compilation instead of re-running the scheduler.
+// static: the same (system, request) pair always compiles to the same plan,
+// so sweeps that revisit a point — every weak-scaling study, every repeated
+// workload iteration, every worker of a parallel sweep — can share one
+// compilation instead of re-running the scheduler.
 //
 // A Plan names its links by index into its topology's link table, not by
 // pointer into one Network, so the cache stores the verified *Plan itself
@@ -26,8 +26,8 @@ import (
 // plan on its own network, whose links carry the mutable reservation state.
 // Shared plans are read-only except for one write-once timing record: the
 // first healthy Execute of a plan stores its result on the plan, by
-// compare-and-swap, and later healthy executions on any network under the
-// same system and step overhead read it (see Network.Execute).
+// compare-and-swap, and later healthy executions on any network built from
+// the same system read it (see Network.Execute).
 //
 // Invalidation rule: the shared cache only ever serves and learns from
 // pristine networks. Any hard fault, installed chip reordering, or
@@ -115,32 +115,27 @@ func (p *Plan) Digest() string {
 // compiled schedule is equal — the language's map semantics guarantee
 // collision-freedom (locked in by FuzzPlanCacheKey).
 type PlanKey struct {
-	Sys            config.System
-	Req            collective.Request
-	StepOverheadPs int64
+	Sys config.System
+	Req collective.Request
 }
 
-// KeyFor returns the cache key for compiling req on n as configured.
-func KeyFor(n *Network, req collective.Request) PlanKey {
-	return PlanKey{Sys: n.Sys, Req: req, StepOverheadPs: n.stepOverheadPs}
-}
-
-// KeyForSystem returns the cache key a network built from sys with the given
-// step overhead would produce for req, without constructing the network.
-// This is the serving tier's request identity: two requests with equal keys
-// compile to the same plan, so a server can coalesce them onto one
-// execution before any simulation state exists. It must stay consistent with
-// KeyFor (locked in by TestKeyForSystemMatchesKeyFor).
-func KeyForSystem(sys config.System, req collective.Request, stepOverheadPs int64) PlanKey {
-	return PlanKey{Sys: sys, Req: req, StepOverheadPs: stepOverheadPs}
+// KeyFor returns the cache key for compiling req on a network built from
+// sys. A network is a function of its system, so this is also the serving
+// tier's request identity: two requests with equal keys compile to the same
+// plan, and a server can coalesce them before any network exists.
+func KeyFor(sys config.System, req collective.Request) PlanKey {
+	return PlanKey{Sys: sys, Req: req}
 }
 
 // Digest returns a hex SHA-256 over the key's canonical JSON encoding — a
 // stable string form of the compilation point for logs, coalescing maps, and
 // response bodies. PlanKey contains only scalar fields, so the encoding
 // cannot fail and two equal keys always digest identically. The bytes
-// hashed are json.Marshal(k)'s, but the system's part is encoded once per
-// distinct system (systemJSON), not once per key.
+// hashed are {"Sys":…,"Req":…,"StepOverheadPs":N}: the system's JSON, which
+// leaves out Net.StepOverhead, then the request's, then the step overhead,
+// so every digest keeps the bytes it had when the overhead was a field of
+// the key. The system's part is encoded once per distinct system
+// (systemJSON), not once per key.
 func (k PlanKey) Digest() string {
 	req, err := json.Marshal(k.Req)
 	if err != nil {
@@ -151,7 +146,7 @@ func (k PlanKey) Digest() string {
 	h.Write(systemJSON(k.Sys))
 	h.Write([]byte(`,"Req":`))
 	h.Write(req)
-	h.Write(strconv.AppendInt([]byte(`,"StepOverheadPs":`), k.StepOverheadPs, 10))
+	h.Write(strconv.AppendInt([]byte(`,"StepOverheadPs":`), int64(k.Sys.Net.StepOverhead), 10))
 	h.Write([]byte(`}`))
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -252,7 +247,7 @@ func PlanVia(c *PlanCache, n *Network, req collective.Request) (*Plan, error) {
 	if c == nil || !n.Pristine() {
 		return PlanFor(n, req)
 	}
-	k := KeyFor(n, req)
+	k := KeyFor(n.Sys, req)
 	if p, ok := c.Lookup(k); ok {
 		return p, nil
 	}

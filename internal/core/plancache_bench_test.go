@@ -42,8 +42,7 @@ func BenchmarkPlanWarmLookup(b *testing.B) {
 // BenchmarkPlanKeyDigest times the serving tier's per-request plan_key: a
 // digest of a 2560-DPU key whose system's encoding is already memoized.
 func BenchmarkPlanKeyDigest(b *testing.B) {
-	n := testNet(b, 2560)
-	k := KeyFor(n, testReq(collective.AllToAll, 2560, 32<<10))
+	k := KeyFor(testSys(b, 2560), testReq(collective.AllToAll, 2560, 32<<10))
 	k.Digest()
 	b.ReportAllocs()
 	b.ResetTimer()

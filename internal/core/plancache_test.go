@@ -9,20 +9,27 @@ import (
 
 	"pimnet/internal/collective"
 	"pimnet/internal/config"
+	"pimnet/internal/sim"
 	"pimnet/internal/trace"
 )
 
 func testNet(t testing.TB, dpus int) *Network {
 	t.Helper()
-	sys, err := config.Default().WithDPUs(dpus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := NewNetwork(sys)
+	n, err := NewNetwork(testSys(t, dpus))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// testSys returns the default system resized to dpus DPUs.
+func testSys(t testing.TB, dpus int) config.System {
+	t.Helper()
+	sys, err := config.Default().WithDPUs(dpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
 }
 
 func testReq(pat collective.Pattern, nodes int, bytes int64) collective.Request {
@@ -338,18 +345,17 @@ func TestPlanViaNilCache(t *testing.T) {
 	}
 }
 
-// TestKeyForDistinguishesStepOverhead: the same request on the same system
-// with a different per-step overhead must occupy a distinct cache slot —
+// TestKeyForDistinguishesStepOverhead: the same request on systems that
+// differ only in the per-step overhead must occupy distinct cache slots —
 // the A1 ablation depends on this.
 func TestKeyForDistinguishesStepOverhead(t *testing.T) {
-	a := testNet(t, 64)
-	b := testNet(t, 64)
-	b.SetStepOverhead(1000)
+	a, b := testSys(t, 64), testSys(t, 64)
+	b.Net.StepOverhead = 1000
 	req := testReq(collective.AllReduce, 64, 4096)
 	if KeyFor(a, req) == KeyFor(b, req) {
 		t.Fatal("step overhead not part of the cache key")
 	}
-	if KeyFor(a, req) != KeyFor(testNet(t, 64), req) {
+	if KeyFor(a, req) != KeyFor(testSys(t, 64), req) {
 		t.Fatal("identical configurations produced distinct keys")
 	}
 }
@@ -365,14 +371,11 @@ func FuzzPlanCacheKey(f *testing.F) {
 	f.Add(int64(0), 1, 3, int64(-1), int64(1), 2, 2, int64(7))
 	f.Fuzz(func(t *testing.T, bytesA int64, nodesA, patA int, ohA int64,
 		bytesB int64, nodesB, patB int, ohB int64) {
-		sys := config.Default()
 		mkKey := func(bytes int64, nodes, pat int, oh int64) PlanKey {
-			return PlanKey{
-				Sys: sys,
-				Req: collective.Request{Pattern: collective.Pattern(pat % 8), Op: collective.Sum,
-					BytesPerNode: bytes, ElemSize: 4, Nodes: nodes},
-				StepOverheadPs: oh,
-			}
+			sys := config.Default()
+			sys.Net.StepOverhead = sim.Time(oh)
+			return KeyFor(sys, collective.Request{Pattern: collective.Pattern(pat % 8), Op: collective.Sum,
+				BytesPerNode: bytes, ElemSize: 4, Nodes: nodes})
 		}
 		ka := mkKey(bytesA, nodesA, patA, ohA)
 		kb := mkKey(bytesB, nodesB, patB, ohB)
@@ -392,17 +395,22 @@ func FuzzPlanCacheKey(f *testing.F) {
 		}
 		for _, k := range []PlanKey{ka, kb} {
 			if got, want := k.Digest(), marshalDigest(t, k); got != want {
-				t.Fatalf("Digest = %s, SHA-256 of json.Marshal = %s\nk=%+v", got, want, k)
+				t.Fatalf("Digest = %s, SHA-256 of the reference encoding = %s\nk=%+v", got, want, k)
 			}
 		}
 	})
 }
 
-// marshalDigest is the digest PlanKey.Digest defines: a hex SHA-256 over
-// json.Marshal of the whole key.
+// marshalDigest is the digest PlanKey.Digest defines, computed without it:
+// a hex SHA-256 over json.Marshal of the key's reference encoding, whose
+// fields and order are those every pinned plan_key was hashed under.
 func marshalDigest(t testing.TB, k PlanKey) string {
 	t.Helper()
-	b, err := json.Marshal(k)
+	b, err := json.Marshal(struct {
+		Sys            config.System
+		Req            collective.Request
+		StepOverheadPs int64
+	}{k.Sys, k.Req, int64(k.Sys.Net.StepOverhead)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,11 +418,12 @@ func marshalDigest(t testing.TB, k PlanKey) string {
 }
 
 // TestPlanKeyDigestMatchesMarshal checks Digest, which encodes each distinct
-// system once, against the SHA-256 of json.Marshal over keys in the style of
-// FuzzPlanCacheKey, across more distinct systems than the encoding memo
-// holds: each DPU count the paper's hierarchy admits, then 100 systems that
-// differ in one rate. Every system is digested twice, so the second reads
-// the memo (or a memo cleared since), and the memo stays within its bound.
+// system once, against the SHA-256 of the reference encoding over keys in
+// the style of FuzzPlanCacheKey, across more distinct systems than the
+// encoding memo holds: each DPU count the paper's hierarchy admits, then 100
+// systems that differ in one rate. Every system is digested twice, under
+// three step overheads, so the second pass reads the memo (or a memo
+// cleared since), and the memo stays within its bound.
 func TestPlanKeyDigestMatchesMarshal(t *testing.T) {
 	var systems []config.System
 	for _, dpus := range []int{1, 2, 8, 64, 256, 512, 1024, 2560} {
@@ -437,9 +446,10 @@ func TestPlanKeyDigestMatchesMarshal(t *testing.T) {
 	for range 2 {
 		for _, sys := range systems {
 			for i, req := range reqs {
-				k := KeyForSystem(sys, req, int64(i)*-100)
+				sys.Net.StepOverhead = sim.Time(i) * -100
+				k := KeyFor(sys, req)
 				if got, want := k.Digest(), marshalDigest(t, k); got != want {
-					t.Fatalf("Digest = %s, SHA-256 of json.Marshal = %s\nk=%+v", got, want, k)
+					t.Fatalf("Digest = %s, SHA-256 of the reference encoding = %s\nk=%+v", got, want, k)
 				}
 			}
 		}
@@ -451,34 +461,21 @@ func TestPlanKeyDigestMatchesMarshal(t *testing.T) {
 	}
 }
 
-// TestKeyForSystemMatchesKeyFor: the network-free key path the serving tier
-// uses must agree with the key a built network produces, for both the default
-// and a configured step overhead.
-func TestKeyForSystemMatchesKeyFor(t *testing.T) {
-	n := testNet(t, 64)
-	req := testReq(collective.AllReduce, 64, 4096)
-	if got, want := KeyForSystem(n.Sys, req, 0), KeyFor(n, req); got != want {
-		t.Fatalf("KeyForSystem = %+v, KeyFor = %+v", got, want)
-	}
-	n.SetStepOverhead(250)
-	if got, want := KeyForSystem(n.Sys, req, 250), KeyFor(n, req); got != want {
-		t.Fatalf("with overhead: KeyForSystem = %+v, KeyFor = %+v", got, want)
-	}
-}
-
 // TestPlanKeyDigest: equal keys digest identically; any single-parameter
 // change produces a different digest.
 func TestPlanKeyDigest(t *testing.T) {
-	n := testNet(t, 64)
+	sys := testSys(t, 64)
 	req := testReq(collective.AllReduce, 64, 4096)
-	k := KeyFor(n, req)
-	if k.Digest() != KeyForSystem(n.Sys, req, 0).Digest() {
+	k := KeyFor(sys, req)
+	if k.Digest() != KeyFor(testSys(t, 64), req).Digest() {
 		t.Fatal("equal keys digest differently")
 	}
+	guarded := sys
+	guarded.Net.StepOverhead = 77
 	variants := []PlanKey{
-		KeyForSystem(n.Sys, testReq(collective.AllGather, 64, 4096), 0),
-		KeyForSystem(n.Sys, testReq(collective.AllReduce, 64, 8192), 0),
-		KeyForSystem(n.Sys, req, 77),
+		KeyFor(sys, testReq(collective.AllGather, 64, 4096)),
+		KeyFor(sys, testReq(collective.AllReduce, 64, 8192)),
+		KeyFor(guarded, req),
 	}
 	seen := map[string]bool{k.Digest(): true}
 	for i, v := range variants {

@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"pimnet/internal/backend"
 	"pimnet/internal/collective"
 	"pimnet/internal/config"
 	"pimnet/internal/faults"
+	"pimnet/internal/sim"
 	"pimnet/internal/trace"
 )
 
@@ -32,9 +32,7 @@ func recordedPlan(t *testing.T, dpus int, req collective.Request) (*Network, *Pl
 	if rec == nil || rec.res != res {
 		t.Fatalf("first Execute stored record %+v, want one holding %v", rec, res)
 	}
-	written := *rec
-	written.durs = slices.Clone(rec.durs)
-	return n, plan, written
+	return n, plan, *rec
 }
 
 // kernel replays p on n through executePhases, which never reads the record.
@@ -47,30 +45,39 @@ func kernel(t *testing.T, n *Network, p *Plan) backend.Result {
 	return res
 }
 
-// TestRecordedTimingInvalidation: once a plan carries a record, every
-// change to the conditions it was measured under makes Execute replay the
-// plan instead, and the record itself stays as written.
+// TestRecordedTimingInvalidation: once a plan carries a record, Execute
+// replays the plan instead of answering from the record on a network built
+// from a system that differs only in the step overhead or in one tier
+// bandwidth, and on the recording network once one of its links degrades.
+// The record itself stays as written.
 func TestRecordedTimingInvalidation(t *testing.T) {
 	cases := []struct {
-		name   string
-		mutate func(*testing.T, *Network)
+		name string
+		// sys changes the recording network's system into the other
+		// network's; nil degrades a link of the recording network instead.
+		sys func(*config.System)
 	}{
-		{"step overhead", func(_ *testing.T, n *Network) { n.SetStepOverhead(1000) }},
-		{"bank bandwidth", func(_ *testing.T, n *Network) {
-			n.ScaleBankBandwidth(n.Sys.Net.BankChannelBW / 2)
-		}},
-		{"global bandwidth", func(_ *testing.T, n *Network) { n.ScaleGlobalBandwidth(0.5) }},
-		{"degraded link", func(t *testing.T, n *Network) {
-			f := faults.Fault{Class: faults.LinkDegrade, Site: faults.SiteRing, Factor: 0.25}
-			if err := n.ApplyFault(f); err != nil {
-				t.Fatal(err)
-			}
-		}},
+		{"step overhead", func(s *config.System) { s.Net.StepOverhead = 1000 }},
+		{"bank bandwidth", func(s *config.System) { s.Net.BankChannelBW /= 2 }},
+		{"global bandwidth", func(s *config.System) { s.Net.ChipChannelBW /= 2 }},
+		{"degraded link", nil},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			n, plan, written := recordedPlan(t, 256, testReq(collective.AllReduce, 256, 32<<10))
-			c.mutate(t, n)
+			if c.sys != nil {
+				sys := n.Sys
+				c.sys(&sys)
+				var err error
+				if n, err = NewNetwork(sys); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				f := faults.Fault{Class: faults.LinkDegrade, Site: faults.SiteRing, Factor: 0.25}
+				if err := n.ApplyFault(f); err != nil {
+					t.Fatal(err)
+				}
+			}
 			got, err := n.Execute(plan)
 			if err != nil {
 				t.Fatal(err)
@@ -81,10 +88,8 @@ func TestRecordedTimingInvalidation(t *testing.T) {
 			if got == written.res {
 				t.Fatalf("Execute returned the recorded %v under changed conditions", written.res)
 			}
-			// The replays above reused the network's scratch; the record
-			// must own its durations.
-			if rec := plan.timing.Load(); rec.res != written.res || !slices.Equal(rec.durs, written.durs) {
-				t.Fatalf("record changed to %v %v, want the first %v %v", rec.res, rec.durs, written.res, written.durs)
+			if rec := plan.timing.Load(); *rec != written {
+				t.Fatalf("record changed to %+v, want the first %+v", *rec, written)
 			}
 		})
 	}
@@ -157,38 +162,11 @@ func TestRecordedTimingForeignTopology(t *testing.T) {
 	}
 }
 
-// TestPristineLinkTableFollowsSys pins the invariant the record's guard
-// rests on: a pristine network's link table is the one NewNetwork builds
-// from its n.Sys, also after every bandwidth rescale. A link mutator that
-// does not update n.Sys fails here.
-func TestPristineLinkTableFollowsSys(t *testing.T) {
-	n := testNet(t, 256)
-	steps := []struct {
-		name  string
-		apply func()
-	}{
-		{"bank x1.5", func() { n.ScaleBankBandwidth(n.Sys.Net.BankChannelBW * 1.5) }},
-		{"global x2", func() { n.ScaleGlobalBandwidth(2) }},
-		{"global x0.3", func() { n.ScaleGlobalBandwidth(0.3) }},
-		{"bank 0.1 GB/s", func() { n.ScaleBankBandwidth(0.1 * config.GBps) }},
-	}
-	for _, s := range steps {
-		s.apply()
-		fresh, err := NewNetwork(n.Sys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(n.links, fresh.links) {
-			t.Fatalf("after %s: link table differs from NewNetwork(n.Sys)", s.name)
-		}
-	}
-}
-
-// FuzzRecordedTiming: on a small network with an arbitrary step overhead
-// and an optional bandwidth rescale, the first Execute (which writes the
-// record) and the second (which reads it) both equal the kernel's replay on
-// a fresh network built from the same system, and the breakdown sums to
-// the latency.
+// FuzzRecordedTiming: on a small network built from a system with an
+// arbitrary step overhead and an optional bandwidth rescale, the first
+// Execute (which writes the record) and the second (which reads it) both
+// equal the kernel's replay on a fresh network built from the same system,
+// and the breakdown sums to the latency.
 func FuzzRecordedTiming(f *testing.F) {
 	f.Add(uint8(collective.AllReduce), uint8(0), uint8(1), uint8(3), uint32(4096), uint32(0), uint8(0), uint8(3))
 	f.Add(uint8(collective.AllToAll), uint8(1), uint8(3), uint8(7), uint32(32<<10), uint32(250), uint8(1), uint8(7))
@@ -196,18 +174,18 @@ func FuzzRecordedTiming(f *testing.F) {
 	f.Fuzz(func(t *testing.T, pat, ranks, chips, banks uint8, bytesPerNode, overhead uint32, scaleKind, scale uint8) {
 		sys := config.Default()
 		sys.Ranks, sys.ChipsPerRank, sys.BanksPerChip = 1+int(ranks%4), 1+int(chips%8), 1+int(banks%8)
-		n, err := NewNetwork(sys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oh := int64(overhead % 2_000_000)
-		n.SetStepOverhead(oh)
+		sys.Net.StepOverhead = sim.Time(overhead % 2_000_000)
 		factor := float64(1+scale%16) / 4 // 0.25x to 4x
 		switch scaleKind % 3 {
 		case 1:
-			n.ScaleBankBandwidth(n.Sys.Net.BankChannelBW * factor)
+			sys.Net.BankChannelBW *= factor
 		case 2:
-			n.ScaleGlobalBandwidth(factor)
+			sys.Net.ChipChannelBW *= factor
+			sys.Net.RankBusBW *= factor
+		}
+		n, err := NewNetwork(sys)
+		if err != nil {
+			t.Fatal(err)
 		}
 		req := collective.Request{Pattern: collective.Pattern(pat % 7), Op: collective.Sum,
 			BytesPerNode: 4 * (1 + int64(bytesPerNode%(256<<10))), ElemSize: 4, Nodes: n.Topo.Nodes()}
@@ -226,11 +204,10 @@ func FuzzRecordedTiming(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := NewNetwork(n.Sys)
+		fresh, err := NewNetwork(sys)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh.SetStepOverhead(oh)
 		want := kernel(t, fresh, plan)
 		if first != want || second != want {
 			t.Fatalf("%v on %v: first %v, second %v, kernel on a fresh network %v",

@@ -12,8 +12,8 @@
 // plans: the devices are symmetric and run in lockstep, so one
 // device-shaped core.Network simulates all of them, and compilation goes
 // through core.PlanVia — the shared PlanCache, the pristine-only rule, and
-// the content-addressed plan store all apply exactly as they do for
-// the PIMnet backend. The inter-device half is analytic and charged to the
+// the plans' recorded timing all apply exactly as they do for the PIMnet
+// backend. The inter-device half is analytic and charged to the
 // metrics.CXLLink component.
 package cxlpim
 

@@ -45,11 +45,12 @@ func AblationFlatVsHierarchical(opts ...sweep.Option) ([]FlatVsHierRow, *report.
 	overheads := []sim.Time{0, 10 * sim.Nanosecond, 50 * sim.Nanosecond,
 		200 * sim.Nanosecond, 1 * sim.Microsecond}
 	rows, _, err := sweep.Run(overheads, func(ctx *sweep.Context, oh sim.Time) (FlatVsHierRow, error) {
+		sys := sys
+		sys.Net.StepOverhead = oh
 		net, err := core.NewNetwork(sys)
 		if err != nil {
 			return FlatVsHierRow{}, err
 		}
-		net.SetStepOverhead(int64(oh))
 		hier, err := core.PlanVia(ctx.Cache, net, req)
 		if err != nil {
 			return FlatVsHierRow{}, err

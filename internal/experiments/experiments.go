@@ -488,11 +488,12 @@ func Fig14BankBandwidth(opts ...sweep.Option) ([]BWPoint, *report.Table, error) 
 	}
 	pts, _, err := sweep.Run([]float64{0.1, 0.2, 0.4, 0.7, 1.0},
 		func(ctx *sweep.Context, gbps float64) (BWPoint, error) {
+			sys := sys
+			sys.Net.BankChannelBW = gbps * config.GBps
 			p, err := pimnet.NewPIMnet(sys, pimnet.WithPlanCache(ctx.Cache))
 			if err != nil {
 				return BWPoint{}, err
 			}
-			p.Network().ScaleBankBandwidth(gbps * config.GBps)
 			pres, err := p.Collective(req)
 			if err != nil {
 				return BWPoint{}, err
@@ -521,11 +522,13 @@ func Fig14GlobalBandwidth(opts ...sweep.Option) ([]BWPoint, *report.Table, error
 	req := request(collective.AllReduce, collective.Sum, 256)
 	pts, _, err := sweep.Run([]float64{0.25, 0.5, 1, 2, 4},
 		func(ctx *sweep.Context, scale float64) (BWPoint, error) {
-			p, err := pimnet.NewPIMnet(sys, pimnet.WithPlanCache(ctx.Cache))
+			psys := sys
+			psys.Net.ChipChannelBW *= scale
+			psys.Net.RankBusBW *= scale
+			p, err := pimnet.NewPIMnet(psys, pimnet.WithPlanCache(ctx.Cache))
 			if err != nil {
 				return BWPoint{}, err
 			}
-			p.Network().ScaleGlobalBandwidth(scale)
 			pres, err := p.Collective(req)
 			if err != nil {
 				return BWPoint{}, err

@@ -240,14 +240,15 @@ func PartitionEdges[O int32 | int64](offsets []O, p int) []Partition {
 	parts := make([]Partition, 0, p)
 	lo := 0
 	for i := 1; i <= p; i++ {
-		// Boundary i closes when the cumulative edge count reaches i/p of
-		// the total, while leaving at least one vertex per remaining part.
-		// The last part takes every vertex left.
-		target := m * int64(i) / int64(p)
+		// Boundary i closes at the first vertex past lo whose cumulative
+		// edge count reaches i/p of the total (degree sums never fall, so a
+		// binary search finds it), while leaving at least one vertex per
+		// remaining part. The last part takes every vertex left.
+		target := O(m * int64(i) / int64(p))
 		hi := lo
-		maxHi := n - (p - i)
-		for hi < maxHi && (int64(offsets[hi]) < target || hi == lo) {
-			hi++
+		if maxHi := n - (p - i); lo < maxHi {
+			j, _ := slices.BinarySearch(offsets[lo+1:maxHi], target)
+			hi = lo + 1 + j
 		}
 		if i == p {
 			hi = n

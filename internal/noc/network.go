@@ -495,31 +495,25 @@ func (nw *network) inject(p int32, t sim.Time) {
 	nw.admit(first, p, t)
 }
 
-// arrive completes a packet's delivery: message-group bookkeeping for
-// scripted runs, latency recording for open-loop traffic. The packet slot
-// returns to the free list either way.
+// arrive completes a message packet's delivery (depart completes open-loop
+// packets inline): it closes the packet's message group once its last packet
+// lands, and returns the packet slot to the free list.
 func (nw *network) arrive(p int32, t sim.Time) {
 	pk := &nw.pkts[p]
 	if nw.deliverHook != nil {
 		nw.deliverHook(pk.uid, pk.born, t)
 	}
-	if pk.msg != nilIdx {
-		g := pk.msg
-		m := &nw.msgs[g]
-		m.outstanding--
-		if m.outstanding > 0 {
-			nw.freePacket(p)
-			return
-		}
-		node, step, dst := m.node, m.step, m.dst
-		nw.freeMsg(g)
+	g := pk.msg
+	m := &nw.msgs[g]
+	m.outstanding--
+	if m.outstanding > 0 {
 		nw.freePacket(p)
-		nw.coll.msgDone(nw, node, step, dst, t)
 		return
 	}
-	born := pk.born
+	node, step, dst := m.node, m.step, m.dst
+	nw.freeMsg(g)
 	nw.freePacket(p)
-	nw.traf.delivered(born, t)
+	nw.coll.msgDone(nw, node, step, dst, t)
 }
 
 // maxQueue returns the deepest queue observed on any hop.

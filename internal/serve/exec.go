@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"pimnet"
-	"pimnet/internal/core"
 	"pimnet/internal/machine"
 	"pimnet/internal/metrics"
 	"pimnet/internal/noc"
@@ -329,11 +328,6 @@ func (s *Server) buildBackend(pt point) (pimnet.Backend, *trace.Util, error) {
 	be, err := pimnet.NewBackend(pt.kind, pt.sys, opts...)
 	if err != nil {
 		return nil, nil, err
-	}
-	if pt.overhead != 0 {
-		if p, ok := be.(*core.PIMnet); ok {
-			p.Network().SetStepOverhead(pt.overhead)
-		}
 	}
 	return be, util, nil
 }

@@ -59,7 +59,8 @@ type SimulateRequest struct {
 	// FaultSeed selects the reproducible fault placement (default 1).
 	FaultSeed int64 `json:"fault_seed,omitempty"`
 	// StepOverheadPs charges a fixed per-step guard in the compiled
-	// schedule (pimnet backend only; part of the plan-cache key).
+	// schedule (pimnet backend only): it becomes the point system's
+	// Net.StepOverhead, and so part of the plan-cache key.
 	StepOverheadPs int64 `json:"step_overhead_ps,omitempty"`
 	// TraceLevel, when "phase" or "link", runs with a link-utilization
 	// aggregator attached and includes its summary in the response.
@@ -143,13 +144,11 @@ type point struct {
 	seed     int64
 	faults   string
 	seedF    int64
-	overhead int64
 	trace    string
 	noc      *noc.PatternPoint
 	// planKey is the core.PlanKey digest of a collective or workload point
-	// (system shape x collective request x step overhead), hashed once at
-	// normalization: the point key, the record and the coordinator's
-	// placement all name it.
+	// (system x collective request), hashed once at normalization: the
+	// point key, the record and the coordinator's placement all name it.
 	planKey string
 }
 
@@ -159,9 +158,10 @@ const keyTag = "point-record/v2"
 
 // key returns the point's one identity: the coalescer's flight key and the
 // result store's key. It names every field that can change the result — the
-// core.PlanKey digest (system shape x collective request x step overhead)
-// plus the fields that change the result without changing the plan, or
-// every field of the NoC cell by raw value.
+// core.PlanKey digest (system x collective request) plus the fields that
+// change the result without changing the plan, or every field of the NoC
+// cell by raw value. A workload whose input ignores the seed is keyed under
+// seed 0, so requests that differ only in seed share one identity.
 func (pt point) key() string {
 	h := sha256.New()
 	if c := pt.noc; c != nil {
@@ -170,8 +170,12 @@ func (pt point) key() string {
 			keyTag, n.Ranks, n.Chips, n.Banks, n.BufferPackets, n.PacketBytes,
 			int(c.Mode), int(c.Pattern), c.BytesPerNode, c.Steps, c.Seed)
 	} else {
+		seed := pt.seed
+		if !workloads.ReadsSeed(pt.workload, pt.scaled) {
+			seed = 0
+		}
 		fmt.Fprintf(h, "%s\x00%s\x00%s\x00%s\x00%t\x00%d\x00%s\x00%d\x00%s", keyTag, pt.planKey,
-			pt.kind, pt.workload, pt.scaled, pt.seed, pt.faults, pt.seedF, pt.trace)
+			pt.kind, pt.workload, pt.scaled, seed, pt.faults, pt.seedF, pt.trace)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -309,7 +313,7 @@ func (req SimulateRequest) normalize() (SimulateRequest, point, error) {
 			return req, pt, fmt.Errorf("step_overhead_ps applies only to backend pimnet, got %q", req.Backend)
 		}
 	}
-	pt.overhead = req.StepOverheadPs
+	pt.sys.Net.StepOverhead = sim.Time(req.StepOverheadPs)
 
 	if req.TraceLevel != "" {
 		if _, err := pimnet.ParseTraceLevel(req.TraceLevel); err != nil {
@@ -337,7 +341,7 @@ func (req SimulateRequest) normalize() (SimulateRequest, point, error) {
 			req.Seed = 1
 		}
 		pt.workload, pt.scaled, pt.seed = name, *req.Scaled, req.Seed
-		pt.planKey = core.KeyForSystem(pt.sys, pt.req, pt.overhead).Digest()
+		pt.planKey = core.KeyFor(pt.sys, pt.req).Digest()
 		return req, pt, nil
 	}
 	if req.Scaled != nil || req.Seed != 0 {
@@ -371,7 +375,7 @@ func (req SimulateRequest) normalize() (SimulateRequest, point, error) {
 	if err := pt.req.Validate(); err != nil {
 		return req, pt, err
 	}
-	pt.planKey = core.KeyForSystem(pt.sys, pt.req, pt.overhead).Digest()
+	pt.planKey = core.KeyFor(pt.sys, pt.req).Digest()
 	return req, pt, nil
 }
 

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pimnet/internal/store"
@@ -518,5 +519,42 @@ func TestEmptyRecordNeverServed(t *testing.T) {
 	}
 	if rs := st.Stats(); rs.Corrupt != 1 {
 		t.Fatalf("results traffic %+v, want the empty record rejected once", rs)
+	}
+}
+
+// TestSeedFreeWorkloadSharesOneRecord: on a store-backed server, two GEMV
+// simulates that differ only in seed share one point identity, so the
+// workload runs once and one record is written, while each body echoes its
+// caller's own seed. Scaled SpMV reads its seed, so its two seeds run twice.
+func TestSeedFreeWorkloadSharesOneRecord(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	s, ts := newTestServer(t, Config{Store: st})
+	var runs atomic.Int32
+	s.testHookRunPoint = func(point) { runs.Add(1) }
+	for _, c := range []struct {
+		workload             string
+		wantRuns, wantWrites int
+	}{{"GEMV", 1, 1}, {"SpMV", 2, 3}} {
+		runs.Store(0)
+		for _, seed := range []int64{1, 2} {
+			body := fmt.Sprintf(`{"workload": %q, "seed": %d}`, c.workload, seed)
+			code, _, got := post(t, ts.URL+"/v1/simulate", body)
+			if code != http.StatusOK {
+				t.Fatalf("%s: %d %s", body, code, got)
+			}
+			var resp SimulateResponse
+			if err := json.Unmarshal(got, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if resp.Request.Seed != seed {
+				t.Fatalf("%s: body echoes seed %d", body, resp.Request.Seed)
+			}
+		}
+		if n := runs.Load(); int(n) != c.wantRuns {
+			t.Fatalf("%s under seeds 1 and 2 ran %d times, want %d", c.workload, n, c.wantRuns)
+		}
+		if w := st.Stats().Writes; int(w) != c.wantWrites {
+			t.Fatalf("after %s: %d records written, want %d", c.workload, w, c.wantWrites)
+		}
 	}
 }

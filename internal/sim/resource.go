@@ -34,9 +34,6 @@ func NewLink(bwBytesPerSec float64, latency Time) Link {
 	return Link{bwBps: bwBytesPerSec, latency: latency, degrade: 1}
 }
 
-// SetBandwidth adjusts the link bandwidth; used by sensitivity sweeps.
-func (l *Link) SetBandwidth(bwBytesPerSec float64) { l.bwBps = bwBytesPerSec }
-
 // Degrade applies a bandwidth-degradation fault: subsequent transfers run at
 // factor times the configured bandwidth. The factor must be in (0, 1].
 func (l *Link) Degrade(factor float64) {

@@ -404,18 +404,34 @@ type named struct {
 	name  string
 	graph func(Options, *graphFacts) (machine.Workload, error)
 	build func(*inputs) (machine.Workload, error)
+	seed  seedUse
 }
+
+// seedUse says at which input sizes a workload reads SuiteConfig.Seed.
+type seedUse uint8
+
+const (
+	seedNever  seedUse = iota // every seed builds the same workload
+	seedScaled                // only the scaled input reads the seed
+	seedAlways                // both sizes read the seed
+)
 
 // table lists every named workload: the eight Table VII applications in
 // suite order, then the PIMfused fused-layer CNN class, which Named
-// resolves but Suite does not build.
+// resolves but Suite does not build. SpMV's matrix and EMB's batch read the
+// seed at both sizes; a scaled graph reads it, while the paper graph's seed
+// is fixed. Join samples seeded relations only to check the partitioned
+// join, so its phases do not depend on the seed, and GEMV, MLP, NTT and
+// PIMfused have no random input.
 var table = [...]named{
-	{name: "BFS", graph: bfs},
-	{name: "CC", graph: cc},
+	{name: "BFS", graph: bfs, seed: seedScaled},
+	{name: "CC", graph: cc, seed: seedScaled},
 	{name: "GEMV", build: func(in *inputs) (machine.Workload, error) { return GEMV(in.opt, 2048, 128, 8) }},
 	{name: "MLP", build: func(in *inputs) (machine.Workload, error) { return MLP(in.opt, []int{256, 512, 1024}, 4) }},
-	{name: "SpMV", build: func(in *inputs) (machine.Workload, error) { return SpMV(in.opt, in.matrix, in.colBlocks) }},
-	{name: "EMB", build: func(in *inputs) (machine.Workload, error) { return EMB(in.opt, embtab.Synthetic(), in.embPart) }},
+	{name: "SpMV", seed: seedAlways,
+		build: func(in *inputs) (machine.Workload, error) { return SpMV(in.opt, in.matrix, in.colBlocks) }},
+	{name: "EMB", seed: seedAlways,
+		build: func(in *inputs) (machine.Workload, error) { return EMB(in.opt, embtab.Synthetic(), in.embPart) }},
 	{name: "NTT", build: func(in *inputs) (machine.Workload, error) { return NTT(in.opt, 16) }},
 	{name: "Join", build: func(in *inputs) (machine.Workload, error) { return Join(in.opt, in.joinTuples) }},
 	{name: "PIMfused", build: func(in *inputs) (machine.Workload, error) { return PIMfusedDefault(in.opt, in.scaled) }},
@@ -504,6 +520,14 @@ func lookup(name string) *named {
 		}
 	}
 	return nil
+}
+
+// ReadsSeed reports whether the workload Named resolves from name depends on
+// SuiteConfig.Seed at the given size. When it does not, any two seeds build
+// the same workload. An unknown name reads no seed.
+func ReadsSeed(name string, scaled bool) bool {
+	w := lookup(strings.TrimSpace(name))
+	return w != nil && (w.seed == seedAlways || w.seed == seedScaled && scaled)
 }
 
 // Named builds one workload, resolved by Canonical after trimming spaces,

@@ -330,3 +330,35 @@ func BenchmarkPaperGraphFacts(b *testing.B) {
 		}
 	}
 }
+
+// TestReadsSeed checks ReadsSeed against the workloads themselves, at 64
+// and 256 nodes: where it says the seed is ignored, seeds 1 and 2 build
+// equal workloads, at both sizes; where it says a scaled input reads the
+// seed, they differ.
+func TestReadsSeed(t *testing.T) {
+	for _, name := range Names() {
+		for _, scaled := range []bool{true, false} {
+			reads := ReadsSeed(name, scaled)
+			if reads && !scaled {
+				continue // paper-sized SpMV and EMB: too slow to build twice here
+			}
+			for _, nodes := range []int{64, 256} {
+				var wls [2]machine.Workload
+				for i := range wls {
+					wl, err := Named(name, SuiteConfig{Nodes: nodes, Seed: int64(i + 1), Scaled: scaled})
+					if err != nil {
+						t.Fatal(err)
+					}
+					wls[i] = wl
+				}
+				if equal := reflect.DeepEqual(wls[0], wls[1]); equal == reads {
+					t.Errorf("%s scaled=%v at %d nodes: ReadsSeed %v, but seeds 1 and 2 build equal=%v workloads",
+						name, scaled, nodes, reads, equal)
+				}
+			}
+		}
+	}
+	if ReadsSeed("no-such-workload", true) {
+		t.Error("an unknown name reads a seed")
+	}
+}
