@@ -21,8 +21,9 @@ COVER_FLOOR = 80
 # memo), PaperGraphFacts covers the memo's cold traversal (R-MAT, BFS, CC),
 # SuiteFull covers one paper-sized suite build over a warm memo (the SpMV
 # tile counts and the phase graphs), PlanWarm covers a plan-cache hit,
-# which returns the shared plan without allocating, and NewNetwork covers
-# building a channel's link table, one slab per network.
+# which returns a cached result without building a network or allocating,
+# and NewNetwork covers building a channel's link table, one slab per
+# network.
 GATED_BENCH = Engine|Execute|Store|Noc|Cxl|RMATLogGowalla|SparseGenerate|NamedFull|PaperGraphFacts|SuiteFull|PlanWarm|NewNetwork
 GATED_PKGS = ./internal/sim ./internal/core ./internal/store ./internal/noc ./internal/cxlpim \
 	./internal/graphgen ./internal/sparse ./internal/workloads
@@ -74,8 +75,8 @@ loc:
 		| xargs cat | wc -l
 
 # Short fuzz pass over the collective verify interpreter (the recovery
-# ladder's correctness oracle), the plan-cache key, a plan's recorded timing
-# against the replay kernel, the persistent store's blob codec, the event
+# ladder's correctness oracle), the plan-cache key, cached results against
+# the replay kernel, the persistent store's blob codec, the event
 # queue against a container/heap reference, the packet NoC's delivery
 # invariants, and the backend-name parser's round-trip; extend -fuzztime
 # for deeper runs.

@@ -16,8 +16,8 @@
 //	pimnetbench -fig trace -trace-out out.json   # traced collectives + Perfetto JSON
 //
 // Experiment points fan out over a bounded goroutine pool (internal/sweep)
-// and share one compiled-plan cache, so repeated configurations reuse cached
-// plans instead of recompiling. Results are bit-identical to a serial
+// and share one plan cache, so repeated configurations reuse cached results
+// instead of recompiling. Results are bit-identical to a serial
 // run regardless of -workers. The packet-NoC studies run each distinct
 // network once: Fig. 13 is four sweep points, and A4's twelve rows come
 // from eight simulations, because its packet sizes at or above the 128 B

@@ -21,7 +21,7 @@
 //
 // -sweep runs the selected backend and pattern over the cross product of
 // -sweep-dpus and -sweep-bytes on a bounded goroutine pool (internal/sweep),
-// sharing compiled plans across points through one plan cache. Results are
+// sharing collective results across points through one plan cache. Results are
 // deterministic regardless of -workers; the run ends with an execution and
 // cache summary.
 //

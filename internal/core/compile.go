@@ -47,9 +47,9 @@ func PlanFor(n *Network, req collective.Request) (*Plan, error) {
 	D := req.BytesPerNode
 	switch req.Pattern {
 	case collective.ReduceScatter:
-		p.Phases = appendReducePhases(nil, n, D)
+		p.Phases = appendReducePhases(make([]Phase, 0, 3), n, D)
 	case collective.AllReduce:
-		p.Phases = appendReducePhases(nil, n, D)
+		p.Phases = appendReducePhases(make([]Phase, 0, 5), n, D)
 		p.Phases = appendGatherBackPhases(p.Phases, n, D)
 	case collective.AllGather:
 		p.Phases = allGatherPhases(n, D)
@@ -104,9 +104,9 @@ func appendReducePhases(phases []Phase, n *Network, D int64) []Phase {
 	// Phase 1: ring reduce-scatter among the banks of every chip, all chips
 	// in parallel — the PIM bandwidth parallelism the paper exploits.
 	if b > 1 {
-		ph := Phase{Name: "bank-RS", Tier: TierBank}
+		ph := Phase{Name: "bank-RS", Tier: TierBank, Steps: make([]Step, 0, collective.RingSteps(b))}
 		for s := 0; s < collective.RingSteps(b); s++ {
-			st := Step{}
+			st := Step{Transfers: make([]Transfer, 0, r*c*b)}
 			var maxRecv int64
 			for rank := 0; rank < r; rank++ {
 				for chip := 0; chip < c; chip++ {
@@ -134,9 +134,9 @@ func appendReducePhases(phases []Phase, n *Network, D int64) []Phase {
 	// configured as a ring, so each send and each receive port carries
 	// exactly one aggregated transfer per step.
 	if c > 1 {
-		ph := Phase{Name: "chip-RS", Tier: TierChip}
+		ph := Phase{Name: "chip-RS", Tier: TierChip, Steps: make([]Step, 0, collective.RingSteps(c))}
 		for s := 0; s < collective.RingSteps(c); s++ {
-			st := Step{}
+			st := Step{Transfers: make([]Transfer, 0, 2*r*c)}
 			var maxRecvPerNode int64
 			for rank := 0; rank < r; rank++ {
 				for chip := 0; chip < c; chip++ {
@@ -166,9 +166,10 @@ func appendReducePhases(phases []Phase, n *Network, D int64) []Phase {
 	// their chip receive channels and reduce. One broadcast per step keeps
 	// the half-duplex bus single-mastered.
 	if r > 1 {
-		ph := Phase{Name: "rank-bcast-reduce", Tier: TierRank}
+		ph := Phase{Name: "rank-bcast-reduce", Tier: TierRank, Steps: make([]Step, 0, r)}
 		for src := 0; src < r; src++ {
-			st := Step{Transfers: []Transfer{{Link: n.link(roleBus, 0, 0, 0), Kind: KindBus, Bytes: D}}}
+			st := Step{Transfers: make([]Transfer, 0, 1+c+c*(r-1))}
+			st.Transfers = append(st.Transfers, Transfer{Link: n.link(roleBus, 0, 0, 0), Kind: KindBus, Bytes: D})
 			var maxShard int64
 			for chip := 0; chip < c; chip++ {
 				cs := chipShardBytes(D, c, b, chip)
@@ -206,9 +207,9 @@ func appendGatherBackPhases(phases []Phase, n *Network, D int64) []Phase {
 	b, c, r := topo.Banks, topo.Chips, topo.Ranks
 
 	if c > 1 {
-		ph := Phase{Name: "chip-AG", Tier: TierChip}
+		ph := Phase{Name: "chip-AG", Tier: TierChip, Steps: make([]Step, 0, collective.RingSteps(c))}
 		for s := 0; s < collective.RingSteps(c); s++ {
-			st := Step{}
+			st := Step{Transfers: make([]Transfer, 0, 2*r*c)}
 			for rank := 0; rank < r; rank++ {
 				for chip := 0; chip < c; chip++ {
 					var bytes int64
@@ -227,9 +228,9 @@ func appendGatherBackPhases(phases []Phase, n *Network, D int64) []Phase {
 	}
 
 	if b > 1 {
-		ph := Phase{Name: "bank-AG", Tier: TierBank}
+		ph := Phase{Name: "bank-AG", Tier: TierBank, Steps: make([]Step, 0, collective.RingSteps(b))}
 		for s := 0; s < collective.RingSteps(b); s++ {
-			st := Step{}
+			st := Step{Transfers: make([]Transfer, 0, r*c*b)}
 			for rank := 0; rank < r; rank++ {
 				for chip := 0; chip < c; chip++ {
 					for bank := 0; bank < b; bank++ {
@@ -255,13 +256,14 @@ func allGatherPhases(n *Network, D int64) []Phase {
 	topo := n.Topo
 	b, c, r := topo.Banks, topo.Chips, topo.Ranks
 	P := int64(topo.Nodes())
-	var phases []Phase
+	phases := make([]Phase, 0, 3)
 
 	if r > 1 {
-		ph := Phase{Name: "rank-bcast", Tier: TierRank}
+		ph := Phase{Name: "rank-bcast", Tier: TierRank, Steps: make([]Step, 0, r)}
 		rankBytes := int64(b*c) * D
 		for src := 0; src < r; src++ {
-			st := Step{Transfers: []Transfer{{Link: n.link(roleBus, 0, 0, 0), Kind: KindBus, Bytes: rankBytes}}}
+			st := Step{Transfers: make([]Transfer, 0, 1+c+c*(r-1))}
+			st.Transfers = append(st.Transfers, Transfer{Link: n.link(roleBus, 0, 0, 0), Kind: KindBus, Bytes: rankBytes})
 			for chip := 0; chip < c; chip++ {
 				st.Transfers = append(st.Transfers, Transfer{
 					Link: n.link(roleChipSend, src, chip, 0), Kind: KindCrossbarPort, Bytes: int64(b) * D,
@@ -281,9 +283,9 @@ func allGatherPhases(n *Network, D int64) []Phase {
 	}
 
 	if c > 1 {
-		ph := Phase{Name: "chip-ring-AG", Tier: TierChip}
+		ph := Phase{Name: "chip-ring-AG", Tier: TierChip, Steps: make([]Step, 0, collective.RingSteps(c))}
 		for s := 0; s < collective.RingSteps(c); s++ {
-			st := Step{}
+			st := Step{Transfers: make([]Transfer, 0, 2*r*c)}
 			for rank := 0; rank < r; rank++ {
 				for chip := 0; chip < c; chip++ {
 					succ := collective.RingSuccessor(c, chip)
@@ -298,10 +300,10 @@ func allGatherPhases(n *Network, D int64) []Phase {
 	}
 
 	if b > 1 {
-		ph := Phase{Name: "bank-ring-AG", Tier: TierBank}
+		ph := Phase{Name: "bank-ring-AG", Tier: TierBank, Steps: make([]Step, 0, collective.RingSteps(b))}
 		total := P * D
 		for s := 0; s < collective.RingSteps(b); s++ {
-			st := Step{}
+			st := Step{Transfers: make([]Transfer, 0, r*c*b)}
 			for rank := 0; rank < r; rank++ {
 				for chip := 0; chip < c; chip++ {
 					for bank := 0; bank < b; bank++ {
@@ -326,7 +328,7 @@ func allToAllPhases(n *Network, D int64) []Phase {
 	topo := n.Topo
 	b, c, r := topo.Banks, topo.Chips, topo.Ranks
 	P := topo.Nodes()
-	var phases []Phase
+	phases := make([]Phase, 0, 3)
 	blk := func(dst int) int64 { return chunkBytes(D, P, dst) }
 
 	// Phase 1: intra-chip exchange on the bank ring. Shift schedule: at
@@ -334,9 +336,9 @@ func allToAllPhases(n *Network, D int64) []Phase {
 	// hops; each ring segment is deliberately time-multiplexed by exactly s
 	// flows, all compile-time scheduled.
 	if b > 1 {
-		ph := Phase{Name: "bank-exchange", Tier: TierBank}
+		ph := Phase{Name: "bank-exchange", Tier: TierBank, Steps: make([]Step, 0, b-1)}
 		for s := 1; s < b; s++ {
-			st := Step{}
+			st := Step{Transfers: make([]Transfer, 0, r*c*b*s)}
 			for rank := 0; rank < r; rank++ {
 				for chip := 0; chip < c; chip++ {
 					base := topo.ID(Coord{Rank: rank, Chip: chip, Bank: 0})
@@ -360,9 +362,9 @@ func allToAllPhases(n *Network, D int64) []Phase {
 	// step s chip i exchanges with chip (i+s): each chip ships the b*b
 	// blocks its banks hold for the partner chip's banks.
 	if c > 1 {
-		ph := Phase{Name: "chip-permutation", Tier: TierChip}
+		ph := Phase{Name: "chip-permutation", Tier: TierChip, Steps: make([]Step, 0, c-1)}
 		for s := 1; s < c; s++ {
-			st := Step{}
+			st := Step{Transfers: make([]Transfer, 0, 2*r*c)}
 			for rank := 0; rank < r; rank++ {
 				for chip := 0; chip < c; chip++ {
 					partner := collective.ShiftDest(c, chip, s)
@@ -384,7 +386,7 @@ func allToAllPhases(n *Network, D int64) []Phase {
 	// are pre-determined, so the destination rank snoops its packets without
 	// host involvement; pairs are serialized because the bus is single-master.
 	if r > 1 {
-		ph := Phase{Name: "rank-unicast", Tier: TierRank, Pipelined: true}
+		ph := Phase{Name: "rank-unicast", Tier: TierRank, Pipelined: true, Steps: make([]Step, 0, (r-1)*r)}
 		perPair := func(srcRank, dstRank int) int64 {
 			var bytes int64
 			for chip := 0; chip < c; chip++ {
@@ -402,7 +404,8 @@ func allToAllPhases(n *Network, D int64) []Phase {
 			for src := 0; src < r; src++ {
 				dst := collective.ShiftDest(r, src, s)
 				bytes := perPair(src, dst)
-				st := Step{Transfers: []Transfer{{Link: n.link(roleBus, 0, 0, 0), Kind: KindBus, Bytes: bytes}}}
+				st := Step{Transfers: make([]Transfer, 0, 1+2*c)}
+				st.Transfers = append(st.Transfers, Transfer{Link: n.link(roleBus, 0, 0, 0), Kind: KindBus, Bytes: bytes})
 				for chip := 0; chip < c; chip++ {
 					st.Transfers = append(st.Transfers,
 						Transfer{Link: n.link(roleChipSend, src, chip, 0), Kind: KindCrossbarPort, Bytes: bytes / int64(c)},
@@ -423,11 +426,11 @@ func allToAllPhases(n *Network, D int64) []Phase {
 func broadcastPhases(n *Network, M int64) []Phase {
 	topo := n.Topo
 	b, c, r := topo.Banks, topo.Chips, topo.Ranks
-	var phases []Phase
+	phases := make([]Phase, 0, 3)
 
 	if c > 1 {
 		// Pipelined forward chain across the root rank's chips.
-		st := Step{}
+		st := Step{Transfers: make([]Transfer, 0, 2*(c-1))}
 		for chip := 0; chip < c-1; chip++ {
 			snd, rcv := n.chipPair(0, chip, chip+1, M)
 			st.Transfers = append(st.Transfers, snd, rcv)
@@ -435,7 +438,8 @@ func broadcastPhases(n *Network, M int64) []Phase {
 		phases = append(phases, Phase{Name: "chip-forward", Tier: TierChip, Steps: []Step{st}})
 	}
 	if r > 1 {
-		st := Step{Transfers: []Transfer{{Link: n.link(roleBus, 0, 0, 0), Kind: KindBus, Bytes: M}}}
+		st := Step{Transfers: make([]Transfer, 0, 1+(r-1)*c)}
+		st.Transfers = append(st.Transfers, Transfer{Link: n.link(roleBus, 0, 0, 0), Kind: KindBus, Bytes: M})
 		for rank := 1; rank < r; rank++ {
 			for chip := 0; chip < c; chip++ {
 				st.Transfers = append(st.Transfers, Transfer{
@@ -446,7 +450,7 @@ func broadcastPhases(n *Network, M int64) []Phase {
 		phases = append(phases, Phase{Name: "rank-bcast", Tier: TierRank, Steps: []Step{st}})
 	}
 	if b > 1 {
-		st := Step{}
+		st := Step{Transfers: make([]Transfer, 0, r*c*(b-1))}
 		for rank := 0; rank < r; rank++ {
 			for chip := 0; chip < c; chip++ {
 				for bank := 0; bank < b-1; bank++ {
@@ -467,10 +471,10 @@ func broadcastPhases(n *Network, M int64) []Phase {
 func funnelPhases(n *Network, D int64, reduce bool) []Phase {
 	topo := n.Topo
 	b, c, r := topo.Banks, topo.Chips, topo.Ranks
-	var phases []Phase
+	phases := make([]Phase, 0, 3)
 
 	if b > 1 {
-		st := Step{}
+		st := Step{Transfers: make([]Transfer, 0, r*c*b*(b-1)/2)}
 		for rank := 0; rank < r; rank++ {
 			for chip := 0; chip < c; chip++ {
 				for src := 1; src < b; src++ {
@@ -490,7 +494,7 @@ func funnelPhases(n *Network, D int64, reduce bool) []Phase {
 		phases = append(phases, ph)
 	}
 	if c > 1 {
-		ph := Phase{Name: "chip-funnel", Tier: TierChip}
+		ph := Phase{Name: "chip-funnel", Tier: TierChip, Steps: make([]Step, 0, c-1)}
 		for src := 1; src < c; src++ {
 			snd, rcv := n.chipPair(0, src, 0, int64(b)*D)
 			st := Step{Transfers: []Transfer{snd, rcv}}
@@ -502,7 +506,7 @@ func funnelPhases(n *Network, D int64, reduce bool) []Phase {
 		phases = append(phases, ph)
 	}
 	if r > 1 {
-		ph := Phase{Name: "rank-funnel", Tier: TierRank}
+		ph := Phase{Name: "rank-funnel", Tier: TierRank, Steps: make([]Step, 0, r-1)}
 		rankBytes := int64(b*c) * D
 		for src := 1; src < r; src++ {
 			st := Step{Transfers: []Transfer{

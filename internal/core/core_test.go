@@ -35,7 +35,7 @@ func TestPlanContentionFree(t *testing.T) {
 		collective.AllToAll, collective.Broadcast, collective.Gather, collective.Reduce,
 	}
 	for _, pat := range patterns {
-		plan, err := PlanFor(p.net, req(pat, 32<<10, 256))
+		plan, err := PlanFor(p.network(), req(pat, 32<<10, 256))
 		if err != nil {
 			t.Fatalf("%v: %v", pat, err)
 		}
@@ -50,7 +50,7 @@ func TestPlanContentionFree(t *testing.T) {
 
 func TestPlanScopeMismatch(t *testing.T) {
 	p := channel(t, 256)
-	if _, err := PlanFor(p.net, req(collective.AllReduce, 1024, 128)); err == nil {
+	if _, err := PlanFor(p.network(), req(collective.AllReduce, 1024, 128)); err == nil {
 		t.Fatal("scope mismatch accepted")
 	}
 }
@@ -58,14 +58,14 @@ func TestPlanScopeMismatch(t *testing.T) {
 func TestPlanRejectsInvalidRequest(t *testing.T) {
 	p := channel(t, 8)
 	bad := req(collective.AllReduce, 1022, 8) // not a multiple of elem size
-	if _, err := PlanFor(p.net, bad); err == nil {
+	if _, err := PlanFor(p.network(), bad); err == nil {
 		t.Fatal("invalid request accepted")
 	}
 }
 
 func TestAllReducePhaseStructure(t *testing.T) {
 	p := channel(t, 256)
-	plan, err := PlanFor(p.net, req(collective.AllReduce, 32<<10, 256))
+	plan, err := PlanFor(p.network(), req(collective.AllReduce, 32<<10, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestAllReducePhaseStructure(t *testing.T) {
 func TestAllReduceDegenerateShapes(t *testing.T) {
 	// Single chip: no chip or rank phases. Single bank: nothing at all.
 	p8 := channel(t, 8)
-	plan, err := PlanFor(p8.net, req(collective.AllReduce, 4096, 8))
+	plan, err := PlanFor(p8.network(), req(collective.AllReduce, 4096, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestAllReduceDegenerateShapes(t *testing.T) {
 		}
 	}
 	p1 := channel(t, 1)
-	plan, err = PlanFor(p1.net, req(collective.AllReduce, 4096, 1))
+	plan, err = PlanFor(p1.network(), req(collective.AllReduce, 4096, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestAllReduceDegenerateShapes(t *testing.T) {
 func TestAllReduceTierVolumes(t *testing.T) {
 	p := channel(t, 256)
 	D := int64(32 << 10)
-	plan, err := PlanFor(p.net, req(collective.AllReduce, D, 256))
+	plan, err := PlanFor(p.network(), req(collective.AllReduce, D, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestAllReduceTierVolumes(t *testing.T) {
 func TestAllToAllBusVolume(t *testing.T) {
 	p := channel(t, 256)
 	D := int64(32 << 10) // 128 bytes per destination block
-	plan, err := PlanFor(p.net, req(collective.AllToAll, D, 256))
+	plan, err := PlanFor(p.network(), req(collective.AllToAll, D, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestNetworkValidation(t *testing.T) {
 
 func TestContentionCheckerCatchesViolations(t *testing.T) {
 	p := channel(t, 256)
-	n := p.net
+	n := p.network()
 	bus := int32(len(n.links) - 1)
 	plan := &Plan{Topo: n.Topo, Phases: []Phase{{
 		Name: "bogus", Tier: TierRank,

@@ -11,7 +11,7 @@ import (
 
 func TestDescribeListsPhases(t *testing.T) {
 	p := channel(t, 256)
-	plan, err := PlanFor(p.net, req(collective.AllReduce, 32<<10, 256))
+	plan, err := PlanFor(p.network(), req(collective.AllReduce, 32<<10, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,14 +22,14 @@ func TestDescribeListsPhases(t *testing.T) {
 			t.Fatalf("Describe missing %q:\n%s", want, s)
 		}
 	}
-	bigPlan, err := PlanFor(p.net, req(collective.AllReduce, 256<<10, 256))
+	bigPlan, err := PlanFor(p.network(), req(collective.AllReduce, 256<<10, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(bigPlan.Describe(), "staging") {
 		t.Fatal("Describe missing staging line for oversized payload")
 	}
-	a2a, err := PlanFor(p.net, req(collective.AllToAll, 32<<10, 256))
+	a2a, err := PlanFor(p.network(), req(collective.AllToAll, 32<<10, 256))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,32 +17,12 @@ import (
 // pipelined reduction both finish. The network's link state is reset first,
 // so Execute is repeatable.
 //
-// A compiled schedule is statically timed, so its healthy execution is the
-// same every time. The first execution on a pristine, untraced network
-// stores that result on the plan; a later one under the same system returns
-// the stored result without touching link state. Every other execution (a
-// faulted or traced network, or another system) replays every transfer.
-// The guard is sound because a network is built from n.Sys and nothing
-// retimes it afterwards: a pristine network's link table is a function of
-// n.Sys, and every other term of the replay, the step overhead among them,
-// reads n.Sys.
-//
-// Execute is the sweep hot path: a record hit allocates nothing, and a
-// replay runs entirely out of the network's execScratch, allocating only
-// the record it writes.
+// Execute replays every transfer. It is the miss path of a PlanCache-backed
+// backend: a healthy, untraced repeat is answered from the cache before any
+// network exists. A replay runs entirely out of the network's execScratch
+// and allocates nothing once the scratch is sized.
 func (n *Network) Execute(p *Plan) (backend.Result, error) {
-	// The record's system fixes its topology, so a plan of another topology
-	// misses and gets executePhases' error.
-	recordable := n.tracer == nil && n.Pristine()
-	rec := p.timing.Load()
-	if recordable && rec != nil && rec.sys == n.Sys {
-		return rec.res, nil
-	}
 	res, _, _, err := n.executePhases(p, execOptions{})
-	if err == nil && recordable && rec == nil {
-		// Racing workers compute the same record, so the first store wins.
-		p.timing.CompareAndSwap(nil, &timingRecord{res: res, sys: n.Sys})
-	}
 	return res, err
 }
 

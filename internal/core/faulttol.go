@@ -62,13 +62,18 @@ type ftState struct {
 }
 
 // EnableFaults arms the backend with a fault model. Static faults (At == 0)
-// are realized into the network immediately; timed faults are queued on an
-// engine-level schedule that fires at step-release instants. fallback
+// are realized into a fresh network immediately; timed faults are queued on
+// an engine-level schedule that fires at step-release instants. fallback
 // (usually the host-relay baseline) is consulted when recompilation cannot
 // reconnect the topology for a pattern; nil makes such failures hard errors.
+// On error the backend keeps its previous network and stays unarmed.
 func (p *PIMnet) EnableFaults(m *faults.Model, fallback backend.Backend) error {
 	if m == nil {
 		return fmt.Errorf("pimnet: nil fault model")
+	}
+	n := buildNetwork(p.sys)
+	if p.net != nil { // keep an attached tracer
+		n.tracer, n.traceLinks, n.util = p.net.tracer, p.net.traceLinks, p.net.util
 	}
 	ft := &ftState{model: m, sched: &sim.Schedule{}, fallback: fallback,
 		dplans: make(map[collective.Request]*Plan)}
@@ -78,21 +83,21 @@ func (p *PIMnet) EnableFaults(m *faults.Model, fallback backend.Backend) error {
 			continue // carried by the model, not by network state
 		}
 		if f.At <= 0 {
-			if err := p.net.ApplyFault(f); err != nil {
+			if err := n.ApplyFault(f); err != nil {
 				return err
 			}
 			continue
 		}
 		// Validate the site now so a bad timed fault fails at arm time, not
 		// silently mid-run; the activation itself cannot fail afterwards.
-		if _, err := p.net.faultLink(f); err != nil && f.Site != faults.SiteChipPath {
+		if _, err := n.faultLink(f); err != nil && f.Site != faults.SiteChipPath {
 			return err
 		}
 		f := f
-		ft.sched.Add(f.At, func() { _ = p.net.ApplyFault(f) })
+		ft.sched.Add(f.At, func() { _ = n.ApplyFault(f) })
 	}
 	ft.counters.Injected = uint64(len(m.Faults))
-	p.ft = ft
+	p.net, p.ft = n, ft
 	return nil
 }
 
@@ -132,10 +137,7 @@ func (p *PIMnet) FaultModel() *faults.Model {
 // compiler knows exactly when every phase must finish on healthy hardware —
 // that knowledge is the detection signal.
 func (p *PIMnet) compiledBounds(req collective.Request) ([]sim.Time, error) {
-	twin, err := NewNetwork(p.net.Sys)
-	if err != nil {
-		return nil, err
-	}
+	twin := buildNetwork(p.sys)
 	plan, err := PlanFor(twin, req)
 	if err != nil {
 		return nil, err
@@ -464,7 +466,6 @@ func chipOrderAvoiding(chips int, dead map[chipPath]bool) ([]int, bool) {
 // checker accepts this). Two failures in one ring disconnect it.
 func (n *Network) rerouteRings(p *Plan) error {
 	p.verified = false // transfers are rewritten below; force a re-check
-	p.timing.Store(nil)
 	for pi := range p.Phases {
 		ph := &p.Phases[pi]
 		for si := range ph.Steps {

@@ -144,6 +144,11 @@ func NewNetwork(sys config.System) (*Network, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
 	}
+	return buildNetwork(sys), nil
+}
+
+// buildNetwork is NewNetwork for a system the caller has validated.
+func buildNetwork(sys config.System) *Network {
 	topo := Topology{Ranks: sys.Ranks, Chips: sys.ChipsPerRank, Banks: sys.BanksPerChip}
 	n := &Network{Sys: sys, Topo: topo, links: make([]sim.Link, topo.linkCount())}
 	// The table is four runs of identical links, in linkIndex order.
@@ -163,7 +168,7 @@ func NewNetwork(sys config.System) (*Network, error) {
 			n.links[i] = r.link
 		}
 	}
-	return n, nil
+	return n
 }
 
 // Reset clears all reservations so the network can run another experiment.
@@ -184,9 +189,6 @@ func (n *Network) SetTracer(t trace.Tracer, level trace.Level) {
 	n.traceLinks = t != nil && level >= trace.LevelLink
 	n.util = trace.FindUtil(t)
 }
-
-// Tracer returns the attached tracer (nil when tracing is off).
-func (n *Network) Tracer() trace.Tracer { return n.tracer }
 
 // UtilSummary digests the attached utilization aggregator into per-tier
 // occupancy statistics and a top-N contended-links table. It returns nil
@@ -349,7 +351,7 @@ func (n *Network) hasHardFaults() bool {
 
 // Pristine reports whether the network is in its as-built state: no stuck
 // crossbar pairings, no recompiled chip ordering, and every link healthy.
-// Only pristine networks may serve or populate the shared plan cache.
+// Only a pristine network may run a plan shared by BlueprintOf and Bind.
 func (n *Network) Pristine() bool {
 	if len(n.deadPath) > 0 || n.chipOrder != nil {
 		return false

@@ -8,8 +8,8 @@ import (
 )
 
 // The NewNetwork benchmarks measure building one channel's link table, which
-// a collective simulate pays once per request before it looks up or compiles
-// a plan. They are part of the regression-gated suite (make benchcmp).
+// a collective simulate pays on a plan-cache miss, a traced run or a faulted
+// run. They are part of the regression-gated suite (make benchcmp).
 
 func benchNewNetwork(b *testing.B, dpus int) {
 	b.Helper()
@@ -51,8 +51,8 @@ func TestNewNetworkAllocs(t *testing.T) {
 	}
 }
 
-// TestTransferSize pins a Transfer at 16 bytes: the plan cache retains every
-// transfer of every cached plan, so this is most of its footprint.
+// TestTransferSize pins a Transfer at 16 bytes: transfers are most of a
+// compiled plan's footprint.
 func TestTransferSize(t *testing.T) {
 	if got := unsafe.Sizeof(Transfer{}); got != 16 {
 		t.Fatalf("Transfer is %d bytes, want 16", got)

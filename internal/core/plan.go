@@ -2,11 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
-	"pimnet/internal/backend"
 	"pimnet/internal/collective"
-	"pimnet/internal/config"
 	"pimnet/internal/metrics"
 )
 
@@ -66,8 +63,7 @@ const (
 // Transfer is one scheduled link reservation. Link indexes the link table
 // of the plan's topology (Topology.linkIndex), so a plan runs unchanged on
 // every network built for that topology. The fields are ordered so the
-// struct packs into 16 bytes: the plan cache retains every transfer of
-// every cached plan.
+// struct packs into 16 bytes: a compiled plan holds up to ~10^5 of them.
 type Transfer struct {
 	Link int32
 	Kind Kind
@@ -103,10 +99,9 @@ type Phase struct {
 }
 
 // Plan is a fully compiled, statically scheduled collective. It depends
-// only on its topology, never on one Network instance, so the plan cache
-// shares one Plan between every network of that topology. Shared plans are
-// read-only, apart from one write-once timing record (see Network.Execute);
-// only a fresh PlanFor result may be mutated (rerouteRings does, for a
+// only on its topology, never on one Network instance, so one Plan runs
+// unchanged on every network of that topology. Executing a plan only reads
+// it; only a fresh PlanFor result may be mutated (rerouteRings does, for a
 // faulted network).
 type Plan struct {
 	Req    collective.Request
@@ -120,19 +115,6 @@ type Plan struct {
 	// per-step bookkeeping. It is set before a plan is shared. Any code that
 	// mutates Phases after construction must clear it (rerouteRings does).
 	verified bool
-	// timing records the plan's healthy execution the first time Execute
-	// runs it on a pristine, untraced network. It is written once, by
-	// compare-and-swap, because shared plans run concurrently on sweep
-	// workers. Any code that mutates Phases must clear it with verified.
-	timing atomic.Pointer[timingRecord]
-}
-
-// timingRecord is a plan's healthy execution and the system it was
-// measured on. A compiled schedule is statically timed, so on a pristine
-// network built from the same system every replay reproduces it exactly.
-type timingRecord struct {
-	res backend.Result
-	sys config.System
 }
 
 // CheckContention verifies the static-schedule property: within any single

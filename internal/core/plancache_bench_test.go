@@ -8,8 +8,8 @@ import (
 
 // The cold/warm pair isolates what the cache saves: ColdCompile runs the
 // full scheduler (chunk geometry, route construction, contention analysis)
-// for the heaviest Table V plan; WarmLookup replays the same point through
-// a populated cache, which returns the shared plan itself.
+// for the heaviest Table V plan; WarmLookup answers the same point through
+// a populated cache on a backend that builds no network.
 
 func BenchmarkPlanColdCompile(b *testing.B) {
 	b.ReportAllocs()
@@ -25,15 +25,12 @@ func BenchmarkPlanColdCompile(b *testing.B) {
 
 func BenchmarkPlanWarmLookup(b *testing.B) {
 	b.ReportAllocs()
-	n := testNet(b, 2560)
 	req := testReq(collective.AllToAll, 2560, 32<<10)
-	c := NewPlanCache()
-	if _, err := PlanVia(c, n, req); err != nil {
-		b.Fatal(err)
-	}
+	p := cachedPIMnet(b, 2560, NewPlanCache())
+	mustCollective(b, p, req) // fills the cache
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := PlanVia(c, n, req); err != nil {
+		if _, err := p.Collective(req); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,8 +7,10 @@ import (
 	"sync"
 	"testing"
 
+	"pimnet/internal/backend"
 	"pimnet/internal/collective"
 	"pimnet/internal/config"
+	"pimnet/internal/faults"
 	"pimnet/internal/sim"
 	"pimnet/internal/trace"
 )
@@ -199,70 +201,37 @@ func TestLinkTable(t *testing.T) {
 }
 
 // TestSharedPlanConcurrentExecute: workers that each own a network execute
-// one plan shared through a PlanCache at the same time, and all get the
-// result a private compile gets. Run under -race, it shows that executing
-// a shared plan only reads it.
+// one compiled plan at the same time, and all get the result a private
+// compile gets. Run under -race, it shows that executing a plan only reads
+// it.
 func TestSharedPlanConcurrentExecute(t *testing.T) {
 	const workers = 4
-	c := NewPlanCache()
 	req := testReq(collective.AllToAll, 256, 16<<10)
 	want, err := testNet(t, 256).Execute(mustPlan(t, testNet(t, 256), req))
 	if err != nil {
 		t.Fatal(err)
 	}
-	nets := make([]*Network, workers)
-	for i := range nets {
-		nets[i] = testNet(t, 256)
-	}
-	if _, err := PlanVia(c, nets[0], req); err != nil { // fill
-		t.Fatal(err)
-	}
+	plan := mustPlan(t, testNet(t, 256), req)
 	var wg sync.WaitGroup
-	for _, n := range nets {
+	for range workers {
+		n := testNet(t, 256)
 		wg.Add(1)
-		go func(n *Network) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				plan, err := PlanVia(c, n, req)
-				if err != nil {
-					t.Error(err)
-					return
-				}
 				got, err := n.Execute(plan)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if got.Time != want.Time || got.Breakdown != want.Breakdown {
+				if got != want {
 					t.Errorf("shared plan executed to %v, want %v", got, want)
 					return
 				}
 			}
-		}(n)
+		}()
 	}
 	wg.Wait()
-	if s := c.Stats(); s.Misses != 1 || s.Hits != workers*5 {
-		t.Fatalf("cache stats %+v, want 1 miss and %d hits", s, workers*5)
-	}
-}
-
-// TestPlanViaWarmAllocs pins the warm path: a cache hit returns the shared
-// plan without allocating.
-func TestPlanViaWarmAllocs(t *testing.T) {
-	c := NewPlanCache()
-	n := testNet(t, 256)
-	req := testReq(collective.AllToAll, 256, 32<<10)
-	if _, err := PlanVia(c, n, req); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := PlanVia(c, n, req); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm PlanVia allocates %v times per call, want 0", allocs)
-	}
 }
 
 func mustPlan(t *testing.T, n *Network, req collective.Request) *Plan {
@@ -274,74 +243,122 @@ func mustPlan(t *testing.T, n *Network, req collective.Request) *Plan {
 	return p
 }
 
-func TestPlanCacheCounters(t *testing.T) {
-	c := NewPlanCache()
-	n := testNet(t, 64)
-	req := testReq(collective.AllReduce, 64, 4096)
-
-	if _, err := PlanVia(c, n, req); err != nil {
+// cachedPIMnet returns a fresh dpus-DPU PIMnet backend attached to c.
+func cachedPIMnet(t testing.TB, dpus int, c *PlanCache) *PIMnet {
+	t.Helper()
+	p, err := NewPIMnet(testSys(t, dpus))
+	if err != nil {
 		t.Fatal(err)
 	}
+	return p.WithPlanCache(c)
+}
+
+func mustCollective(t testing.TB, p *PIMnet, req collective.Request) backend.Result {
+	t.Helper()
+	res, err := p.Collective(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestPlanCacheCounters: a miss compiles and stores a result, a repeat is a
+// hit on any backend of the same system, and a hit builds no network.
+func TestPlanCacheCounters(t *testing.T) {
+	c := NewPlanCache()
+	req := testReq(collective.AllReduce, 64, 4096)
+
+	first := cachedPIMnet(t, 64, c)
+	miss := mustCollective(t, first, req)
 	if s := c.Stats(); s.Hits != 0 || s.Misses != 1 || s.Entries != 1 {
 		t.Fatalf("after first compile: %+v", s)
 	}
-	if _, err := PlanVia(c, n, req); err != nil {
-		t.Fatal(err)
+	second := cachedPIMnet(t, 64, c)
+	if hit := mustCollective(t, second, req); hit != miss {
+		t.Fatalf("hit %v, miss %v", hit, miss)
 	}
 	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 || s.Entries != 1 {
 		t.Fatalf("after repeat: %+v", s)
 	}
-	// A different request is a different key.
-	if _, err := PlanVia(c, n, testReq(collective.AllGather, 64, 4096)); err != nil {
-		t.Fatal(err)
+	if first.net == nil || second.net != nil {
+		t.Fatalf("networks built: miss %v, hit %v; want only the miss's", first.net != nil, second.net != nil)
 	}
+	// A different request is a different key.
+	mustCollective(t, second, testReq(collective.AllGather, 64, 4096))
 	if s := c.Stats(); s.Misses != 2 || s.Entries != 2 {
 		t.Fatalf("after second pattern: %+v", s)
 	}
 	// A fresh cache (a restarted daemon's) starts empty and compiles again.
 	c = NewPlanCache()
-	if _, err := PlanVia(c, n, req); err != nil {
-		t.Fatal(err)
-	}
+	mustCollective(t, cachedPIMnet(t, 64, c), req)
 	if s := c.Stats(); s != (CacheStats{Misses: 1, Entries: 1}) {
 		t.Fatalf("fresh cache: %+v", s)
 	}
+	// A request the system cannot run is a miss that stores nothing.
+	if _, err := cachedPIMnet(t, 64, c).Collective(testReq(collective.AllReduce, 256, 4096)); err == nil {
+		t.Fatal("a 256-node request ran on a 64-DPU backend")
+	}
+	if s := c.Stats(); s != (CacheStats{Misses: 2, Entries: 1}) {
+		t.Fatalf("after a failed compile: %+v", s)
+	}
 }
 
-// TestPlanViaBypassesFaultedNetwork: a non-pristine network must neither
-// read from nor write to the shared cache — fault recompilation stays
-// outside it.
-func TestPlanViaBypassesFaultedNetwork(t *testing.T) {
+// TestPlanViaWarmAllocs: a backend answering a warm point from the plan
+// cache allocates nothing — the lookup builds no key on the heap, no
+// network and no plan.
+func TestPlanViaWarmAllocs(t *testing.T) {
+	for _, pat := range []collective.Pattern{collective.AllReduce, collective.AllToAll} {
+		req := testReq(pat, 256, 32<<10)
+		p := cachedPIMnet(t, 256, NewPlanCache())
+		mustCollective(t, p, req) // fills the cache
+		avg := testing.AllocsPerRun(100, func() {
+			if _, err := p.Collective(req); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("%v: a warm cache hit allocates %v times per call, want 0", pat, avg)
+		}
+	}
+}
+
+// TestCacheBypassesFaultedBackend: a backend with an armed fault model
+// neither reads from nor writes to the shared cache — fault recompilation
+// stays outside it — and a healthy backend on the same cache still gets the
+// healthy result.
+func TestCacheBypassesFaultedBackend(t *testing.T) {
 	c := NewPlanCache()
-	n := testNet(t, 64)
 	req := testReq(collective.AllReduce, 64, 4096)
-	n.links[0].Degrade(0.25)
+	healthy := mustCollective(t, cachedPIMnet(t, 64, c), req)
+	before := c.Stats()
 
-	plan, err := PlanVia(c, n, req)
-	if err != nil {
+	p := cachedPIMnet(t, 64, c)
+	m := &faults.Model{Faults: []faults.Fault{{Class: faults.LinkDegrade, Site: faults.SiteRing, Factor: 0.25}}}
+	if err := p.EnableFaults(m, nil); err != nil {
 		t.Fatal(err)
 	}
-	if plan == nil {
-		t.Fatal("nil plan")
+	if got := mustCollective(t, p, req); got == healthy {
+		t.Fatalf("faulted backend returned the healthy %v", healthy)
 	}
-	if s := c.Stats(); s.Hits != 0 || s.Misses != 0 || s.Entries != 0 {
-		t.Fatalf("faulted network touched the cache: %+v", s)
+	if s := c.Stats(); s != before {
+		t.Fatalf("faulted backend touched the cache: %+v, before %+v", s, before)
 	}
-	// Lifting the degradation re-enables caching.
-	n.links[0].Degrade(1)
-	if _, err := PlanVia(c, n, req); err != nil {
-		t.Fatal(err)
-	}
-	if s := c.Stats(); s.Misses != 1 || s.Entries != 1 {
-		t.Fatalf("restored network not cached: %+v", s)
+	if got := mustCollective(t, cachedPIMnet(t, 64, c), req); got != healthy {
+		t.Fatalf("healthy backend after a faulted one: %v, want %v", got, healthy)
 	}
 }
 
-func TestPlanViaNilCache(t *testing.T) {
-	n := testNet(t, 64)
-	plan, err := PlanVia(nil, n, testReq(collective.AllReduce, 64, 4096))
-	if err != nil || plan == nil {
-		t.Fatalf("nil-cache compile: %v %v", plan, err)
+// TestNilCacheReplays: without a cache every request compiles and replays,
+// to the result a cached backend stores.
+func TestNilCacheReplays(t *testing.T) {
+	req := testReq(collective.AllReduce, 64, 4096)
+	p := cachedPIMnet(t, 64, nil)
+	got := mustCollective(t, p, req)
+	if p.net == nil {
+		t.Fatal("an uncached backend answered without a network")
+	}
+	if want := mustCollective(t, cachedPIMnet(t, 64, NewPlanCache()), req); got != want {
+		t.Fatalf("uncached %v, cached %v", got, want)
 	}
 }
 
@@ -388,7 +405,7 @@ func FuzzPlanCacheKey(f *testing.F) {
 		// And the map behaves accordingly: inserting under ka hits on kb
 		// exactly when the tuples are equal.
 		c := NewPlanCache()
-		c.Insert(ka, &Plan{})
+		c.Insert(ka, backend.Result{})
 		_, ok := c.Lookup(kb)
 		if ok != tupleEqual {
 			t.Fatalf("cache hit=%v for tuple equality %v", ok, tupleEqual)
@@ -494,5 +511,28 @@ func TestCacheStatsSub(t *testing.T) {
 	b := CacheStats{Hits: 4, Misses: 1, Entries: 2}
 	if d := a.Sub(b); d != (CacheStats{Hits: 6, Misses: 3, Entries: 3}) {
 		t.Fatalf("Sub = %+v", d)
+	}
+}
+
+// TestCompiledStepsSizedExactly: the compiler sizes every phase's step list
+// and every step's transfer list exactly before filling it, so a compiled
+// plan's bulk carries no spare capacity.
+func TestCompiledStepsSizedExactly(t *testing.T) {
+	for _, dpus := range []int{1, 8, 64, 256, 2560} {
+		n := testNet(t, dpus)
+		for pat := collective.Pattern(0); pat < 7; pat++ {
+			plan := mustPlan(t, n, testReq(pat, dpus, 32<<10))
+			for _, ph := range plan.Phases {
+				if len(ph.Steps) != cap(ph.Steps) {
+					t.Errorf("%v/%d %s: %d steps, capacity %d", pat, dpus, ph.Name, len(ph.Steps), cap(ph.Steps))
+				}
+				for si, st := range ph.Steps {
+					if len(st.Transfers) != cap(st.Transfers) {
+						t.Errorf("%v/%d %s step %d: %d transfers, capacity %d",
+							pat, dpus, ph.Name, si, len(st.Transfers), cap(st.Transfers))
+					}
+				}
+			}
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"pimnet/internal/metrics"
 	"pimnet/internal/sim"
 	"pimnet/internal/sweep"
+	"pimnet/internal/trace"
 )
 
 // goldenTiming is the timing half of a golden-trace corpus file.
@@ -59,11 +60,11 @@ func matchesGolden(t *testing.T, pat collective.Pattern, dpus int, res backend.R
 }
 
 // TestRecordedTimingDifferential checks, for every golden-corpus cell, that
-// four results agree: the kernel's replay on a fresh network, the pinned
-// golden, the Execute miss that writes the plan's record, and the record
-// hits that follow. Sixteen sweep workers then share one cached plan, each
-// on its own backend, so under -race the record's write-once publication
-// races the workers' reads.
+// five results agree: the kernel's replay on a fresh network, the pinned
+// golden, a cached backend's miss, the hit that follows, and a traced run of
+// the cached point, which must also emit every span and leave the cache as
+// it was. Sixteen sweep workers then share one cache, each on its own
+// backend, so under -race the racing misses' inserts race the hits' reads.
 func TestRecordedTimingDifferential(t *testing.T) {
 	patterns := []collective.Pattern{collective.AllReduce, collective.AllGather,
 		collective.ReduceScatter, collective.AllToAll}
@@ -90,24 +91,43 @@ func TestRecordedTimingDifferential(t *testing.T) {
 			if diff := matchesGolden(t, pat, dpus, want, durs); diff != "" {
 				t.Fatalf("%v/%d kernel: %s", pat, dpus, diff)
 			}
-			if _, ok := plan.RecordedTiming(); ok {
-				t.Fatalf("%v/%d: the kernel wrote a timing record", pat, dpus)
-			}
-			miss, err := fresh.Execute(plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			hit, err := fresh.Execute(plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec, ok := plan.RecordedTiming()
-			if !ok || miss != want || hit != want || rec != want {
-				t.Fatalf("%v/%d: miss %v, hit %v, record %v (ok %v); kernel %v",
-					pat, dpus, miss, hit, rec, ok, want)
-			}
 
 			cache := core.NewPlanCache()
+			newBackend := func() *core.PIMnet {
+				p, err := core.NewPIMnet(sys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p.WithPlanCache(cache)
+			}
+			p := newBackend()
+			miss, err := p.Collective(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hit, err := p.Collective(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := cache.Stats(); miss != want || hit != want || s != (core.CacheStats{Hits: 1, Misses: 1, Entries: 1}) {
+				t.Fatalf("%v/%d: miss %v, hit %v, cache %+v; kernel %v", pat, dpus, miss, hit, s, want)
+			}
+			traced := newBackend()
+			var spans core.Spans
+			traced.SetTracer(&spans, trace.LevelLink)
+			tr, err := traced.Collective(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.Time != want.Time || tr.Breakdown != want.Breakdown || spans != plan.Spans() {
+				t.Fatalf("%v/%d traced: %v emitting %+v; kernel %v, plan %+v",
+					pat, dpus, tr, spans, want, plan.Spans())
+			}
+			if s := cache.Stats(); s != (core.CacheStats{Hits: 1, Misses: 1, Entries: 1}) {
+				t.Fatalf("%v/%d: traced run touched the cache: %+v", pat, dpus, s)
+			}
+
+			shared := core.NewPlanCache()
 			got, _, err := sweep.Run(make([]int, 64), func(ctx *sweep.Context, _ int) ([2]backend.Result, error) {
 				p, err := core.NewPIMnet(sys)
 				if err != nil {
@@ -121,7 +141,7 @@ func TestRecordedTimingDifferential(t *testing.T) {
 					}
 				}
 				return out, nil
-			}, sweep.WithWorkers(16), sweep.WithCache(cache))
+			}, sweep.WithWorkers(16), sweep.WithCache(shared))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,12 +150,8 @@ func TestRecordedTimingDifferential(t *testing.T) {
 					t.Fatalf("%v/%d point %d: %v, %v; kernel %v", pat, dpus, i, r[0], r[1], want)
 				}
 			}
-			shared, err := core.PlanVia(cache, fresh, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rec, ok := shared.RecordedTiming(); !ok || rec != want {
-				t.Fatalf("%v/%d: shared plan's record %v (ok %v), kernel %v", pat, dpus, rec, ok, want)
+			if s := shared.Stats(); s.Entries != 1 || s.Misses < 1 || s.Misses > 16 || s.Hits+s.Misses != 128 {
+				t.Fatalf("%v/%d: shared cache %+v after 128 lookups by 16 workers", pat, dpus, s)
 			}
 		}
 	}

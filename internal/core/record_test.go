@@ -14,28 +14,19 @@ import (
 	"pimnet/internal/trace"
 )
 
-// recordedPlan compiles req on a fresh network of dpus DPUs and executes it
-// once, which writes the plan's timing record. It returns the network, the
-// plan and the record as written.
-func recordedPlan(t *testing.T, dpus int, req collective.Request) (*Network, *Plan, timingRecord) {
+// cachedResult runs req once on a fresh dpus-DPU backend attached to a new
+// cache, which stores the result. It returns the cache and the result.
+func cachedResult(t *testing.T, dpus int, req collective.Request) (*PlanCache, backend.Result) {
 	t.Helper()
-	n := testNet(t, dpus)
-	plan := mustPlan(t, n, req)
-	if plan.timing.Load() != nil {
-		t.Fatal("a freshly compiled plan already carries a timing record")
+	c := NewPlanCache()
+	res := mustCollective(t, cachedPIMnet(t, dpus, c), req)
+	if s := c.Stats(); s != (CacheStats{Misses: 1, Entries: 1}) {
+		t.Fatalf("first run: cache %+v, want one miss and one entry", s)
 	}
-	res, err := n.Execute(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := plan.timing.Load()
-	if rec == nil || rec.res != res {
-		t.Fatalf("first Execute stored record %+v, want one holding %v", rec, res)
-	}
-	return n, plan, *rec
+	return c, res
 }
 
-// kernel replays p on n through executePhases, which never reads the record.
+// kernel replays p on n through executePhases.
 func kernel(t *testing.T, n *Network, p *Plan) backend.Result {
 	t.Helper()
 	res, _, _, err := n.executePhases(p, execOptions{})
@@ -45,16 +36,15 @@ func kernel(t *testing.T, n *Network, p *Plan) backend.Result {
 	return res
 }
 
-// TestRecordedTimingInvalidation: once a plan carries a record, Execute
-// replays the plan instead of answering from the record on a network built
-// from a system that differs only in the step overhead or in one tier
-// bandwidth, and on the recording network once one of its links degrades.
-// The record itself stays as written.
+// TestRecordedTimingInvalidation: once the cache holds a point's result, a
+// backend built from a system that differs only in the step overhead or in
+// one tier bandwidth misses and gets its own replay, and a backend with a
+// degraded link bypasses the cache. The stored result stays as written.
 func TestRecordedTimingInvalidation(t *testing.T) {
 	cases := []struct {
 		name string
-		// sys changes the recording network's system into the other
-		// network's; nil degrades a link of the recording network instead.
+		// sys changes the cached backend's system into the other backend's;
+		// nil arms a degraded link on a backend of the same system instead.
 		sys func(*config.System)
 	}{
 		{"step overhead", func(s *config.System) { s.Net.StepOverhead = 1000 }},
@@ -64,51 +54,63 @@ func TestRecordedTimingInvalidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			n, plan, written := recordedPlan(t, 256, testReq(collective.AllReduce, 256, 32<<10))
+			req := testReq(collective.AllReduce, 256, 32<<10)
+			cache, written := cachedResult(t, 256, req)
+			sys := testSys(t, 256)
+			misses := uint64(1)
 			if c.sys != nil {
-				sys := n.Sys
 				c.sys(&sys)
-				var err error
-				if n, err = NewNetwork(sys); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				f := faults.Fault{Class: faults.LinkDegrade, Site: faults.SiteRing, Factor: 0.25}
-				if err := n.ApplyFault(f); err != nil {
-					t.Fatal(err)
-				}
+				misses = 2
 			}
-			got, err := n.Execute(plan)
+			p, err := NewPIMnet(sys)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := kernel(t, n, plan); got != want {
-				t.Fatalf("Execute = %v, kernel = %v", got, want)
+			p.WithPlanCache(cache)
+			if c.sys == nil {
+				f := faults.Fault{Class: faults.LinkDegrade, Site: faults.SiteRing, Factor: 0.25}
+				if err := p.EnableFaults(&faults.Model{Faults: []faults.Fault{f}}, nil); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if got == written.res {
-				t.Fatalf("Execute returned the recorded %v under changed conditions", written.res)
+			got := mustCollective(t, p, req)
+			if got == written {
+				t.Fatalf("Collective returned the cached %v under changed conditions", written)
 			}
-			if rec := plan.timing.Load(); *rec != written {
-				t.Fatalf("record changed to %+v, want the first %+v", *rec, written)
+			if c.sys != nil {
+				n, err := NewNetwork(sys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := kernel(t, n, mustPlan(t, n, req)); got != want {
+					t.Fatalf("Collective = %v, kernel = %v", got, want)
+				}
+			}
+			if s := cache.Stats(); s.Hits != 0 || s.Misses != misses {
+				t.Fatalf("cache %+v, want no hit and %d misses", s, misses)
+			}
+			if res, ok := cache.Lookup(KeyFor(testSys(t, 256), req)); !ok || res != written {
+				t.Fatalf("cached result changed to %v (ok %v), want the first %v", res, ok, written)
 			}
 		})
 	}
 }
 
-// TestRecordedTimingTracedRun: a traced execution of a recorded plan still
-// replays every transfer, so it emits exactly the Chrome trace that
-// TestChromeTraceGolden pins, and detaching the tracer serves the record.
+// TestRecordedTimingTracedRun: a traced run of a cached point bypasses the
+// cache and replays every transfer, so it returns the cached result, emits
+// exactly the Chrome trace that TestChromeTraceGolden pins, and neither
+// counts nor stores anything. Detaching the tracer serves the cache again.
 func TestRecordedTimingTracedRun(t *testing.T) {
-	n, plan, written := recordedPlan(t, 64, testReq(collective.AllReduce, 64, 4096))
-	recorded := written.res
+	req := testReq(collective.AllReduce, 64, 4096)
+	cache, cached := cachedResult(t, 64, req)
+	p := cachedPIMnet(t, 64, cache)
 	chrome := trace.NewChrome()
-	n.SetTracer(chrome, trace.LevelLink)
-	got, err := n.Execute(plan)
-	if err != nil {
-		t.Fatal(err)
+	p.SetTracer(chrome, trace.LevelLink)
+	if got := mustCollective(t, p, req); got != cached {
+		t.Fatalf("traced Collective = %v, cached %v", got, cached)
 	}
-	if got != recorded {
-		t.Fatalf("traced Execute = %v, recorded %v", got, recorded)
+	if s := cache.Stats(); s != (CacheStats{Misses: 1, Entries: 1}) {
+		t.Fatalf("traced run touched the cache: %+v", s)
 	}
 	var buf bytes.Buffer
 	if _, err := chrome.WriteTo(&buf); err != nil {
@@ -119,20 +121,23 @@ func TestRecordedTimingTracedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatal("traced run of a recorded plan drifted from testdata/chrome_allreduce64.json")
+		t.Fatal("traced run of a cached point drifted from testdata/chrome_allreduce64.json")
 	}
-	n.SetTracer(nil, trace.LevelLink)
-	if got, err := n.Execute(plan); err != nil || got != recorded {
-		t.Fatalf("untraced Execute = %v, %v; want the record %v", got, err, recorded)
+	p.SetTracer(nil, trace.LevelLink)
+	if got := mustCollective(t, p, req); got != cached {
+		t.Fatalf("untraced Collective = %v; want the cached %v", got, cached)
+	}
+	if s := cache.Stats(); s.Hits != 1 {
+		t.Fatalf("untraced repeat: cache %+v, want one hit", s)
 	}
 }
 
-// TestRerouteClearsRecord: rewriting a plan's transfers around a failed
-// ring segment drops the record, so the rewritten plan is replayed and
-// recorded afresh.
-func TestRerouteClearsRecord(t *testing.T) {
+// TestRerouteClearsVerified: rewriting a plan's transfers around a failed
+// ring segment clears its contention memo, so the next execution re-checks
+// the rewritten plan, and that execution equals the kernel's replay.
+func TestRerouteClearsVerified(t *testing.T) {
 	req := testReq(collective.AllReduce, 256, 32<<10)
-	_, plan, _ := recordedPlan(t, 256, req)
+	plan := mustPlan(t, testNet(t, 256), req)
 	faulted := testNet(t, 256)
 	if err := faulted.ApplyFault(faults.Fault{Class: faults.LinkFail, Site: faults.SiteRing}); err != nil {
 		t.Fatal(err)
@@ -140,33 +145,44 @@ func TestRerouteClearsRecord(t *testing.T) {
 	if err := faulted.rerouteRings(plan); err != nil {
 		t.Fatal(err)
 	}
-	if plan.timing.Load() != nil {
-		t.Fatal("rerouteRings kept the record of the plan it rewrote")
+	if plan.verified {
+		t.Fatal("rerouteRings kept the contention memo of the plan it rewrote")
 	}
 	healthy := testNet(t, 256)
 	got, err := healthy.Execute(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !plan.verified {
+		t.Fatal("Execute did not re-check the rewritten plan")
+	}
 	if want := kernel(t, healthy, plan); got != want {
 		t.Fatalf("Execute of the rerouted plan = %v, kernel = %v", got, want)
 	}
 }
 
-// TestRecordedTimingForeignTopology: a recorded plan still refuses a
-// network of another topology.
+// TestRecordedTimingForeignTopology: a plan refuses a network of another
+// topology, and a cached 256-DPU point never answers a 64-DPU backend.
 func TestRecordedTimingForeignTopology(t *testing.T) {
-	_, plan, _ := recordedPlan(t, 256, testReq(collective.AllReduce, 256, 32<<10))
-	if _, err := testNet(t, 64).Execute(plan); err == nil {
-		t.Fatal("recorded 256-DPU plan executed on a 64-DPU network")
+	req := testReq(collective.AllReduce, 256, 32<<10)
+	if _, err := testNet(t, 64).Execute(mustPlan(t, testNet(t, 256), req)); err == nil {
+		t.Fatal("256-DPU plan executed on a 64-DPU network")
+	}
+	cache, _ := cachedResult(t, 256, req)
+	if _, err := cachedPIMnet(t, 64, cache).Collective(req); err == nil {
+		t.Fatal("a 64-DPU backend answered a cached 256-DPU point")
+	}
+	if s := cache.Stats(); s.Hits != 0 || s.Entries != 1 {
+		t.Fatalf("cache %+v, want no hit and one entry", s)
 	}
 }
 
-// FuzzRecordedTiming: on a small network built from a system with an
-// arbitrary step overhead and an optional bandwidth rescale, the first
-// Execute (which writes the record) and the second (which reads it) both
-// equal the kernel's replay on a fresh network built from the same system,
-// and the breakdown sums to the latency.
+// FuzzRecordedTiming: on a small system with an arbitrary step overhead and
+// an optional bandwidth rescale, a cache miss, the hit that follows and a
+// traced run of the same point all equal the kernel's replay on a fresh
+// network built from the same system; the traced run emits a span for every
+// phase and transfer and leaves the cache as it was; and the breakdown sums
+// to the latency.
 func FuzzRecordedTiming(f *testing.F) {
 	f.Add(uint8(collective.AllReduce), uint8(0), uint8(1), uint8(3), uint32(4096), uint32(0), uint8(0), uint8(3))
 	f.Add(uint8(collective.AllToAll), uint8(1), uint8(3), uint8(7), uint32(32<<10), uint32(250), uint8(1), uint8(7))
@@ -183,38 +199,48 @@ func FuzzRecordedTiming(f *testing.F) {
 			sys.Net.ChipChannelBW *= factor
 			sys.Net.RankBusBW *= factor
 		}
-		n, err := NewNetwork(sys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req := collective.Request{Pattern: collective.Pattern(pat % 7), Op: collective.Sum,
-			BytesPerNode: 4 * (1 + int64(bytesPerNode%(256<<10))), ElemSize: 4, Nodes: n.Topo.Nodes()}
-		plan, err := PlanFor(n, req)
-		if err != nil {
-			t.Skip(err)
-		}
-		first, err := n.Execute(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plan.timing.Load() == nil {
-			t.Fatal("first Execute on a pristine network wrote no record")
-		}
-		second, err := n.Execute(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
 		fresh, err := NewNetwork(sys)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := kernel(t, fresh, plan)
-		if first != want || second != want {
-			t.Fatalf("%v on %v: first %v, second %v, kernel on a fresh network %v",
-				req.Pattern, n.Topo, first, second, want)
+		req := collective.Request{Pattern: collective.Pattern(pat % 7), Op: collective.Sum,
+			BytesPerNode: 4 * (1 + int64(bytesPerNode%(256<<10))), ElemSize: 4, Nodes: fresh.Topo.Nodes()}
+		plan, err := PlanFor(fresh, req)
+		if err != nil {
+			t.Skip(err)
 		}
-		if total := first.Breakdown.Total(); total != first.Time {
-			t.Fatalf("breakdown sums to %v, latency %v", total, first.Time)
+		want := kernel(t, fresh, plan)
+
+		cache := NewPlanCache()
+		p, err := NewPIMnet(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.WithPlanCache(cache)
+		miss := mustCollective(t, p, req)
+		hit := mustCollective(t, p, req)
+		if s := cache.Stats(); s != (CacheStats{Hits: 1, Misses: 1, Entries: 1}) {
+			t.Fatalf("cache %+v after a miss and a hit", s)
+		}
+		traced, err := NewPIMnet(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Spans
+		traced.WithPlanCache(cache).SetTracer(&got, trace.LevelLink)
+		tr := mustCollective(t, traced, req)
+		if s := cache.Stats(); s != (CacheStats{Hits: 1, Misses: 1, Entries: 1}) {
+			t.Fatalf("traced run touched the cache: %+v", s)
+		}
+		if miss != want || hit != want || tr != want {
+			t.Fatalf("%v on %v: miss %v, hit %v, traced %v, kernel on a fresh network %v",
+				req.Pattern, fresh.Topo, miss, hit, tr, want)
+		}
+		if want := plan.Spans(); got != want {
+			t.Fatalf("traced run emitted %+v, the plan has %+v", got, want)
+		}
+		if total := miss.Breakdown.Total(); total != miss.Time {
+			t.Fatalf("breakdown sums to %v, latency %v", total, miss.Time)
 		}
 	})
 }

@@ -10,9 +10,9 @@
 //
 // The intra-device halves of every collective are genuine compiled PIMnet
 // plans: the devices are symmetric and run in lockstep, so one
-// device-shaped core.Network simulates all of them, and compilation goes
-// through core.PlanVia — the shared PlanCache, the pristine-only rule, and
-// the plans' recorded timing all apply exactly as they do for the PIMnet
+// device-shaped core.PIMnet backend simulates all of them. The shared
+// PlanCache, keyed by the device system and the intra-device request, and
+// its bypass for traced runs apply exactly as they do for the PIMnet
 // backend. The inter-device half is analytic and charged to the
 // metrics.CXLLink component.
 package cxlpim
@@ -33,10 +33,9 @@ import (
 type CXLPIM struct {
 	sys     config.System // full-population system the requests address
 	cxl     config.CXL    // fabric parameters, defaults filled
-	net     *core.Network // simulates one device; all devices are lockstep
+	dev     *core.PIMnet  // simulates one device; all devices are lockstep
 	devices int
 	perDev  int
-	cache   *core.PlanCache
 	tracer  trace.Tracer
 }
 
@@ -66,26 +65,20 @@ func New(sys config.System) (*CXLPIM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cxlpim: shaping %d-DPU device: %w", perDev, err)
 	}
-	net, err := core.NewNetwork(devSys)
+	dev, err := core.NewPIMnet(devSys)
 	if err != nil {
 		return nil, fmt.Errorf("cxlpim: %w", err)
 	}
-	return &CXLPIM{sys: sys, cxl: cxl, net: net, devices: devices, perDev: perDev}, nil
+	return &CXLPIM{sys: sys, cxl: cxl, dev: dev, devices: devices, perDev: perDev}, nil
 }
 
 // Name implements backend.Backend.
 func (c *CXLPIM) Name() string { return "CXL-PIM" }
 
-// Devices returns the number of PIM devices on the fabric.
-func (c *CXLPIM) Devices() int { return c.devices }
-
-// Network exposes the device sub-network (diagnostics and golden tests).
-func (c *CXLPIM) Network() *core.Network { return c.net }
-
 // WithPlanCache attaches a shared compiled-plan cache to the intra-device
 // path and returns the backend (builder style). Pass nil to detach.
 func (c *CXLPIM) WithPlanCache(pc *core.PlanCache) *CXLPIM {
-	c.cache = pc
+	c.dev.WithPlanCache(pc)
 	return c
 }
 
@@ -94,7 +87,7 @@ func (c *CXLPIM) WithPlanCache(pc *core.PlanCache) *CXLPIM {
 // at LevelLink, per-transfer) events. Pass nil to detach.
 func (c *CXLPIM) SetTracer(t trace.Tracer, level trace.Level) {
 	c.tracer = t
-	c.net.SetTracer(t, level)
+	c.dev.SetTracer(t, level)
 }
 
 // fabricStage is one analytic inter-device stage: steps serialized fabric
@@ -154,8 +147,8 @@ func (c *CXLPIM) intraReq(req collective.Request, pat collective.Pattern, bytes 
 
 // decompose lowers req into the ordered hierarchical schedule. Devices are
 // symmetric: every device runs the same intra-device sub-collective in
-// lockstep, which is what lets one device network simulate the fabric and
-// keeps the compiled plans shareable through the cache.
+// lockstep, which is what lets one device backend simulate the fabric and
+// keeps the intra-device results shareable through the cache.
 func (c *CXLPIM) decompose(req collective.Request) ([]phase, error) {
 	if c.devices == 1 {
 		r := req
@@ -248,8 +241,8 @@ func (c *CXLPIM) check(req collective.Request) error {
 }
 
 // Collective implements backend.Backend: the hierarchical schedule runs
-// phase by phase, intra-device phases on the compiled device network
-// (through the plan cache when attached), fabric phases analytically.
+// phase by phase, intra-device phases on the device backend (answered from
+// the plan cache when attached), fabric phases analytically.
 func (c *CXLPIM) Collective(req collective.Request) (backend.Result, error) {
 	if err := c.check(req); err != nil {
 		return backend.Result{}, err
@@ -262,11 +255,7 @@ func (c *CXLPIM) Collective(req collective.Request) (backend.Result, error) {
 	var t sim.Time
 	for _, ph := range phases {
 		if ph.intra != nil {
-			plan, err := core.PlanVia(c.cache, c.net, *ph.intra)
-			if err != nil {
-				return backend.Result{}, fmt.Errorf("cxlpim: %w", err)
-			}
-			res, err := c.net.Execute(plan)
+			res, err := c.dev.Collective(*ph.intra)
 			if err != nil {
 				return backend.Result{}, fmt.Errorf("cxlpim: %w", err)
 			}

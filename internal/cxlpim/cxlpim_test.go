@@ -25,11 +25,17 @@ func mustNew(t *testing.T, sys config.System) *CXLPIM {
 
 func TestNewSplitsPopulation(t *testing.T) {
 	c := mustNew(t, config.Default()) // 256 DPUs, 4 devices
-	if c.Devices() != 4 || c.perDev != 64 {
-		t.Fatalf("got %d devices x %d, want 4 x 64", c.Devices(), c.perDev)
+	if c.devices != 4 || c.perDev != 64 {
+		t.Fatalf("got %d devices x %d, want 4 x 64", c.devices, c.perDev)
 	}
-	if got := c.Network().Sys.DPUsPerChannel(); got != 64 {
-		t.Fatalf("device network hosts %d DPUs, want 64", got)
+	intra, err := c.intraRequests(req(collective.AllReduce, 256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range intra {
+		if r.Nodes != 64 {
+			t.Fatalf("intra-device request spans %d DPUs, want 64", r.Nodes)
+		}
 	}
 }
 
@@ -39,8 +45,8 @@ func TestNewCapsDevicesAtPopulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := mustNew(t, sys) // 2 DPUs, 4 requested devices -> capped at 2
-	if c.Devices() != 2 || c.perDev != 1 {
-		t.Fatalf("got %d devices x %d, want 2 x 1", c.Devices(), c.perDev)
+	if c.devices != 2 || c.perDev != 1 {
+		t.Fatalf("got %d devices x %d, want 2 x 1", c.devices, c.perDev)
 	}
 }
 
@@ -165,7 +171,11 @@ func TestPlanCacheSharedWithPIMnet(t *testing.T) {
 	}
 
 	// A PIMnet backend shaped like one device reuses the same entries.
-	p, err := core.NewPIMnet(c.Network().Sys)
+	devSys, err := c.sys.WithDPUs(c.perDev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.NewPIMnet(devSys)
 	if err != nil {
 		t.Fatal(err)
 	}

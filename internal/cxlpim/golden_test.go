@@ -72,7 +72,7 @@ func resultFor(t *testing.T, pat collective.Pattern, dpus int) goldenResult {
 		DPUs:         dpus,
 		BytesPerNode: r.BytesPerNode,
 		ElemSize:     r.ElemSize,
-		Devices:      c.Devices(),
+		Devices:      c.devices,
 		PerDevice:    c.perDev,
 		TimePs:       int64(res.Time),
 		BreakdownPs:  map[string]int64{},
@@ -86,10 +86,18 @@ func resultFor(t *testing.T, pat collective.Pattern, dpus int) goldenResult {
 	if err != nil {
 		t.Fatalf("intraRequests: %v", err)
 	}
+	devSys, err := c.sys.WithDPUs(c.perDev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := core.NewNetwork(devSys)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, sub := range intra {
-		plan, err := core.PlanVia(nil, c.Network(), sub)
+		plan, err := core.PlanFor(dev, sub)
 		if err != nil {
-			t.Fatalf("PlanVia(%+v): %v", sub, err)
+			t.Fatalf("PlanFor(%+v): %v", sub, err)
 		}
 		out.IntraDigests = append(out.IntraDigests, plan.Digest())
 	}

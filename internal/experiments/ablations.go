@@ -47,15 +47,15 @@ func AblationFlatVsHierarchical(opts ...sweep.Option) ([]FlatVsHierRow, *report.
 	rows, _, err := sweep.Run(overheads, func(ctx *sweep.Context, oh sim.Time) (FlatVsHierRow, error) {
 		sys := sys
 		sys.Net.StepOverhead = oh
+		hier, err := core.NewPIMnet(sys)
+		if err != nil {
+			return FlatVsHierRow{}, err
+		}
+		hres, err := hier.WithPlanCache(ctx.Cache).Collective(req)
+		if err != nil {
+			return FlatVsHierRow{}, err
+		}
 		net, err := core.NewNetwork(sys)
-		if err != nil {
-			return FlatVsHierRow{}, err
-		}
-		hier, err := core.PlanVia(ctx.Cache, net, req)
-		if err != nil {
-			return FlatVsHierRow{}, err
-		}
-		hres, err := net.Execute(hier)
 		if err != nil {
 			return FlatVsHierRow{}, err
 		}

@@ -305,7 +305,7 @@ func (s *Server) runPoint(pt point) (record, error) {
 // use it) and, when requested, a fault model and a link-utilization
 // tracer. Every point builds its own backend: simulation engines are
 // single-owner types, so the only state points share is the cache, whose
-// entries are read-only compiled plans.
+// entries are immutable results.
 func (s *Server) buildBackend(pt point) (pimnet.Backend, *trace.Util, error) {
 	opts := []pimnet.Option{pimnet.WithPlanCache(s.cache)}
 	var util *trace.Util

@@ -85,17 +85,18 @@ func (s *Server) promFamilies() []metrics.PromFamily {
 	fams = append(fams, metrics.PromFamily{Name: "pimnetd_request_duration_seconds",
 		Help: "Gated execution latency.", Kind: metrics.PromHistogram, Samples: hsamples})
 
-	// Plan cache. Misses count compiles; a warm restart whose points are
-	// all store hits compiles nothing and shows misses == 0.
+	// Plan cache. Hits are cached results, misses count compiles; a warm
+	// restart whose points are all store hits compiles nothing and shows
+	// misses == 0. Traced and faulted points bypass the cache.
 	cs := s.cache.Stats()
 	rate := 0.0
 	if total := cs.Hits + cs.Misses; total > 0 {
 		rate = float64(cs.Hits) / float64(total)
 	}
 	fams = append(fams,
-		counter("pimnetd_plan_cache_hits_total", "Plan compilations answered from the in-memory cache.", float64(cs.Hits)),
-		counter("pimnetd_plan_cache_misses_total", "Plan compilations that actually compiled.", float64(cs.Misses)),
-		gauge("pimnetd_plan_cache_entries", "Compiled plans resident in the cache.", float64(cs.Entries)),
+		counter("pimnetd_plan_cache_hits_total", "Untraced, fault-free collectives answered from the in-memory cache.", float64(cs.Hits)),
+		counter("pimnetd_plan_cache_misses_total", "Untraced, fault-free collectives that compiled a plan.", float64(cs.Misses)),
+		gauge("pimnetd_plan_cache_entries", "Cached collective results (traced and faulted requests bypass the cache).", float64(cs.Entries)),
 		gauge("pimnetd_plan_cache_hit_rate", "Lifetime plan-cache hit rate (hits over lookups).", rate),
 	)
 

@@ -13,10 +13,10 @@
 //   - Point coalescing: results are deterministic functions of the point, so
 //     concurrent requests for the same point — from any endpoint — share
 //     one execution, and each renders the shared result into its own body.
-//   - Shared-cache batching: all requests compile through one process-wide
-//     core.PlanCache. The PR 2 pristine-only invalidation rule holds by
-//     construction — faulted backends bypass the cache in both directions —
-//     so a cache warmed by any request serves every later one.
+//   - Shared-cache batching: all requests go through one process-wide
+//     core.PlanCache of healthy collective results. Faulted and traced
+//     backends bypass the cache in both directions, so a result cached by
+//     any request answers every later one without building a network.
 //
 // Per-request deadlines propagate via context.Context into admission waits
 // and sweep scheduling. Shutdown drains: in-flight requests complete, new

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -711,5 +712,34 @@ func TestSharedCacheAcrossServers(t *testing.T) {
 	_, _, b1 := post(t, ts1.URL+"/v1/simulate", body)
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("servers disagree on identical requests")
+	}
+}
+
+// TestWarmSimulateBuildsNoNetwork: a warm 2560-DPU collective simulate,
+// served through the handler, allocates less than the 2560-DPU network a
+// plan-cache hit no longer builds (132 KB of link table).
+func TestWarmSimulateBuildsNoNetwork(t *testing.T) {
+	const body = `{"pattern": "alltoall", "bytes_per_node": 32768, "dpus": 2560}`
+	const reqs = 20
+	s := New(Config{})
+	serve := func() {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+	}
+	serve() // compiles and fills the plan cache
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range reqs {
+		serve()
+	}
+	runtime.ReadMemStats(&m1)
+	if st := s.cache.Stats(); st.Misses != 1 || st.Hits != reqs {
+		t.Fatalf("plan cache %+v, want 1 miss and %d hits", st, reqs)
+	}
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / reqs; per >= 132<<10 {
+		t.Fatalf("a warm simulate allocates %d bytes, want under one network's 132 KB", per)
 	}
 }

@@ -91,14 +91,24 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	if err := sse.send("status", view); err != nil {
 		return
 	}
+	progress := func(ev ProgressEvent) error {
+		return sse.send("progress", sseProgress{Done: ev.Done, Total: ev.Total, Chunk: ev.Chunk, Points: ev.Points})
+	}
 	for {
 		select {
 		case ev := <-sub.ch:
-			p := sseProgress{Done: ev.Done, Total: ev.Total, Chunk: ev.Chunk, Points: ev.Points}
-			if err := sse.send("progress", p); err != nil {
+			if err := progress(ev); err != nil {
 				return
 			}
 		case <-j.doneCh:
+			// select picks among ready cases at random, so progress the job
+			// published before it finished may still be buffered: send it
+			// first, so a stream never ends before progress it was given.
+			for len(sub.ch) > 0 {
+				if err := progress(<-sub.ch); err != nil {
+					return
+				}
+			}
 			final, _ := s.jobs.view(id, false)
 			sse.send("done", final)
 			return

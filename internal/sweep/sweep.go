@@ -8,9 +8,9 @@
 // machines) itself. The simulator enforces the hard part by construction:
 // sim.Engine and sim.Link are documented single-owner types, and every
 // experiment point constructs its own. The only state fn may share is the
-// compiled-plan cache, whose entries are read-only plans behind a mutex;
-// cache hits change compile time, never compiled bytes, so results stay
-// bit-identical whether a plan was compiled or taken from the cache.
+// plan cache, whose entries are immutable results behind a mutex; a hit
+// returns exactly what the miss computed, so results stay bit-identical
+// whether a point was compiled or taken from the cache.
 //
 // Errors are deterministic too: when points fail, Run reports the error of
 // the lowest-indexed failing point, no matter which worker hit an error

@@ -27,7 +27,8 @@ type (
 	TraceLevel = trace.Level
 	// TraceSummary is the link-utilization aggregate a trace.Util builds.
 	TraceSummary = trace.Summary
-	// PlanCache shares compiled plans across PIMnet backends.
+	// PlanCache shares healthy collective results across PIMnet and
+	// CXL-PIM backends.
 	PlanCache = core.PlanCache
 )
 
