@@ -1,11 +1,8 @@
-// Flow-control study (Fig. 13) plus a classic NoC characterization of the
-// PIMnet fabric. Part 1 compares credit-based flow control (buffered,
+// Flow-control study (Fig. 13): credit-based flow control (buffered,
 // arbitrated, inject-when-ready) against PIM-controlled static scheduling
 // (bufferless, launch-after-global-READY) on the packet-level network
 // simulator, with per-DPU compute finish times skewed the way real UPMEM
-// measurements are. Part 2 sweeps uniform-random offered load to find
-// where the fabric saturates — the provisioning question a conventional
-// buffered network would face.
+// measurements are.
 package main
 
 import (
@@ -20,7 +17,7 @@ func main() {
 	cfg := noc.DefaultConfig(4, 8, 8)
 	done := noc.SkewedFinishTimes(cfg.Nodes(), 100*sim.Microsecond, 20*sim.Microsecond, 42)
 
-	fmt.Println("Part 1 — credit-based flow control vs PIM-controlled scheduling (256 DPUs, 32 KiB):")
+	fmt.Println("Credit-based flow control vs PIM-controlled scheduling (256 DPUs, 32 KiB):")
 	for _, c := range []struct {
 		name string
 		run  func(noc.Config, noc.Mode, []sim.Time, int64) (noc.Result, error)
@@ -43,17 +40,4 @@ func main() {
 	fmt.Println("  -> AllReduce ties (neighbor-only traffic never contends); All-to-All")
 	fmt.Println("     collides in the crossbar under credit flow control, so the compiled")
 	fmt.Println("     schedule wins despite waiting for the slowest DPU (paper: 18.7%).")
-
-	fmt.Println("\nPart 2 — uniform-random load sweep (the fabric a buffered design must provision):")
-	rates := []float64{5e6, 20e6, 40e6, 80e6, 160e6}
-	pts, err := noc.LoadSweep(cfg, rates, 2*sim.Millisecond, 7)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, p := range pts {
-		fmt.Printf("  offered %6.0f MB/s/node   accepted %6.1f MB/s/node   mean latency %9v   p99 %9v\n",
-			p.OfferedBps/1e6, p.AcceptedBps/1e6, p.MeanLatency, p.P99Latency)
-	}
-	fmt.Printf("  saturation: ~%.0f MB/s per node (bisection-limited by the shared DDR bus)\n",
-		noc.SaturationBps(pts)/1e6)
 }

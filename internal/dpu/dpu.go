@@ -118,9 +118,3 @@ func (m *Model) DMATime(bytes int64) sim.Time {
 	bursts := (bytes + usable - 1) / usable
 	return sim.TransferTime(bytes, m.cfg.DMABandwidth) + sim.Time(bursts)*m.cfg.DMALatency
 }
-
-// PeakOpsPerSec returns the peak arithmetic throughput (add-class ops per
-// second across the pipeline), the compute roof of the roofline model.
-func (m *Model) PeakOpsPerSec() float64 {
-	return m.cfg.FreqHz / m.cfg.AddCycles * m.cfg.ComputeScale
-}

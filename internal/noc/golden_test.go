@@ -17,36 +17,17 @@ import (
 //	go test ./internal/noc -run TestNocGolden -update
 var update = flag.Bool("update", false, "regenerate testdata/golden/*.json")
 
-// goldenResult pins every observable of a NoC run. Collective cases fill the
-// Result fields; open-loop traffic cases additionally pin the latency
-// statistics. Any change to the packet simulator that shifts a single
-// picosecond, packet, or queue depth shows up as a diff against these files.
+// goldenResult pins every observable of a NoC run. Any change to the packet
+// simulator that shifts a single picosecond, packet, or queue depth shows up
+// as a diff against these files.
 type goldenResult struct {
 	FinishPs  int64 `json:"finish_ps"`
 	Delivered int64 `json:"delivered"`
 	MaxQueue  int   `json:"max_queue"`
-
-	Injected    int64   `json:"injected,omitempty"`
-	OfferedBps  float64 `json:"offered_bps,omitempty"`
-	AcceptedBps float64 `json:"accepted_bps,omitempty"`
-	MeanPs      int64   `json:"mean_ps,omitempty"`
-	P99Ps       int64   `json:"p99_ps,omitempty"`
-	MaxPs       int64   `json:"max_ps,omitempty"`
 }
 
 func fromResult(r Result) goldenResult {
 	return goldenResult{FinishPs: int64(r.Finish), Delivered: r.PacketsDelivered, MaxQueue: r.MaxQueue}
-}
-
-func fromTraffic(r TrafficResult) goldenResult {
-	g := fromResult(r.Result)
-	g.Injected = r.Injected
-	g.OfferedBps = r.OfferedBps
-	g.AcceptedBps = r.AcceptedBps
-	g.MeanPs = int64(r.MeanLatency)
-	g.P99Ps = int64(r.P99Latency)
-	g.MaxPs = int64(r.MaxLatency)
-	return g
 }
 
 // goldenShape maps the corpus populations onto PIMnet tier shapes. 64 spans
@@ -76,9 +57,8 @@ type goldenCase struct {
 }
 
 // goldenCases enumerates the corpus. Collective ring/shift scripts are
-// O(nodes^2) messages, so they pin 64 and 256; the bounded-step adversarial
-// patterns and the open-loop traffic generator (packet count set by
-// rate x duration, not population) extend the lock to 2560 nodes.
+// O(nodes^2) messages, so they pin 64 and 256; the bounded-step scripted
+// patterns extend the lock to 2560 nodes.
 func goldenCases() []goldenCase {
 	var cases []goldenCase
 
@@ -112,27 +92,31 @@ func goldenCases() []goldenCase {
 		}
 	}
 
-	for _, dpus := range []int{64, 256, 2560} {
-		dpus := dpus
-		cases = append(cases, goldenCase{
-			name: fmt.Sprintf("traffic_uniform_%d", dpus),
-			run: func() (goldenResult, error) {
-				res, err := SimulateTraffic(goldenShape(dpus), TrafficSpec{Pattern: Uniform,
-					PerNodeBps: 10e6, Duration: sim.Millisecond, Seed: 7})
-				return fromTraffic(res), err
-			},
-		})
-	}
-
 	cases = append(cases, patternGoldenCases()...)
 	return cases
 }
 
 // TestNocGolden locks the packet simulator to the recorded corpus: the flat
 // index-based core must produce bit-identical results to the original
-// pointer-and-closure implementation for every case.
+// pointer-and-closure implementation for every case. A file in the corpus
+// that no case writes fails it too, so a deleted case cannot leave its
+// golden behind.
 func TestNocGolden(t *testing.T) {
-	for _, c := range goldenCases() {
+	cases := goldenCases()
+	written := make(map[string]bool, len(cases))
+	for _, c := range cases {
+		written[c.name+".json"] = true
+	}
+	orphans, err := filepath.Glob(filepath.Join("testdata", "golden", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range orphans {
+		if !written[filepath.Base(path)] {
+			t.Errorf("%s is written by no golden case: delete it", path)
+		}
+	}
+	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			got, err := c.run()

@@ -93,7 +93,7 @@ type packet struct {
 	pathOff  int32
 	pathLen  int32
 	idx      int32
-	msg      int32 // message group, nilIdx for open-loop traffic
+	msg      int32 // message group
 	waitNext int32 // waiter chain link; doubles as the free-list link
 }
 
@@ -133,7 +133,6 @@ const (
 	evWake                // a = encoded waiter, b = block segment: buffer credit released
 	evTry                 // a = node: collective injection gate check
 	evSend                // a = node, b = step: segment + inject one message
-	evTick                // a = node: open-loop traffic generator
 )
 
 // network drives the hops on its own engine.
@@ -160,11 +159,6 @@ type network struct {
 	blockFree int32
 
 	coll *collDriver
-	traf *trafDriver
-
-	// lastArrive is the latest inline-completed arrival instant (see depart);
-	// the run's end time is max(engine end, lastArrive).
-	lastArrive sim.Time
 
 	// deliverHook, when non-nil, observes every packet delivery (uid, birth
 	// time, arrival time). Test/fuzz instrumentation only: one predictable
@@ -216,8 +210,6 @@ func (nw *network) run() sim.Time {
 			nw.coll.tryInject(nw, a)
 		case evSend:
 			nw.coll.send(nw, a, b, t)
-		case evTick:
-			nw.traf.tick(nw, a, t)
 		}
 	}
 	return nw.eng.Now()
@@ -397,33 +389,12 @@ func (nw *network) forward(h, p int32, t sim.Time) {
 	nw.eng.At(t+nw.lat, evAdmit, next, p)
 }
 
-// depart delivers the packet out of the network.
-//
-// Open-loop traffic packets (no message group) complete inline: their
-// arrival at t+lat only logs a latency and frees the slot — it touches no
-// hop state, and arrival order equals depart order because every arrival
-// shares the same +lat offset — so the evArrive round-trip through the
-// event queue is pure overhead. lastArrive preserves the run-end clock the
-// explicit arrival events used to establish. Message packets still take the
-// event: msgDone opens injection gates, which is real same-instant ordering.
+// depart delivers the packet out of the network: it lands one wire latency
+// later, when arrive closes its message.
 func (nw *network) depart(h, p int32, t sim.Time) {
 	nw.popHead(h, t)
 	nw.res.PacketsDelivered++
-	at := t + nw.lat
-	pk := &nw.pkts[p]
-	if pk.msg == nilIdx {
-		if nw.deliverHook != nil {
-			nw.deliverHook(pk.uid, pk.born, at)
-		}
-		if at > nw.lastArrive {
-			nw.lastArrive = at
-		}
-		born := pk.born
-		nw.freePacket(p)
-		nw.traf.delivered(born, at)
-		return
-	}
-	nw.eng.At(at, evArrive, p, 0)
+	nw.eng.At(t+nw.lat, evArrive, p, 0)
 }
 
 // popHead removes the head packet, releases one buffer credit to a waiter,
@@ -495,9 +466,8 @@ func (nw *network) inject(p int32, t sim.Time) {
 	nw.admit(first, p, t)
 }
 
-// arrive completes a message packet's delivery (depart completes open-loop
-// packets inline): it closes the packet's message group once its last packet
-// lands, and returns the packet slot to the free list.
+// arrive completes a packet's delivery: it closes the packet's message group
+// once its last packet lands, and returns the packet slot to the free list.
 func (nw *network) arrive(p int32, t sim.Time) {
 	pk := &nw.pkts[p]
 	if nw.deliverHook != nil {

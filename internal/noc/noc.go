@@ -24,11 +24,11 @@
 // on the real UPMEM system; SkewedFinishTimes generates an equivalent
 // deterministic skew profile.
 //
-// Beyond the collectives, the package drives the fabric with synthetic
-// open-loop traffic (uniform-random plus the adversarial hotspot,
-// transpose, tornado, and bursty multi-tenant patterns) and with scripted
-// adversarial permutation workloads under both flow-control modes — the
-// standard NoC-evaluation methodology at full-machine scale.
+// Beyond the collectives, the package drives the fabric with scripted
+// traffic patterns (uniform-random plus the adversarial hotspot, transpose,
+// tornado, and bursty multi-tenant patterns) under both flow-control modes,
+// through the same dependency-gated driver — the standard NoC worst cases
+// at full-machine scale.
 //
 // The fabric's tier rates and latencies are the paper's Table IV as
 // internal/config states it, the same values the link-reservation model

@@ -10,7 +10,7 @@ import (
 // capacity; the others are the standard worst-case spatial distributions of
 // the NoC literature, mapped onto the PIMnet topology:
 //
-//   - Hotspot: a fraction of all traffic converges on one node, saturating
+//   - Hotspot: every other node's traffic converges on one node, saturating
 //     that node's chip port and ring while the rest of the fabric idles.
 //   - Transpose: the matrix-transpose permutation (src = x*b+y sends to
 //     y*a+x for n = a*b), which concentrates flows onto a few chip-to-chip
@@ -19,16 +19,13 @@ import (
 //     traffic that defeats locality and keeps every packet crossing the
 //     shared bus tier.
 //   - Bursty multi-tenant: the node space is split into tenant blocks that
-//     take turns bursting at full rate, with a cross-tenant fraction that
-//     drags the shared bus into every burst — the interference pattern a
-//     multi-tenant PIM deployment would see.
+//     take turns bursting at full rate while the others trickle — the
+//     interference pattern a multi-tenant PIM deployment would see.
 //
-// Every pattern exists in two forms. The open-loop form (SimulateTraffic)
-// picks per-packet destinations at a configured injection rate. The
-// scripted form (SimulatePattern) phrases the pattern as a bounded number
-// of per-node message steps and runs it through the same dependency-gated
-// machinery as the collectives — which is what makes the credit-based vs
-// PIM-controlled comparison meaningful on adversarial traffic.
+// SimulatePattern phrases each pattern as a bounded number of per-node
+// message steps and runs it through the same dependency-gated machinery as
+// the collectives — which is what makes the credit-based vs PIM-controlled
+// comparison meaningful on adversarial traffic.
 
 // TrafficPattern selects the spatial traffic distribution.
 type TrafficPattern int
@@ -42,14 +39,8 @@ const (
 	BurstyTenants
 )
 
-const (
-	// hotspotFraction of hotspot-pattern packets target the hot node.
-	hotspotFraction = 0.25
-	// crossTenantFraction of a bursting tenant's packets leave its block.
-	crossTenantFraction = 0.2
-	// burstyTenantCount tenant blocks take turns bursting.
-	burstyTenantCount = 4
-)
+// burstyTenantCount tenant blocks take turns bursting.
+const burstyTenantCount = 4
 
 // String names the pattern.
 func (p TrafficPattern) String() string {
@@ -130,56 +121,6 @@ func tenantOf(node, n int) int { return node * burstyTenantCount / n }
 func tenantBounds(t, n int) (lo, hi int) {
 	return t * n / burstyTenantCount, (t + 1) * n / burstyTenantCount
 }
-
-// --- open-loop destination selection ---
-
-// burstOn reports whether src's tenant is in its burst window at time t.
-// Tenants take turns: one burstWindow each, round-robin.
-func (d *trafDriver) burstOn(src int, t sim.Time) bool {
-	active := int(t/d.burstWindow) % burstyTenantCount
-	return tenantOf(src, d.n) == active
-}
-
-// uniformDest draws a destination uniformly from all nodes except src.
-func (d *trafDriver) uniformDest(src int) int {
-	dst := d.rng.Intn(d.n - 1)
-	if dst >= src {
-		dst++
-	}
-	return dst
-}
-
-// dest picks the next packet's destination for src under the pattern.
-func (d *trafDriver) dest(src int) int {
-	switch d.pattern {
-	case Hotspot:
-		if src != d.hot && d.rng.Float64() < hotspotFraction {
-			return d.hot
-		}
-		return d.uniformDest(src)
-	case Transpose:
-		return transposeDest(src, d.transposeA, d.transposeB, d.n)
-	case Tornado:
-		return tornadoDest(src, d.tornadoOff, d.n)
-	case BurstyTenants:
-		if d.rng.Float64() < crossTenantFraction {
-			return d.uniformDest(src)
-		}
-		lo, hi := tenantBounds(tenantOf(src, d.n), d.n)
-		if hi-lo <= 1 {
-			return d.uniformDest(src)
-		}
-		dst := lo + d.rng.Intn(hi-lo-1)
-		if dst >= src {
-			dst++
-		}
-		return dst
-	default: // Uniform
-		return d.uniformDest(src)
-	}
-}
-
-// --- scripted adversarial workloads ---
 
 // patternScripts phrases a pattern as steps of one message per node, the
 // same shape as the collective scripts, so the dependency-gated injection

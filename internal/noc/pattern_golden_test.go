@@ -1,28 +1,17 @@
 package noc
 
-import (
-	"fmt"
+import "fmt"
 
-	"pimnet/internal/sim"
-)
-
-// patternGoldenCases extends the golden corpus with the adversarial
-// patterns, in both of their forms:
-//
-//   - scripted (SimulatePattern) under both flow-control modes, with the
-//     corpus compute-finish skew — the credit-vs-PIM-controlled comparison
-//     on worst-case spatial traffic; and
-//   - open-loop (SimulateTraffic) at the corpus rate/duration — the
-//     latency/throughput observables.
-//
-// Together with goldenCases' collectives and uniform traffic this covers
-// every pattern x both modes x the 64/256/2560 populations, so any
+// patternGoldenCases extends the golden corpus with the scripted patterns
+// (SimulatePattern) under both flow-control modes, with the corpus
+// compute-finish skew — the credit-vs-PIM-controlled comparison on
+// worst-case spatial traffic. Together with goldenCases' collectives this
+// covers every pattern x both modes x the 64/256/2560 populations, so any
 // behavioral drift in the flat core — one picosecond, one packet, one queue
 // slot — diffs against a committed file.
 func patternGoldenCases() []goldenCase {
 	var cases []goldenCase
 
-	adversarial := []TrafficPattern{Hotspot, Transpose, Tornado, BurstyTenants}
 	modes := []struct {
 		name string
 		mode Mode
@@ -50,20 +39,5 @@ func patternGoldenCases() []goldenCase {
 		}
 	}
 
-	// Open-loop traffic: uniform is already pinned by goldenCases; these add
-	// the adversarial spatial distributions at the same rate and duration.
-	for _, pat := range adversarial {
-		for _, dpus := range []int{64, 256, 2560} {
-			pat, dpus := pat, dpus
-			cases = append(cases, goldenCase{
-				name: fmt.Sprintf("traffic_%s_%d", pat, dpus),
-				run: func() (goldenResult, error) {
-					res, err := SimulateTraffic(goldenShape(dpus), TrafficSpec{
-						Pattern: pat, PerNodeBps: 10e6, Duration: sim.Millisecond, Seed: 7})
-					return fromTraffic(res), err
-				},
-			})
-		}
-	}
 	return cases
 }

@@ -100,26 +100,3 @@ func PartitionedHashJoin(left, right []Tuple, p int) ([]JoinPair, error) {
 	}
 	return out, nil
 }
-
-// ShuffleStats describes the redistribution traffic of a partitioned join.
-type ShuffleStats struct {
-	TuplesMoved   int64 // tuples leaving their origin bank, expectation (p-1)/p of all
-	BytesPerTuple int64
-}
-
-// Shuffle computes redistribution statistics for tuples initially sharded
-// round-robin across p banks.
-func Shuffle(tuples []Tuple, p int) (ShuffleStats, error) {
-	if p < 1 {
-		return ShuffleStats{}, fmt.Errorf("relational: %d partitions", p)
-	}
-	var moved int64
-	for i, t := range tuples {
-		origin := i % p
-		dest := int(hash(t.Key) % uint32(p))
-		if origin != dest {
-			moved++
-		}
-	}
-	return ShuffleStats{TuplesMoved: moved, BytesPerTuple: 8}, nil
-}

@@ -206,9 +206,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Cache returns the process-wide compiled-plan cache.
-func (s *Server) Cache() *core.PlanCache { return s.cache }
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)

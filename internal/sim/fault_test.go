@@ -4,14 +4,14 @@ import "testing"
 
 func TestLinkFaultState(t *testing.T) {
 	l := NewLink(1e9, 10*Nanosecond)
-	if l.Faulty() || l.DegradeFactor() != 1 {
+	if l.Faulty() || l.degrade != 1 {
 		t.Fatal("new link not healthy")
 	}
 	_, fast := l.Reserve(0, 1000)
 	l.Reset()
 	l.Degrade(0.5)
-	if !l.Faulty() || l.DegradeFactor() != 0.5 {
-		t.Fatalf("degrade 0.5: factor %v", l.DegradeFactor())
+	if !l.Faulty() || l.degrade != 0.5 {
+		t.Fatalf("degrade 0.5: factor %v", l.degrade)
 	}
 	// Degraded transfers take proportionally longer.
 	_, slow := l.Reserve(0, 1000)
@@ -46,7 +46,7 @@ func TestLinkResetPreservesFaults(t *testing.T) {
 	l = NewLink(1e9, 0)
 	l.Degrade(0.25)
 	l.Reset()
-	if l.DegradeFactor() != 0.25 {
+	if l.degrade != 0.25 {
 		t.Fatal("Reset repaired a degradation")
 	}
 }

@@ -43,10 +43,6 @@ func (l *Link) Degrade(factor float64) {
 	l.degrade = factor
 }
 
-// DegradeFactor returns the active bandwidth-degradation multiplier (1 when
-// healthy).
-func (l *Link) DegradeFactor() float64 { return l.degrade }
-
 // Fail applies a hard failure: subsequent reservations never complete.
 func (l *Link) Fail() { l.failed = true }
 

@@ -1,7 +1,7 @@
 // Package sparse provides the sparse-matrix substrate for the SpMV
 // workload: COO/CSR representations, a deterministic skewed nonzero
 // generator (stand-in for the SparseP input set, which requires SuiteSparse
-// downloads), reference SpMV, and the DBCOO partitioning of SparseP [31] —
+// downloads) and the DBCOO partitioning of SparseP [31] —
 // a 2D decomposition with vertical (column-block) partitions whose partial
 // output vectors are combined with Reduce-Scatter on PIM.
 package sparse
@@ -19,9 +19,6 @@ type COO struct {
 	ColIdx     []int32
 	Val        []int32
 }
-
-// NNZ returns the nonzero count.
-func (m *COO) NNZ() int64 { return int64(len(m.Val)) }
 
 // Config parameterizes the generator.
 type Config struct {
@@ -332,19 +329,6 @@ func sortByKey(m, buf *COO) *COO {
 		src, dst = dst, src
 	}
 	return src
-}
-
-// SpMV computes y = A*x (reference implementation, the ground truth for
-// partitioned execution).
-func SpMV(m *COO, x []int32) ([]int64, error) {
-	if len(x) != m.Cols {
-		return nil, fmt.Errorf("sparse: x has %d entries, want %d", len(x), m.Cols)
-	}
-	y := make([]int64, m.Rows)
-	for i := range m.Val {
-		y[m.RowIdx[i]] += int64(m.Val[i]) * int64(x[m.ColIdx[i]])
-	}
-	return y, nil
 }
 
 // DBCOOPart is one tile of the DBCOO 2D decomposition: the nonzeros of one

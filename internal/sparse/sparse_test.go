@@ -1,12 +1,28 @@
 package sparse
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
 	"testing"
 )
+
+// NNZ returns the nonzero count.
+func (m *COO) NNZ() int64 { return int64(len(m.Val)) }
+
+// SpMV computes y = A*x: the reference oracle for partitioned execution.
+func SpMV(m *COO, x []int32) ([]int64, error) {
+	if len(x) != m.Cols {
+		return nil, fmt.Errorf("sparse: x has %d entries, want %d", len(x), m.Cols)
+	}
+	y := make([]int64, m.Rows)
+	for i := range m.Val {
+		y[m.RowIdx[i]] += int64(m.Val[i]) * int64(x[m.ColIdx[i]])
+	}
+	return y, nil
+}
 
 func testMatrix(t *testing.T) *COO {
 	t.Helper()

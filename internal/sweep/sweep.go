@@ -41,12 +41,6 @@ type Options struct {
 	// Ctx cancels the run: points not yet started when Ctx is done are
 	// skipped and recorded as failed with Ctx's error. Nil means Background.
 	Ctx context.Context
-	// Progress, when non-nil, is called after each point finishes (success
-	// or failure) with the number of points completed so far and the total.
-	// Calls are serialized and done is strictly monotone, so consumers can
-	// publish it without their own locking. Points skipped by cancellation
-	// are not counted — done reaches total only on a full run.
-	Progress func(done, total int)
 }
 
 // Option mutates Options.
@@ -60,11 +54,6 @@ func WithCache(c *core.PlanCache) Option { return func(o *Options) { o.Cache = c
 
 // WithStats merges the run's execution stats into agg.
 func WithStats(agg *metrics.SweepStats) Option { return func(o *Options) { o.Agg = agg } }
-
-// WithProgress reports incremental completion: fn is called after every
-// finished point with (done, total). The serving tier's async jobs hang
-// their progress stream here.
-func WithProgress(fn func(done, total int)) Option { return func(o *Options) { o.Progress = fn } }
 
 // WithContext makes the run abort promptly on ctx cancellation or deadline:
 // workers check ctx between points, so at most Workers in-flight points run
@@ -115,23 +104,6 @@ func Run[P, R any](points []P, fn func(*Context, P) (R, error), opts ...Option) 
 	if workers > len(points) {
 		workers = len(points)
 	}
-	if o.Progress != nil {
-		inner := fn
-		var mu sync.Mutex
-		completed, total := 0, len(points)
-		fn = func(c *Context, p P) (R, error) {
-			// Count in a defer so even a panicking point (recovered into an
-			// error by runPoint) registers as finished.
-			defer func() {
-				mu.Lock()
-				completed++
-				o.Progress(completed, total)
-				mu.Unlock()
-			}()
-			return inner(c, p)
-		}
-	}
-
 	results := make([]R, len(points))
 	errs := make([]error, len(points))
 	wall := make([]time.Duration, len(points))
