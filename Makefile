@@ -78,8 +78,9 @@ loc:
 # ladder's correctness oracle), the plan-cache key, cached results against
 # the replay kernel, the persistent store's blob codec, the event
 # queue against a container/heap reference, the packet NoC's delivery
-# invariants, and the backend-name parser's round-trip; extend -fuzztime
-# for deeper runs.
+# invariants, the backend-name parser's round-trip, pimnetd's request
+# decoder (its serving caps included) and the cluster's chunk reassembly;
+# extend -fuzztime for deeper runs.
 fuzz:
 	$(GO) test -fuzz=FuzzVerify -fuzztime=30s ./internal/collective/
 	$(GO) test -fuzz=FuzzPlanCacheKey -fuzztime=30s ./internal/core/
@@ -89,6 +90,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzEventQueue -fuzztime=30s ./internal/sim/
 	$(GO) test -fuzz=FuzzNocDelivery -fuzztime=30s ./internal/noc/
 	$(GO) test -fuzz=FuzzParseBackendKind -fuzztime=30s .
+	$(GO) test -fuzz=FuzzDecodeRequest -fuzztime=30s ./internal/serve/
+	$(GO) test -fuzz=FuzzChunkReassembly -fuzztime=30s ./internal/cluster/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

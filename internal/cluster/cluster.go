@@ -32,6 +32,10 @@
 // that claim testable: any seeded schedule of connection failures, 5xxs,
 // latency spikes, truncated bodies, and mid-chunk worker kills must yield
 // bytes identical to the single-node sweep.
+//
+// The coordinator's counters (chunks, retries, hedges, local runs, probes,
+// per-worker state) are its observability surface, appended to the
+// daemon's GET /metrics by PromFamilies.
 package cluster
 
 import (
@@ -50,7 +54,6 @@ import (
 	"pimnet/internal/metrics"
 	"pimnet/internal/report"
 	"pimnet/internal/serve"
-	"pimnet/internal/trace"
 )
 
 // LocalRunner executes one chunk on the coordinator itself — the
@@ -70,11 +73,10 @@ type Config struct {
 	// Local runs orphaned chunks on the coordinator (required).
 	Local LocalRunner
 
-	// ChunkSize is the number of grid points per chunk (default 8).
+	// ChunkSize is the number of grid points per chunk (default 8). A
+	// sweep dispatches at most twice the fleet size (minimum 2) of its
+	// chunks at once.
 	ChunkSize int
-	// MaxInFlightChunks bounds concurrently dispatched chunks per sweep
-	// (default 2x the fleet size, minimum 2).
-	MaxInFlightChunks int
 
 	// ChunkTimeout is the per-dispatch-attempt deadline (default 30s).
 	ChunkTimeout time.Duration
@@ -91,10 +93,9 @@ type Config struct {
 	// hedging).
 	HedgeAfter time.Duration
 
-	// ProbeInterval and ProbeTimeout shape the periodic health probes
-	// (defaults 2s and 1s).
+	// ProbeInterval is the period of the /healthz health probes (default
+	// 2s); each probe times out after 1s.
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
 	// EjectAfter consecutive probe/dispatch failures eject a worker
 	// (default 3); ReadmitAfter consecutive probe successes readmit it
 	// (default 2).
@@ -107,21 +108,15 @@ type Config struct {
 	// Seed seeds the backoff jitter (default 1). Jitter never affects
 	// results, only timing.
 	Seed int64
-	// Tracer, when non-nil, receives chunk-level events (KindChunk*).
-	// Emission is serialized by the coordinator, so any tracer works.
-	Tracer trace.Tracer
 }
+
+// probeTimeout bounds one /healthz probe.
+const probeTimeout = time.Second
 
 // withDefaults resolves the zero-value fields.
 func (c Config) withDefaults() Config {
 	if c.ChunkSize <= 0 {
 		c.ChunkSize = 8
-	}
-	if c.MaxInFlightChunks <= 0 {
-		c.MaxInFlightChunks = 2 * len(c.Workers)
-		if c.MaxInFlightChunks < 2 {
-			c.MaxInFlightChunks = 2
-		}
 	}
 	if c.ChunkTimeout <= 0 {
 		c.ChunkTimeout = 30 * time.Second
@@ -140,9 +135,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
 	}
 	if c.EjectAfter <= 0 {
 		c.EjectAfter = 3
@@ -168,13 +160,11 @@ type Coordinator struct {
 	met         Metrics
 	client      *http.Client
 	probeClient *http.Client
-	epoch       time.Time
+	maxInFlight int // concurrently dispatched chunks per sweep
 	sweepSeq    atomic.Uint64
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
-
-	traceMu sync.Mutex
 
 	probeStop context.CancelFunc
 	probeWG   sync.WaitGroup
@@ -202,8 +192,8 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:         cfg,
 		ring:        buildRing(cfg.Workers),
 		client:      &http.Client{Transport: cfg.Transport},
-		probeClient: &http.Client{Transport: cfg.Transport, Timeout: cfg.ProbeTimeout},
-		epoch:       time.Now(),
+		probeClient: &http.Client{Transport: cfg.Transport, Timeout: probeTimeout},
+		maxInFlight: max(2, 2*len(cfg.Workers)),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 	}
 	c.reg = newRegistry(cfg.Workers, cfg.EjectAfter, cfg.ReadmitAfter, &c.met)
@@ -286,7 +276,7 @@ func (c *Coordinator) RunSweep(ctx context.Context, req serve.SweepRequest, grid
 	progressDone := 0
 	ctx = serve.WithProgress(ctx, nil)
 
-	sem := make(chan struct{}, c.cfg.MaxInFlightChunks)
+	sem := make(chan struct{}, c.maxInFlight)
 	var wg sync.WaitGroup
 	for i, sp := range spans {
 		wg.Add(1)
@@ -352,11 +342,11 @@ func (c *Coordinator) runChunk(ctx context.Context, base serve.ChunkRequest, chu
 		}
 		if attempt > 0 {
 			c.met.retries.Add(1)
-			if err := c.sleepBackoff(ctx, chunkIdx, attempt); err != nil {
+			if err := c.sleepBackoff(ctx, attempt); err != nil {
 				return nil, err
 			}
 		}
-		res, err := c.attemptChunk(ctx, body, chunkIdx, start, primary, backup, attempt)
+		res, err := c.attemptChunk(ctx, body, start, primary, backup)
 		if err == nil {
 			if len(res) != len(pts) {
 				// A worker answered with the wrong shape: corrupt response,
@@ -378,10 +368,7 @@ func (c *Coordinator) runChunk(ctx context.Context, base serve.ChunkRequest, chu
 	// Graceful degradation: the coordinator is always a worker of last
 	// resort, so fleet loss shrinks throughput, never availability.
 	c.met.localRuns.Add(1)
-	t0 := c.now()
 	res, lerr := c.cfg.Local(ctx, req)
-	c.emit(trace.Event{Kind: trace.KindChunkLocal, Tier: trace.TierNone, Name: "local",
-		Start: t0, End: c.now(), From: -1, To: -1, Seq: int64(chunkIdx)})
 	if lerr != nil {
 		var pe *serve.PointError
 		if errors.As(lerr, &pe) {
@@ -425,14 +412,14 @@ type dispatchOutcome struct {
 // response discarded (reassembly re-verifies any duplicate that still
 // lands). A deterministic point failure from either copy wins immediately
 // — both copies run the same points, so they cannot disagree.
-func (c *Coordinator) attemptChunk(ctx context.Context, body []byte, chunkIdx, start int,
-	primary, backup *workerInfo, attempt int) ([]serve.SweepPoint, error) {
+func (c *Coordinator) attemptChunk(ctx context.Context, body []byte, start int,
+	primary, backup *workerInfo) ([]serve.SweepPoint, error) {
 	dctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make(chan dispatchOutcome, 2)
 	launch := func(w *workerInfo) {
 		go func() {
-			pts, err := c.dispatch(dctx, w, body, chunkIdx, start, attempt)
+			pts, err := c.dispatch(dctx, w, body, start)
 			results <- dispatchOutcome{w: w, pts: pts, err: err}
 		}()
 	}
@@ -452,8 +439,6 @@ func (c *Coordinator) attemptChunk(ctx context.Context, body []byte, chunkIdx, s
 		case <-hedge:
 			hedge = nil
 			c.met.hedges.Add(1)
-			c.emit(trace.Event{Kind: trace.KindChunkHedge, Tier: trace.TierNone, Name: backup.addr,
-				Start: c.now(), End: c.now(), From: int32(attempt), To: -1, Seq: int64(chunkIdx)})
 			launch(backup)
 			inFlight++
 		case out := <-results:
@@ -480,18 +465,9 @@ func (c *Coordinator) attemptChunk(ctx context.Context, body []byte, chunkIdx, s
 // decoded points on 200, a global-indexed *serve.PointError on a
 // structured 422, and a retryable error for everything else (transport
 // failures, 5xx, truncated or malformed bodies).
-func (c *Coordinator) dispatch(ctx context.Context, w *workerInfo, body []byte,
-	chunkIdx, start, attempt int) ([]serve.SweepPoint, error) {
-	dctx, cancel := context.WithTimeout(ctx, c.cfg.ChunkTimeout)
+func (c *Coordinator) dispatch(ctx context.Context, w *workerInfo, body []byte, start int) ([]serve.SweepPoint, error) {
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.ChunkTimeout)
 	defer cancel()
-	t0 := c.now()
-	pts, err := c.doDispatch(dctx, w, body, start)
-	c.emit(trace.Event{Kind: trace.KindChunkDispatch, Tier: trace.TierNone, Name: w.addr,
-		Start: t0, End: c.now(), From: int32(attempt), To: -1, Seq: int64(chunkIdx)})
-	return pts, err
-}
-
-func (c *Coordinator) doDispatch(ctx context.Context, w *workerInfo, body []byte, start int) ([]serve.SweepPoint, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.addr+"/v1/chunk", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -526,15 +502,11 @@ func (c *Coordinator) doDispatch(ctx context.Context, w *workerInfo, body []byte
 
 // sleepBackoff waits the attempt's capped, jittered exponential backoff,
 // aborting early on cancellation.
-func (c *Coordinator) sleepBackoff(ctx context.Context, chunkIdx, attempt int) error {
-	d := c.backoff(attempt)
-	t0 := c.now()
-	timer := time.NewTimer(d)
+func (c *Coordinator) sleepBackoff(ctx context.Context, attempt int) error {
+	timer := time.NewTimer(c.backoff(attempt))
 	defer timer.Stop()
 	select {
 	case <-timer.C:
-		c.emit(trace.Event{Kind: trace.KindChunkRetry, Tier: trace.TierNone, Name: "backoff",
-			Start: t0, End: c.now(), From: int32(attempt), To: -1, Seq: int64(chunkIdx)})
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -557,21 +529,6 @@ func (c *Coordinator) backoff(attempt int) time.Duration {
 	j := time.Duration(c.rng.Int63n(int64(half) + 1))
 	c.rngMu.Unlock()
 	return half + j
-}
-
-// now returns wall-clock nanoseconds since the coordinator started — the
-// timeline chunk trace events live on.
-func (c *Coordinator) now() int64 { return time.Since(c.epoch).Nanoseconds() }
-
-// emit serializes tracer access: chunk events come from many dispatch
-// goroutines, and Tracer implementations need not be concurrency-safe.
-func (c *Coordinator) emit(ev trace.Event) {
-	if c.cfg.Tracer == nil {
-		return
-	}
-	c.traceMu.Lock()
-	c.cfg.Tracer.Emit(ev)
-	c.traceMu.Unlock()
 }
 
 // truncateForLog bounds an error body for inclusion in an error string.

@@ -46,6 +46,7 @@ package noc
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"pimnet/internal/sim"
@@ -100,13 +101,16 @@ func DefaultConfig(ranks, chips, banks int) Config {
 	}
 }
 
-// Nodes returns the DPU population.
+// Nodes returns the DPU population. It is meaningful only for a Config
+// that validates: validate rejects shapes whose product overflows int.
 func (c Config) Nodes() int { return c.Ranks * c.Chips * c.Banks }
 
 func (c Config) validate() error {
 	switch {
 	case c.Ranks < 1 || c.Chips < 1 || c.Banks < 1:
 		return fmt.Errorf("noc: topology %dx%dx%d", c.Ranks, c.Chips, c.Banks)
+	case c.Ranks > math.MaxInt/c.Chips || c.Ranks*c.Chips > math.MaxInt/c.Banks:
+		return fmt.Errorf("noc: topology %dx%dx%d overflows the node count", c.Ranks, c.Chips, c.Banks)
 	case c.BufferPackets < 1:
 		return fmt.Errorf("noc: buffer depth %d", c.BufferPackets)
 	case c.PacketBytes < 1:

@@ -55,6 +55,9 @@ func TestConfigValidation(t *testing.T) {
 		{Ranks: 0, Chips: 1, Banks: 1, BufferPackets: 1, PacketBytes: 1},
 		{Ranks: 1, Chips: 1, Banks: 1, BufferPackets: 0, PacketBytes: 1},
 		{Ranks: 1, Chips: 1, Banks: 1, BufferPackets: 1, PacketBytes: 0},
+		// 4611686018427387905*4 wraps to 4 in int64: the product must be
+		// rejected, not simulated as a 4-node channel.
+		{Ranks: 4611686018427387905, Chips: 4, Banks: 1, BufferPackets: 1, PacketBytes: 1},
 	}
 	for i, c := range bad {
 		if _, err := SimulateAllReduce(c, CreditBased, flat(c.Nodes(), 0), 1024); err == nil {

@@ -213,6 +213,7 @@ func SimulatePattern(cfg Config, mode Mode, pattern TrafficPattern, computeDone 
 	if bytesPerNode < 1 {
 		return Result{}, fmt.Errorf("noc: pattern bytes %d", bytesPerNode)
 	}
-	scripts := patternScripts(pattern, cfg.Nodes(), steps, bytesPerNode, seed)
-	return simulate(cfg, mode, computeDone, scripts, false)
+	return simulate(cfg, mode, computeDone, func(n int) []nodeScript {
+		return patternScripts(pattern, n, steps, bytesPerNode, seed)
+	}, false)
 }

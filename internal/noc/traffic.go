@@ -104,12 +104,12 @@ func AllToAllConfig(cfg Config, bytesPerNode int64) Config {
 // time (the injection gate in credit mode; the max forms the global START
 // in static mode).
 func SimulateAllReduce(cfg Config, mode Mode, computeDone []sim.Time, bytesPerNode int64) (Result, error) {
-	return simulate(cfg, mode, computeDone, allReduceScripts(cfg.Nodes(), bytesPerNode), true)
+	return simulate(cfg, mode, computeDone, func(n int) []nodeScript { return allReduceScripts(n, bytesPerNode) }, true)
 }
 
 // SimulateAllToAll runs the personalized exchange on the packet network.
 func SimulateAllToAll(cfg Config, mode Mode, computeDone []sim.Time, bytesPerNode int64) (Result, error) {
-	return simulate(cfg, mode, computeDone, allToAllScripts(cfg.Nodes(), bytesPerNode), false)
+	return simulate(cfg, mode, computeDone, func(n int) []nodeScript { return allToAllScripts(n, bytesPerNode) }, false)
 }
 
 // collDriver gates scripted message injection.
@@ -191,9 +191,14 @@ func (c *collDriver) msgDone(nw *network, node, step, dst int32, t sim.Time) {
 	c.tryInject(nw, dst)
 }
 
-// simulate drives the scripts through the queueing network.
-func simulate(cfg Config, mode Mode, computeDone []sim.Time, scripts []nodeScript, recvGate bool) (Result, error) {
-	_, res, err := runScripts(cfg, mode, computeDone, scripts, recvGate)
+// simulate validates cfg before building its node scripts (so a bad shape
+// never sizes an allocation), then drives them through the queueing
+// network.
+func simulate(cfg Config, mode Mode, computeDone []sim.Time, scripts func(n int) []nodeScript, recvGate bool) (Result, error) {
+	if err := cfg.validate(); err != nil {
+		return Result{}, err
+	}
+	_, res, err := runScripts(cfg, mode, computeDone, scripts(cfg.Nodes()), recvGate)
 	return res, err
 }
 

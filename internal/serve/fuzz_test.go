@@ -26,6 +26,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		`{"faults": "fail-chip=1,corrupt=0.05", "fault_seed": 7}`,
 		`{"trace_level": "link", "step_overhead_ps": 250}`,
 		`{"pattern": "allreduce", "dpus": -1}`,
+		`{"pattern": "allreduce", "dpus": 1099511627776}`,
 		`{"pattern": "allreduce", "bytes_per_node": 9223372036854775807}`,
 		`{"patern": "allreduce"}`,
 		`{"pattern": "allreduce"} trailing`,
@@ -48,6 +49,12 @@ func FuzzDecodeRequest(f *testing.F) {
 		// The flight key and plan key must be computable for every accepted
 		// request — the handler derives them before admission.
 		_ = pt.key()
+
+		// The serving cap holds for every accepted point: no request can ask
+		// the daemon for a machine larger than maxDPUs.
+		if echo.DPUs > maxDPUs || pt.sys.DPUsPerChannel() > maxDPUs {
+			t.Fatalf("accepted %d DPUs (%d in the system) past the cap of %d", echo.DPUs, pt.sys.DPUsPerChannel(), maxDPUs)
+		}
 
 		// Normalization must be idempotent: the echoed request is complete
 		// (no defaults left to apply), so re-normalizing it reproduces the

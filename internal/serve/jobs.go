@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"pimnet/internal/store"
-	"pimnet/internal/trace"
 )
 
 // The async job layer: POST /v1/jobs accepts any simulate/sweep/noc-sweep
@@ -111,7 +110,6 @@ type job struct {
 	created   time.Time
 	started   time.Time
 	finished  time.Time
-	startedNs int64
 	finSeq    uint64
 	cancel    context.CancelFunc
 	doneCh    chan struct{}
@@ -164,8 +162,6 @@ type jobManager struct {
 
 	drainCh chan struct{}
 	runWG   sync.WaitGroup
-
-	traceMu sync.Mutex
 }
 
 func newJobManager(s *Server) *jobManager {
@@ -301,8 +297,6 @@ func (m *jobManager) submit(req JobRequest) response {
 	view := m.viewLocked(j, false)
 	m.mu.Unlock()
 
-	m.emit(trace.Event{Kind: trace.KindJobQueued, Tier: trace.TierNone, Name: j.id,
-		Start: m.nowNs(), End: m.nowNs(), From: -1, To: -1, Seq: int64(j.cost)})
 	body, _ := json.Marshal(view)
 	return response{status: http.StatusAccepted, body: body}
 }
@@ -388,7 +382,6 @@ func (m *jobManager) startLocked(j *job) {
 	m.runningN++
 	j.state = jobRunning
 	j.started = time.Now()
-	j.startedNs = m.nowNs()
 	ctx, cancel := context.WithCancel(context.Background())
 	j.cancel = cancel
 	m.runWG.Add(1)
@@ -401,8 +394,6 @@ func (m *jobManager) startLocked(j *job) {
 // bounds them via interruptRunning.
 func (m *jobManager) execute(j *job, ctx context.Context) {
 	defer m.runWG.Done()
-	m.emit(trace.Event{Kind: trace.KindJobStart, Tier: trace.TierNone, Name: j.id,
-		Start: m.nowNs(), End: m.nowNs(), From: -1, To: -1})
 	ctx = withGateWait(WithProgress(ctx, func(ev ProgressEvent) { m.progress(j, ev) }))
 	resp := j.run(ctx)
 	j.cancel()
@@ -441,9 +432,7 @@ func (m *jobManager) finish(j *job, resp response) {
 	m.mu.Lock()
 	m.running[j.pool]--
 	m.runningN--
-	finished := false
 	if j.state == jobRunning {
-		finished = true
 		j.result = resp
 		j.finished = now
 		m.finSeq++
@@ -463,10 +452,6 @@ func (m *jobManager) finish(j *job, resp response) {
 	m.scheduleLocked()
 	m.pruneLocked(now)
 	m.mu.Unlock()
-	if finished {
-		m.emit(trace.Event{Kind: trace.KindJobFinish, Tier: trace.TierNone, Name: j.id,
-			Start: j.startedNs, End: m.nowNs(), From: -1, To: -1, Seq: int64(j.finSeq)})
-	}
 }
 
 // decodeErrorDetail recovers the envelope detail from a rendered error
@@ -706,21 +691,6 @@ func (m *jobManager) snapshot() jobsSnapshot {
 		}
 	}
 	return out
-}
-
-// nowNs is the wall-clock nanosecond timeline job trace events live on
-// (since the server started, mirroring the cluster chunk kinds).
-func (m *jobManager) nowNs() int64 { return time.Since(m.s.met.start).Nanoseconds() }
-
-// emit serializes tracer access (job events come from handler and executor
-// goroutines alike).
-func (m *jobManager) emit(ev trace.Event) {
-	if m.s.cfg.Tracer == nil {
-		return
-	}
-	m.traceMu.Lock()
-	m.s.cfg.Tracer.Emit(ev)
-	m.traceMu.Unlock()
 }
 
 // handleJobSubmit is POST /v1/jobs.

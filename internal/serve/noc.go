@@ -79,6 +79,10 @@ func decodeNocSweep(s *Server, r io.Reader) (*batch, error) {
 	if req.Ranks < 1 || req.Chips < 1 || req.Banks < 1 {
 		return nil, fmt.Errorf("topology %dx%dx%d", req.Ranks, req.Chips, req.Banks)
 	}
+	// Capping each factor first keeps the product from overflowing.
+	if req.Ranks > maxDPUs || req.Chips > maxDPUs || req.Banks > maxDPUs || req.Ranks*req.Chips*req.Banks > maxDPUs {
+		return nil, fmt.Errorf("topology %dx%dx%d exceeds the server's cap of %d nodes", req.Ranks, req.Chips, req.Banks, maxDPUs)
+	}
 	cfg := noc.DefaultConfig(req.Ranks, req.Chips, req.Banks)
 	if cfg.Nodes() < 2 {
 		return nil, fmt.Errorf("topology %dx%dx%d has fewer than 2 nodes", req.Ranks, req.Chips, req.Banks)
@@ -94,6 +98,14 @@ func decodeNocSweep(s *Server, r io.Reader) (*batch, error) {
 	}
 	if req.Steps < 1 {
 		return nil, fmt.Errorf("steps %d", req.Steps)
+	}
+	// Scripted packets are nodes x steps x per-step packets; capping each
+	// factor first keeps the product inside int64.
+	perStep := (req.BytesPerNode-1)/cfg.PacketBytes + 1
+	if int64(req.Steps) > maxNocPackets || perStep > maxNocPackets ||
+		int64(cfg.Nodes())*int64(req.Steps)*perStep > maxNocPackets {
+		return nil, fmt.Errorf("%d nodes x %d steps x %d-byte payloads exceed the server's cap of %d scripted packets",
+			cfg.Nodes(), req.Steps, req.BytesPerNode, maxNocPackets)
 	}
 	if req.Seed == 0 {
 		req.Seed = 42

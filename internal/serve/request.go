@@ -23,6 +23,18 @@ import (
 	"pimnet/internal/workloads"
 )
 
+// Serving caps: the decoders answer 400 past them, where a simulation
+// would die in a fatal out-of-memory error no recover catches. The library
+// and pimnetbench have no caps.
+const (
+	// maxDPUs bounds a point's DPUs and a NoC cell's nodes: the paper's
+	// full 2,560-DPU machine.
+	maxDPUs = 2560
+	// maxNocPackets bounds a NoC cell's scripted packets: 6.4x the 163,840
+	// of the default 4x8x80, 2-step, 32 KiB cell.
+	maxNocPackets = 1 << 20
+)
+
 // SimulateRequest is the wire form of POST /v1/simulate: one experiment
 // point. Absent fields take the documented defaults, so {"pattern":
 // "allreduce"} is a complete request. Unknown fields are rejected (a typoed
@@ -281,8 +293,8 @@ func (req SimulateRequest) normalize() (SimulateRequest, point, error) {
 	if req.DPUs == 0 {
 		req.DPUs = 256
 	}
-	if req.DPUs < 1 {
-		return req, pt, fmt.Errorf("dpus must be >= 1, got %d", req.DPUs)
+	if req.DPUs < 1 || req.DPUs > maxDPUs {
+		return req, pt, fmt.Errorf("dpus must be in [1, %d], got %d", maxDPUs, req.DPUs)
 	}
 	sys, err := pimnet.DefaultSystem().WithDPUs(req.DPUs)
 	if err != nil {

@@ -13,7 +13,7 @@
 //   - Point coalescing: results are deterministic functions of the point, so
 //     concurrent requests for the same point — from any endpoint — share
 //     one execution, and each renders the shared result into its own body.
-//   - Shared-cache batching: all requests go through one process-wide
+//   - Shared-cache batching: all requests go through the server's one
 //     core.PlanCache of healthy collective results. Faulted and traced
 //     backends bypass the cache in both directions, so a result cached by
 //     any request answers every later one without building a network.
@@ -38,7 +38,6 @@ import (
 	"pimnet/internal/core"
 	"pimnet/internal/metrics"
 	"pimnet/internal/store"
-	"pimnet/internal/trace"
 )
 
 // Config parameterizes a Server. The zero value selects production-shaped
@@ -60,12 +59,11 @@ type Config struct {
 	// MaxSweepWorkers bounds one sweep request's worker pool (<=0 selects
 	// GOMAXPROCS).
 	MaxSweepWorkers int
-	// Cache is the process-wide compiled-plan cache (nil builds a fresh
-	// one). Passing a cache lets several servers — or a server plus batch
-	// jobs — share one.
-	Cache *core.PlanCache
-	// Store, when non-nil, is the persistent result store: every point of
-	// every endpoint is answered from it before any simulation runs.
+	// Store, when non-nil, is the persistent result store: every point
+	// this server executes is answered from it before any simulation runs.
+	// With a Sweeper set, /v1/sweep is delegated and bypasses this server's
+	// coalescer and store: remote chunks read the workers' stores, and
+	// only chunks the coordinator runs locally (RunChunk) read this one.
 	// Responses served from the store are byte-identical to
 	// recomputation by construction (only completed points are stored, under
 	// their full identity, behind blob checksums).
@@ -93,9 +91,6 @@ type Config struct {
 	// in the map share the "default" pool, whose quota defaults to MaxJobs
 	// unless the map overrides it.
 	TenantQuotas map[string]int
-	// Tracer, when non-nil, receives job lifecycle events (KindJob*).
-	// Emission is serialized by the job manager, so any tracer works.
-	Tracer trace.Tracer
 }
 
 // SweepRunner executes an already-normalized sweep grid end to end. The
@@ -131,9 +126,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSweepWorkers <= 0 {
 		c.MaxSweepWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.Cache == nil {
-		c.Cache = core.NewPlanCache()
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = c.MaxInFlight
@@ -176,7 +168,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:   cfg,
-		cache: cfg.Cache,
+		cache: core.NewPlanCache(),
 		gate:  newGate(cfg.MaxInFlight, cfg.QueueDepth),
 		mux:   http.NewServeMux(),
 	}

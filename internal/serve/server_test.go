@@ -13,8 +13,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"pimnet/internal/core"
 )
 
 // newTestServer starts an httptest server around a Server built from cfg.
@@ -410,6 +408,59 @@ func TestDecodeRejections(t *testing.T) {
 	}
 }
 
+// TestOversizedRequestsRejected: requests the simulator would accept but a
+// daemon cannot afford (a fatal out-of-memory error, or a node count that
+// overflows to a small wrong one) answer a 400 envelope promptly, and the
+// server keeps serving.
+func TestOversizedRequestsRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	cases := []struct{ name, path, body string }{
+		{"2^40 dpus", "/v1/simulate", `{"pattern":"allreduce","dpus":1099511627776}`},
+		{"2^40 dpus in a sweep", "/v1/sweep", `{"dpus":[64,1099511627776],"bytes_per_node":[4096]}`},
+		{"3e9 noc steps", "/v1/noc/sweep", `{"ranks":2,"chips":2,"banks":2,"steps":3000000000,"patterns":["tornado"]}`},
+		{"overflowing noc nodes", "/v1/noc/sweep", `{"ranks":4611686018427387905,"chips":4,"banks":1,"patterns":["tornado"]}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			start := time.Now()
+			status, _, body := post(t, ts.URL+tc.path, tc.body)
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("rejection took %v", d)
+			}
+			var e errorEnvelope
+			if status != http.StatusBadRequest || json.Unmarshal(body, &e) != nil || e.Error.Code != "bad_request" {
+				t.Fatalf("status %d, body %s: want a bad_request envelope", status, body)
+			}
+		})
+	}
+	if status, _, body := post(t, ts.URL+"/v1/simulate", `{"pattern":"allreduce","dpus":64}`); status != http.StatusOK {
+		t.Fatalf("simulate after the rejections: status %d, body %s", status, body)
+	}
+}
+
+// TestServingCapsAdmitTheRepository: the caps sit just above what the
+// repository sends — 2,560 DPUs and the default 4x8x80, 2-step, 32 KiB NoC
+// cell — and reject the next size up.
+func TestServingCapsAdmitTheRepository(t *testing.T) {
+	if _, _, err := DecodeSimulateRequest(strings.NewReader(`{"dpus": 2560}`)); err != nil {
+		t.Fatalf("2560 DPUs rejected: %v", err)
+	}
+	if _, _, err := DecodeSimulateRequest(strings.NewReader(`{"dpus": 2624}`)); err == nil {
+		t.Fatal("2624 DPUs accepted past the cap")
+	}
+	s := New(Config{})
+	for body, ok := range map[string]bool{
+		`{}`:                                    true,  // 2560 x 2 x 32 = 163,840 packets
+		`{"steps": 12}`:                         true,  // 983,040
+		`{"steps": 13}`:                         false, // 1,064,960
+		`{"ranks": 5, "chips": 8, "banks": 80}`: false,
+	} {
+		if _, err := decodeNocSweep(s, strings.NewReader(body)); (err == nil) != ok {
+			t.Errorf("noc sweep %s: err %v, want accepted=%v", body, err, ok)
+		}
+	}
+}
+
 // TestNewNameDecodeMatrix: the CXL-PIM backend and PIMfused workload decode
 // through every accepted spelling, and near-misses stay structured 400s
 // (covered in TestDecodeRejections). The echoed request carries the
@@ -692,26 +743,6 @@ func TestPanicRecovery(t *testing.T) {
 	status, _, _ = post(t, ts.URL+"/v1/simulate", `{"pattern": "allreduce", "dpus": 64}`)
 	if status != http.StatusOK {
 		t.Fatalf("server did not survive the panic: %d", status)
-	}
-}
-
-// TestSharedCacheAcrossServers: two servers handed one cache share compiled
-// plans — the batching story for multi-listener deployments.
-func TestSharedCacheAcrossServers(t *testing.T) {
-	cache := core.NewPlanCache()
-	_, ts1 := newTestServer(t, Config{Cache: cache})
-	_, ts2 := newTestServer(t, Config{Cache: cache})
-	const body = `{"pattern": "allreduce", "bytes_per_node": 4096, "dpus": 64}`
-	post(t, ts1.URL+"/v1/simulate", body)
-	before := cache.Stats()
-	_, _, b2 := post(t, ts2.URL+"/v1/simulate", body)
-	after := cache.Stats()
-	if after.Hits <= before.Hits {
-		t.Fatalf("second server missed the shared cache: %+v -> %+v", before, after)
-	}
-	_, _, b1 := post(t, ts1.URL+"/v1/simulate", body)
-	if !bytes.Equal(b1, b2) {
-		t.Fatal("servers disagree on identical requests")
 	}
 }
 

@@ -8,10 +8,13 @@ import (
 )
 
 // This file wires the persistent result store (internal/store) into the
-// serving tier. The store holds one shape: a point's record, keyed by
-// point.key — the same identity the coalescer uses — so a result computed
-// for any endpoint (simulate, sweep, chunk, NoC sweep, or a job) answers
-// every later request for the point, across process lifetimes.
+// serving tier. The store holds two shapes under store.NSResults. The
+// first is a point's record, keyed by point.key — the same identity the
+// coalescer uses — so a result computed for any endpoint (simulate, sweep,
+// chunk, NoC sweep, or a job) answers every later request for the point,
+// across process lifetimes. The second is an interrupted job's final
+// JobView, an audit record jobManager.persistInterrupted writes at
+// shutdown under jobRecordKey; no request reads it back.
 //
 // Only completed points are stored; a failing point, a shed or cancelled
 // execution never enters the store. Reads are strictly best-effort: a miss,

@@ -69,10 +69,6 @@ func track(ev Event) string {
 		return "host"
 	case KindFaultDetected, KindRetry, KindReroute, KindFallback:
 		return "recovery"
-	case KindChunkDispatch, KindChunkRetry, KindChunkHedge, KindChunkLocal:
-		return "cluster"
-	case KindJobQueued, KindJobStart, KindJobFinish:
-		return "jobs"
 	default:
 		return "misc"
 	}

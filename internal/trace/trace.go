@@ -55,45 +55,12 @@ const (
 	KindReroute
 	// KindFallback marks the ladder degrading to the host-relay backend.
 	KindFallback
-	// Chunk kinds are emitted by the cluster coordinator, one tier above
-	// the simulator. Unlike the kinds above, their Start/End are wall-clock
-	// nanoseconds since the parent sweep began (there is no simulated
-	// timeline at the coordinator); Seq carries the chunk index and From
-	// the dispatch attempt number.
-	//
-	// KindChunkDispatch is one remote dispatch attempt of a sweep chunk
-	// (span; Name is the worker's base URL).
-	KindChunkDispatch
-	// KindChunkRetry is the backoff wait before a chunk's re-dispatch
-	// (span; From is the attempt about to run).
-	KindChunkRetry
-	// KindChunkHedge marks a hedged duplicate dispatch of a straggler
-	// chunk (point; Name is the hedge worker's base URL).
-	KindChunkHedge
-	// KindChunkLocal is a chunk's local-fallback execution on the
-	// coordinator after remote attempts were exhausted or no worker was
-	// healthy (span).
-	KindChunkLocal
-	// Job kinds are emitted by the serving tier's async job manager. Like
-	// the chunk kinds, their Start/End are wall-clock nanoseconds (since
-	// the server started); Name is the job ID.
-	//
-	// KindJobQueued marks a job's admission into its tenant queue (point;
-	// Seq is the job's cost in grid points).
-	KindJobQueued
-	// KindJobStart marks the scheduler dispatching a job (point).
-	KindJobStart
-	// KindJobFinish closes a job: Start..End is its running span and Seq
-	// its completion ordinal.
-	KindJobFinish
 	numKinds
 )
 
 var kindNames = [numKinds]string{
 	"phase-start", "phase-end", "link-busy", "sync-tree", "mem-stage",
 	"host-stage", "fault-detected", "retry", "reroute", "fallback",
-	"chunk-dispatch", "chunk-retry", "chunk-hedge", "chunk-local",
-	"job-queued", "job-start", "job-finish",
 }
 
 // String returns the kind's short name.
@@ -109,8 +76,7 @@ func (k Kind) String() string {
 func (k Kind) Span() bool {
 	switch k {
 	case KindPhaseEnd, KindLinkBusy, KindSyncTree, KindMemStage,
-		KindHostStage, KindRetry, KindReroute,
-		KindChunkDispatch, KindChunkRetry, KindChunkLocal, KindJobFinish:
+		KindHostStage, KindRetry, KindReroute:
 		return true
 	default:
 		return false

@@ -28,8 +28,6 @@ func TestKindSpan(t *testing.T) {
 	spans := map[Kind]bool{
 		KindPhaseEnd: true, KindLinkBusy: true, KindSyncTree: true,
 		KindMemStage: true, KindHostStage: true, KindRetry: true, KindReroute: true,
-		KindChunkDispatch: true, KindChunkRetry: true, KindChunkLocal: true,
-		KindJobFinish: true,
 	}
 	for k := Kind(0); k < numKinds; k++ {
 		if k.Span() != spans[k] {
